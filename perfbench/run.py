@@ -16,6 +16,14 @@ recorded beside them. ``--trace 1`` alternates traced and untraced jobs,
 reports the per-layer metrics (raw wall seconds) from the traced ones
 and cross-checks the traced counts against the run's ``LevelStats``.
 
+A run pins its process, and with it the threads and set-up probes it
+starts, to one CPU. merge-4n-w2 relabels through a per-merge pool of two
+threads; with the threads free to wake each other across the CPUs of a
+shared host, its wall time follows how the host schedules the other CPU
+(measured on a 2-CPU VM: 5.3-11.4 s per job beside a competing process,
+2.6-2.8 s pinned). On one CPU the pool's threads still start, run and
+join for every merge, so its cost is still measured.
+
 Human-readable lines come first; the last line of standard output is the
 result JSON. The full report (metadata, raw samples, checks) is written
 to ``.perfbench/`` under the root, spans of a traced run next to it.
@@ -88,6 +96,16 @@ def import_mcvseg():
     if Path(mcvseg.__file__).resolve() != init.resolve():
         raise BenchError(f"imported mcvseg from {mcvseg.__file__}, not {init}")
     return mcvseg
+
+
+def pin_to_one_cpu() -> tuple[int, int]:
+    """Restrict this process to the highest CPU it may run on.
+
+    Return (CPUs allowed before, CPU pinned to).
+    """
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {max(cpus)})
+    return len(cpus), max(cpus)
 
 
 def spread(xs: list[float]) -> dict:
@@ -307,7 +325,7 @@ def traced_run(mcvseg, w, input_seed, data, expected, deadline, report):
     return summary, len(traced) + len(untraced), failed, LAYER_UNITS
 
 
-def metadata(mcvseg) -> dict:
+def metadata(mcvseg, nproc: int, cpu_pinned: int) -> dict:
     env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(ROOT.parent))
     try:
         sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, env=env, text=True,
@@ -324,7 +342,8 @@ def metadata(mcvseg) -> dict:
                         if ln.startswith("model name")), cpu)
     except OSError:
         pass
-    return {"git_sha": sha, "src_sha256": src.hexdigest(), "nproc": len(os.sched_getaffinity(0)),
+    return {"git_sha": sha, "src_sha256": src.hexdigest(), "nproc": nproc,
+            "cpu_pinned": cpu_pinned,
             "cpu_model": cpu, "python": platform.python_version(),
             "numpy": numpy.__version__, "mcvseg": getattr(mcvseg, "__version__", None)}
 
@@ -364,6 +383,7 @@ def main(argv=None) -> int:
             record_golden(mcvseg, [args.workload] if args.workload else sorted(WORKLOADS))
             return 0
         OUT.mkdir(exist_ok=True)
+        nproc, cpu_pinned = pin_to_one_cpu()
         w = WORKLOADS[args.workload]
         mode = "smoke" if args.smoke else "full"
         run_w = smoke(w) if args.smoke else w
@@ -374,7 +394,7 @@ def main(argv=None) -> int:
         report = {"name": name, "workload": w.name, "mode": mode, "seed": args.seed,
                   "input_variant": variant, "trace": args.trace, "seconds": args.seconds,
                   "image": [run_w.width, run_w.height, run_w.bands],
-                  "levels": run_w.config["max_level"], "meta": metadata(mcvseg)}
+                  "levels": run_w.config["max_level"], "meta": metadata(mcvseg, nproc, cpu_pinned)}
         if args.trace:
             summary, attempted, failed, units = traced_run(
                 mcvseg, run_w, variant, data, expected, deadline, report)
