@@ -14,10 +14,9 @@ from .mrf import (GibbsTable, MrfModel, calibrate_rho, energy, evaluate,
                   gibbs_distribution, neighborhood_squared, tau_rho_consistency)
 from .partition import (ABSENT, Partition, canonicalize, components_by_class,
                         connected_components, m_step, merge_step,
-                        merge_step_parallel, same_partition, singletons,
-                        singletons_full)
-from .pnmio import (ImageBuffer, LabelImage, PnmParseError, colorize,
-                    load_labels, load_pnm, save_labels, save_pnm)
+                        same_partition, singletons, singletons_full)
+from .pnmio import (ImageBuffer, PnmParseError, colorize, load_labels,
+                    load_pnm, save_labels, save_pnm)
 from .pyramid import (PyramidEvaluator, WindowImage, downsample,
                       make_pyramid_evaluator, pyramid_evaluate)
 
@@ -29,7 +28,6 @@ __all__ = [
     "FIVE_NEIGHBORHOOD",
     "GibbsTable",
     "ImageBuffer",
-    "LabelImage",
     "Lattice",
     "LevelStats",
     "McvConfig",
@@ -59,7 +57,6 @@ __all__ = [
     "m_step",
     "make_pyramid_evaluator",
     "merge_step",
-    "merge_step_parallel",
     "neighborhood_squared",
     "permutation",
     "pyramid_evaluate",

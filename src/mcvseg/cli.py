@@ -20,7 +20,7 @@ from .driver import (METRIC_ALIASES, ConfigError, McvConfig, config_updates,
 from .geometry import FIVE_NEIGHBORHOOD, NINE_NEIGHBORHOOD
 from .metrics import rand_index
 from .partition import Partition, canonicalize, components_by_class
-from .pnmio import LabelImage, colorize, load_labels, load_pnm, save_labels, save_pnm
+from .pnmio import colorize, load_labels, load_pnm, save_labels, save_pnm
 
 
 def _parse_perm_flag(raw: str) -> dict:
@@ -115,22 +115,19 @@ def cmd_components(args: argparse.Namespace) -> int:
     image = load_pnm(data)
     if image.bands != 1:
         raise ConfigError("class map must be a single-band PGM")
-    classmap = LabelImage(image.lattice, image.samples[:, :, 0].astype("int32"))
+    classmap = Partition(image.lattice, image.samples[:, :, 0])
     w0 = NINE_NEIGHBORHOOD if args.neighborhood == 8 else FIVE_NEIGHBORHOOD
     part = canonicalize(components_by_class(classmap, w0))
-    lm = part.to_label_image()
     fmt = "csv" if args.output.endswith(".csv") else "pgm16"
-    blob = save_labels(lm, fmt)
+    blob = save_labels(part, fmt)
     Path(args.output).write_bytes(blob)
     print(f"{part.block_count()} components")
     return 0
 
 
 def cmd_rand(args: argparse.Namespace) -> int:
-    lm1 = load_labels(Path(args.labels1).read_bytes())
-    lm2 = load_labels(Path(args.labels2).read_bytes())
-    value = rand_index(Partition.from_label_image(lm1),
-                       Partition.from_label_image(lm2))
+    value = rand_index(load_labels(Path(args.labels1).read_bytes()),
+                       load_labels(Path(args.labels2).read_bytes()))
     print(f"{value:.6f}")
     return 0
 
@@ -155,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="deviation metric (l2=euclidean, l1=per_band_abs)")
     seg.add_argument("--eval", choices=("direct", "pyramid"),
                      help="window evaluation mode")
-    seg.add_argument("--workers", type=int, help="worker threads for merge passes")
+    seg.add_argument("--workers", type=int, help="recorded in stats.txt; does not change the run")
     seg.add_argument("--neighborhood", type=int, choices=(4, 8),
                      help="base adjacency")
     seg.set_defaults(func=cmd_segment)

@@ -7,6 +7,10 @@ label boundary triggers an homogeneity test of the raw image on the
 level's evaluation window, and an accepted test merges the bordering
 blocks inside the level's merge window. The result is a multiresolution
 sequence of partitions, deterministic for a given configuration.
+
+Each accepted merge reads the labels the previous one wrote, so a level
+runs strictly in order on one thread. All window clipping goes through
+``WindowGeom.clip`` and every merge through ``partition._relabel``.
 """
 
 from __future__ import annotations
@@ -14,14 +18,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD, Window,
-                       dilate, square_window)
+                       WindowGeom, dilate, square_window)
 from .mrf import MrfModel, evaluate
 from .partition import Partition, _relabel, canonicalize, singletons_full
-from .pnmio import ImageBuffer, LabelImage
+from .pnmio import ImageBuffer
 from .pyramid import (PyramidEvaluator, WindowImage, make_pyramid_evaluator,
                       pyramid_evaluate)
 
@@ -51,6 +56,8 @@ class McvConfig:
     neighborhood, merge windows to squares of radius 2^i; both sequences
     can be overridden with explicit per-level windows. ``rho`` thresholds
     the per-pixel energy, so it is comparable across window sizes.
+    ``workers`` is validated and recorded in ``stats.txt`` but changes
+    nothing: a level's merges run in order on one thread.
     """
 
     max_level: int = 9
@@ -193,26 +200,22 @@ class PartitionSequence:
     """Canonicalized partition after every level, plus run bookkeeping."""
 
     config: McvConfig
-    levels: list[LabelImage]
+    levels: list[Partition]
     stats: list[LevelStats]
 
-    def final(self) -> LabelImage:
+    def final(self) -> Partition:
         return self.levels[-1]
-
-    def partition(self, level: int) -> Partition:
-        return Partition.from_label_image(self.levels[level])
 
     def region_counts(self) -> list[int]:
         return [s.region_count for s in self.stats]
 
 
-def _raster_order(lat: Lattice) -> np.ndarray:
-    cols = np.tile(np.arange(1, lat.width + 1, dtype=np.int64), lat.height)
-    rows = np.repeat(np.arange(1, lat.height + 1, dtype=np.int64), lat.width)
-    return np.stack([cols, rows], axis=1)
+def _pixel_pairs(flat: np.ndarray, lat: Lattice) -> np.ndarray:
+    """(col, row) pairs of 0-based row-major pixel indices."""
+    return np.stack([flat % lat.width + 1, flat // lat.width + 1], axis=1)
 
 
-def permutation(kind: str, lat: Lattice, seed: int = 0) -> np.ndarray:
+def permutation(kind: str, lat: Lattice, seed: int | Sequence[int] = 0) -> np.ndarray:
     """Pixel visiting order as an (N, 2) array of (col, row) pairs.
 
     ``raster`` is row-major order; ``random`` shuffles it with
@@ -221,10 +224,9 @@ def permutation(kind: str, lat: Lattice, seed: int = 0) -> np.ndarray:
     """
     if kind not in ("raster", "random"):
         raise ValueError(f"kind must be 'raster' or 'random', got {kind!r}")
-    base = _raster_order(lat)
     if kind == "raster":
-        return base
-    return base[np.random.default_rng(seed).permutation(lat.size)]
+        return _pixel_pairs(np.arange(lat.size, dtype=np.int64), lat)
+    return _pixel_pairs(np.random.default_rng(seed).permutation(lat.size), lat)
 
 
 def load_permutation(text: str, lat: Lattice) -> np.ndarray:
@@ -240,41 +242,7 @@ def load_permutation(text: str, lat: Lattice) -> np.ndarray:
             values.append(int(s))
         except ValueError:
             raise ValueError(f"permutation file line {ln}: not an integer: {s!r}")
-    arr = np.array(values, dtype=np.int64)
-    if arr.size != lat.size:
-        raise ValueError(f"permutation file lists {arr.size} pixels, "
-                         f"lattice has {lat.size}")
-    if arr.size and (arr.min() < 0 or arr.max() >= lat.size):
-        raise ValueError("permutation file index out of range")
-    seen = np.zeros(lat.size, dtype=bool)
-    seen[arr] = True
-    if not seen.all():
-        raise ValueError("permutation file is not a permutation: missing indices")
-    cols = arr % lat.width + 1
-    rows = arr // lat.width + 1
-    return np.stack([cols, rows], axis=1)
-
-
-@dataclass(frozen=True)
-class _Geom:
-    """Bounding box plus membership mask of a window; mask is None when
-    the window fills its box, which unlocks the maskless fast paths."""
-
-    bx0: int
-    bx1: int
-    by0: int
-    by1: int
-    mask: np.ndarray | None
-
-    @classmethod
-    def of(cls, win: Window) -> _Geom:
-        bx0, bx1, by0, by1 = win.bbox()
-        mask = None if win.is_full_rectangle() else win.mask()
-        return cls(bx0, bx1, by0, by1, mask)
-
-    @classmethod
-    def square(cls, r: int) -> _Geom:
-        return cls(-r, r, -r, r, None)
+    return _check_perm(_pixel_pairs(np.array(values, dtype=np.int64), lat), lat)
 
 
 def _evaluator_for(cfg: McvConfig) -> PyramidEvaluator:
@@ -287,8 +255,8 @@ def _evaluator_for(cfg: McvConfig) -> PyramidEvaluator:
 
 def _check_perm(perm: np.ndarray, lat: Lattice) -> np.ndarray:
     perm = np.asarray(perm)
-    if perm.ndim != 2 or perm.shape != (lat.size, 2):
-        raise ValueError(f"permutation must be ({lat.size}, 2) pixel pairs, "
+    if perm.shape != (lat.size, 2):
+        raise ValueError(f"permutation must list {lat.size} (col, row) pairs, "
                          f"got shape {perm.shape}")
     flat = (perm[:, 1] - 1) * lat.width + (perm[:, 0] - 1)
     if flat.min() < 0 or flat.max() >= lat.size:
@@ -308,14 +276,17 @@ def _run_level_inplace(labels: np.ndarray, omega: ImageBuffer, level: int,
     samples = omega.samples
     model = cfg.model()
     direct = cfg.eval_mode == "direct"
-    w0g = _Geom.of(cfg.w0)
+    clip_w0 = WindowGeom.of(cfg.w0).clip
     wi_window = cfg.eval_window(level)
-    wig = _Geom.of(wi_window)
+    wig = WindowGeom.of(wi_window)
     if cfg.merge_windows is None:
-        psig = _Geom.square(2 ** level)
+        clip_psi = WindowGeom.square(2 ** level).clip
     else:
-        psig = _Geom.of(cfg.merge_windows[level - 1])
-    workers = cfg.workers
+        clip_psi = WindowGeom.of(cfg.merge_windows[level - 1]).clip
+    # The pyramid scores the eval window's whole bounding box; the box
+    # slots that hold lattice pixels are the lattice clipped to the box.
+    box = (wig.by1 - wig.by0 + 1, wig.bx1 - wig.bx0 + 1)
+    clip_lattice = WindowGeom(0, w - 1, 0, h - 1, None).clip
     evaluations = 0
     accepted = 0
     next_label = int(labels.max()) + 1
@@ -324,60 +295,29 @@ def _run_level_inplace(labels: np.ndarray, omega: ImageBuffer, level: int,
     rows = (perm[:, 1] - 1).tolist()
     for c0, r0 in zip(cols, rows):
         center = labels[r0, c0]
+        rs, cs, sub = clip_w0(r0, c0, h, w)
+        block = labels[rs, cs]
+        if sub is not None:
+            block = block[sub]
+        if not (block != center).any():
+            continue
 
-        rlo, rhi = r0 + w0g.by0, r0 + w0g.by1
-        clo, chi = c0 + w0g.bx0, c0 + w0g.bx1
-        a0 = rlo if rlo > 0 else 0
-        a1 = rhi + 1 if rhi < h else h
-        b0 = clo if clo > 0 else 0
-        b1 = chi + 1 if chi < w else w
-        block = labels[a0:a1, b0:b1]
-        if w0g.mask is None:
-            sub0 = None
-            if not (block != center).any():
-                continue
-        else:
-            sub0 = w0g.mask[a0 - rlo : a1 - rlo, b0 - clo : b1 - clo]
-            if not (block[sub0] != center).any():
-                continue
-
-        rlo, rhi = r0 + wig.by0, r0 + wig.by1
-        clo, chi = c0 + wig.bx0, c0 + wig.bx1
-        e0 = rlo if rlo > 0 else 0
-        e1 = rhi + 1 if rhi < h else h
-        f0 = clo if clo > 0 else 0
-        f1 = chi + 1 if chi < w else w
-        patch = samples[e0:e1, f0:f1]
+        rs, cs, sub = wig.clip(r0, c0, h, w)
+        patch = samples[rs, cs]
         if direct:
-            if wig.mask is None:
-                pmask = None
-            else:
-                pmask = wig.mask[e0 - rlo : e1 - rlo, f0 - clo : f1 - clo]
-            ok = evaluate(patch, model, pmask)
+            ok = evaluate(patch, model, sub)
         else:
-            bh = wig.by1 - wig.by0 + 1
-            bw = wig.bx1 - wig.bx0 + 1
-            vals = np.zeros((bh, bw, omega.bands))
-            msk = np.zeros((bh, bw), dtype=bool)
-            vals[e0 - rlo : e1 - rlo, f0 - clo : f1 - clo] = patch
-            msk[e0 - rlo : e1 - rlo, f0 - clo : f1 - clo] = True
+            brs, bcs, _ = clip_lattice(-r0 - wig.by0, -c0 - wig.bx0, *box)
+            vals = np.zeros(box + (omega.bands,))
+            msk = np.zeros(box, dtype=bool)
+            vals[brs, bcs] = patch
+            msk[brs, bcs] = True
             ok = pyramid_evaluate(WindowImage(wi_window, vals, msk), pe)
         evaluations += 1
         if not ok:
             continue
 
-        targets = np.unique(block if sub0 is None else block[sub0])
-        rlo, rhi = r0 + psig.by0, r0 + psig.by1
-        clo, chi = c0 + psig.bx0, c0 + psig.bx1
-        g0 = rlo if rlo > 0 else 0
-        g1 = rhi + 1 if rhi < h else h
-        j0 = clo if clo > 0 else 0
-        j1 = chi + 1 if chi < w else w
-        subp = None
-        if psig.mask is not None:
-            subp = psig.mask[g0 - rlo : g1 - rlo, j0 - clo : j1 - clo]
-        _relabel(labels, slice(g0, g1), slice(j0, j1), subp,
-                 targets, next_label, workers)
+        _relabel(labels, *clip_psi(r0, c0, h, w), np.unique(block), next_label)
         accepted += 1
         next_label += 1
 
@@ -409,7 +349,8 @@ def run_mcv(omega: ImageBuffer, cfg: McvConfig = McvConfig()) -> PartitionSequen
     ``reshuffle_per_level`` asks for a fresh shuffle per level. Every
     recorded partition is canonicalized, so two runs agree iff their
     sequences compare equal. The result is fully determined by the image
-    and the config; the worker count never changes it.
+    and the config. The run is single-threaded; ``cfg.workers`` is only
+    recorded.
     """
     cfg.validate()
     lat = omega.lattice
@@ -425,15 +366,14 @@ def run_mcv(omega: ImageBuffer, cfg: McvConfig = McvConfig()) -> PartitionSequen
             raise ConfigError(str(e)) from e
 
     labels = singletons_full(lat).labels
-    snapshots = [canonicalize(Partition(lat, labels)).to_label_image()]
+    snapshots = [canonicalize(Partition(lat, labels))]
     stats = [LevelStats(0, 0, 0, lat.size)]
     for i in range(1, cfg.max_level + 1):
         if cfg.reshuffle_per_level:
-            order = _raster_order(lat)[
-                np.random.default_rng([cfg.seed, i]).permutation(lat.size)]
+            order = permutation("random", lat, [cfg.seed, i])
         else:
             order = base
         st = _run_level_inplace(labels, omega, i, cfg, order, pe)
-        snapshots.append(canonicalize(Partition(lat, labels)).to_label_image())
+        snapshots.append(canonicalize(Partition(lat, labels)))
         stats.append(st)
     return PartitionSequence(cfg, snapshots, stats)

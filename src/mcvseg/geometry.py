@@ -85,6 +85,45 @@ class Window:
         return len(self.offsets) == (x1 - x0 + 1) * (y1 - y0 + 1)
 
 
+@dataclass(frozen=True)
+class WindowGeom:
+    """Bounding box plus membership mask of a window, for cutting it out
+    of 0-based arrays. ``mask`` is None when the window fills its box,
+    which unlocks the maskless fast paths."""
+
+    bx0: int
+    bx1: int
+    by0: int
+    by1: int
+    mask: np.ndarray | None
+
+    @classmethod
+    def of(cls, win: Window) -> WindowGeom:
+        bx0, bx1, by0, by1 = win.bbox()
+        mask = None if win.is_full_rectangle() else win.mask()
+        return cls(bx0, bx1, by0, by1, mask)
+
+    @classmethod
+    def square(cls, r: int) -> WindowGeom:
+        """square_window(r) without materializing its offsets."""
+        return cls(-r, r, -r, r, None)
+
+    def clip(self, r0: int, c0: int, h: int, w: int):
+        """The window translated to array position (r0, c0) and clipped to
+        an h x w array: row slice, column slice, and the window mask cut
+        to the same region (None when the window has no mask)."""
+        rlo, rhi = r0 + self.by0, r0 + self.by1 + 1
+        clo, chi = c0 + self.bx0, c0 + self.bx1 + 1
+        a0 = rlo if rlo > 0 else 0
+        a1 = rhi if rhi < h else h
+        b0 = clo if clo > 0 else 0
+        b1 = chi if chi < w else w
+        sub = None
+        if self.mask is not None:
+            sub = self.mask[a0 - rlo : a1 - rlo, b0 - clo : b1 - clo]
+        return slice(a0, a1), slice(b0, b1), sub
+
+
 def square_window(r: int) -> Window:
     """Square window of side 2r + 1 centered at the origin."""
     if r < 0:

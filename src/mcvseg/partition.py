@@ -6,18 +6,19 @@ A partition lives on the whole lattice or on a subset of it; pixels
 outside the domain carry the reserved ABSENT marker. Blocks are the
 maximal sets of pixels sharing a label. No region lists are kept between
 operations: adjacency is always recomputed locally from the label map.
+The merging operator and the windowed merge both end in ``_relabel``,
+one vectorized pass; ``connected_components`` instead fuses small blocks
+into large ones through explicit pixel lists, which bounds its work.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import Lattice, Pixel, Window
-from .pnmio import LabelImage
+from .geometry import Lattice, Pixel, Window, WindowGeom
 
 ABSENT = -1
 
@@ -66,29 +67,24 @@ class Partition:
             out.setdefault(int(self.labels[r, c]), set()).add((int(c) + 1, int(r) + 1))
         return out
 
-    def to_label_image(self) -> LabelImage:
-        if not self.is_total:
-            raise ValueError("partition has absent pixels; cannot emit a total label image")
-        return LabelImage(self.lattice, self.labels.copy())
 
-    @classmethod
-    def from_label_image(cls, lm: LabelImage) -> Partition:
-        return cls(lm.lattice, lm.labels.copy())
+def _window_labels(labels: np.ndarray, x: Pixel, geom: WindowGeom) -> np.ndarray:
+    """Labels under the window at ``x``, clipped to the lattice."""
+    rs, cs, sub = geom.clip(x[1] - 1, x[0] - 1, *labels.shape)
+    block = labels[rs, cs]
+    return block if sub is None else block[sub]
 
 
-def _clipped(shape: tuple[int, int], x: Pixel, win: Window):
-    """Array slices plus window-shape mask selecting (x + win) within the
-    lattice, in 0-based array coordinates."""
-    h, w = shape
-    c0, r0 = x[0] - 1, x[1] - 1
-    bx0, bx1, by0, by1 = win.bbox()
-    mask = win.mask()
-    rlo, rhi = r0 + by0, r0 + by1
-    clo, chi = c0 + bx0, c0 + bx1
-    rlo_c, rhi_c = max(rlo, 0), min(rhi, h - 1)
-    clo_c, chi_c = max(clo, 0), min(chi, w - 1)
-    sub = mask[rlo_c - rlo : rhi_c - rlo + 1, clo_c - clo : chi_c - clo + 1]
-    return slice(rlo_c, rhi_c + 1), slice(clo_c, chi_c + 1), sub
+def _relabel(labels: np.ndarray, rs: slice, cs: slice, sub: np.ndarray | None,
+             targets: np.ndarray, fresh: int) -> None:
+    """In place, give the label ``fresh`` to every pixel of
+    ``labels[rs, cs]`` (under ``sub`` when given) whose label is in
+    ``targets``."""
+    region = labels[rs, cs]
+    sel = np.isin(region, targets)
+    if sub is not None:
+        sel &= sub
+    region[sel] = fresh
 
 
 def singletons(S: Iterable[Pixel], lat: Lattice) -> Partition:
@@ -116,25 +112,21 @@ def m_step(x: Pixel, p: Partition, w0: Window) -> Partition:
     The result is a partition of the same domain, coarser than or equal to
     the input, and it preserves connectedness of blocks.
     """
-    if p.label_at(x) == ABSENT:
-        raise ValueError(f"pixel {x} is not in the partition domain")
-    rs, cs, sub = _clipped(p.labels.shape, x, w0)
-    window_labels = p.labels[rs, cs][sub]
-    members = np.unique(window_labels[window_labels != ABSENT])
     target = p.label_at(x)
+    if target == ABSENT:
+        raise ValueError(f"pixel {x} is not in the partition domain")
+    members = _window_labels(p.labels, x, WindowGeom.of(w0))
     out = p.labels.copy()
-    if members.size > 1:
-        out[np.isin(out, members[members != target])] = target
+    _relabel(out, slice(None), slice(None), None, members[members != ABSENT], target)
     return Partition(p.lattice, out)
 
 
 def _fuse_at(labels: np.ndarray, blocks: list[list[int]], sizes: list[int],
-             win_rs, win_cs, win_sub) -> None:
+             window_labels: np.ndarray) -> None:
     """In-place operator step on the list-backed label map: fuse every
-    block with a pixel in the clipped window into the largest of them.
+    block with a pixel in the window into the largest of them.
     Relabeling smaller blocks into the largest keeps total relabel work
     O(N log N) over a full run."""
-    window_labels = labels[win_rs, win_cs][win_sub]
     members = np.unique(window_labels[window_labels != ABSENT])
     if members.size < 2:
         return
@@ -174,13 +166,13 @@ def connected_components(S: Iterable[Pixel], w0: Window,
     for c, r in sorted(pixel_set, key=lambda q: (q[1], q[0])):
         blocks.append([(r - 1) * width + (c - 1)])
         sizes.append(1)
+    geom = WindowGeom.of(w0)
     for x in order:
-        rs, cs, sub = _clipped(labels.shape, x, w0)
-        _fuse_at(labels, blocks, sizes, rs, cs, sub)
+        _fuse_at(labels, blocks, sizes, _window_labels(labels, x, geom))
     return Partition(lat, labels)
 
 
-def components_by_class(cm: LabelImage, w0: Window) -> Partition:
+def components_by_class(cm: Partition, w0: Window) -> Partition:
     """Connected components of every constant-class set of a class map,
     combined into one total partition. Blocks never mix classes."""
     lat = cm.lattice
@@ -197,44 +189,6 @@ def components_by_class(cm: LabelImage, w0: Window) -> Partition:
     return Partition(lat, out)
 
 
-def _merge_targets(labels: np.ndarray, x: Pixel, w0: Window) -> np.ndarray:
-    rs, cs, sub = _clipped(labels.shape, x, w0)
-    return np.unique(labels[rs, cs][sub])
-
-
-def _relabel(labels: np.ndarray, rs: slice, cs: slice, sub: np.ndarray | None,
-             targets: np.ndarray, fresh: int, workers: int = 1) -> None:
-    """Relabel pass over a clipped window slice: pixels whose label is in
-    ``targets`` (and under ``sub`` when given) take the fresh merged-block
-    label. Each pixel's new value depends only on its own old label and the
-    precomputed target set, so the pass may be tiled across workers with
-    identical results."""
-    region = labels[rs, cs]
-    if workers <= 1 or region.shape[0] < 2:
-        sel = np.isin(region, targets)
-        if sub is not None:
-            sel &= sub
-        region[sel] = fresh
-        return
-    bands = np.array_split(np.arange(region.shape[0]), min(workers, region.shape[0]))
-
-    def relabel_band(rows):
-        band = region[rows[0] : rows[-1] + 1]
-        sel = np.isin(band, targets)
-        if sub is not None:
-            sel &= sub[rows[0] : rows[-1] + 1]
-        band[sel] = fresh
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(relabel_band, [b for b in bands if b.size]))
-
-
-def _merge_apply(labels: np.ndarray, x: Pixel, psi: Window,
-                 targets: np.ndarray, fresh: int, workers: int = 1) -> None:
-    rs, cs, sub = _clipped(labels.shape, x, psi)
-    _relabel(labels, rs, cs, sub, targets, fresh, workers)
-
-
 def merge_step(x: Pixel, p: Partition, w0: Window, psi: Window) -> Partition:
     """Windowed merge at ``x``: blocks meeting the w0-window contribute
     their pixels inside the psi-window to one new block; what falls outside
@@ -249,28 +203,9 @@ def merge_step(x: Pixel, p: Partition, w0: Window, psi: Window) -> Partition:
     if not p.is_total:
         raise ValueError("merge_step requires a total partition")
     out = p.labels.copy()
-    targets = _merge_targets(out, x, w0)
-    _merge_apply(out, x, psi, targets, int(out.max()) + 1)
-    return Partition(p.lattice, out)
-
-
-def merge_step_parallel(x: Pixel, p: Partition, w0: Window, psi: Window,
-                        workers: int) -> Partition:
-    """merge_step with the relabel pass tiled over ``workers`` row bands.
-
-    Bitwise identical to merge_step for every worker count: the target
-    label set is snapshotted before the pass and writes are per-pixel
-    independent.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
-    if x not in p.lattice:
-        raise ValueError(f"pixel {x} outside {p.lattice.width}x{p.lattice.height} lattice")
-    if not p.is_total:
-        raise ValueError("merge_step_parallel requires a total partition")
-    out = p.labels.copy()
-    targets = _merge_targets(out, x, w0)
-    _merge_apply(out, x, psi, targets, int(out.max()) + 1, workers=workers)
+    targets = _window_labels(out, x, WindowGeom.of(w0))
+    rs, cs, sub = WindowGeom.of(psi).clip(x[1] - 1, x[0] - 1, *out.shape)
+    _relabel(out, rs, cs, sub, targets, int(out.max()) + 1)
     return Partition(p.lattice, out)
 
 

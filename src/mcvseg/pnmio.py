@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Lattice
+from .partition import Partition
 
 
 class PnmParseError(ValueError):
@@ -44,22 +45,6 @@ class ImageBuffer:
     def value_at(self, pixel) -> np.ndarray:
         c, r = pixel
         return self.samples[r - 1, c - 1]
-
-
-@dataclass
-class LabelImage:
-    """One nonnegative integer label per lattice pixel."""
-
-    lattice: Lattice
-    labels: np.ndarray
-
-    def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int32)
-        expected = (self.lattice.height, self.lattice.width)
-        if self.labels.shape != expected:
-            raise ValueError(f"label array shape {self.labels.shape} != {expected}")
-        if self.labels.min(initial=0) < 0:
-            raise ValueError("labels must be nonnegative")
 
 
 _WHITESPACE = b" \t\r\n\v\f"
@@ -176,11 +161,18 @@ def save_pnm(img: ImageBuffer, plain: bool = False) -> bytes:
     return header + payload.tobytes()
 
 
-def save_labels(lm: LabelImage, format: str = "pgm16") -> bytes:
-    """Serialize a label map as 16-bit PGM or CSV.
+def _check_nonnegative(labels: np.ndarray) -> None:
+    if labels.min(initial=0) < 0:
+        raise ValueError("label maps hold nonnegative labels; ABSENT pixels "
+                         "have no encoding")
+
+
+def save_labels(lm: Partition, format: str = "pgm16") -> bytes:
+    """Serialize a total partition as 16-bit PGM or CSV.
 
     pgm16 requires every label <= 65535; CSV has no label limit.
     """
+    _check_nonnegative(lm.labels)
     if format == "pgm16":
         if lm.labels.max(initial=0) > 65535:
             raise ValueError(
@@ -194,11 +186,11 @@ def save_labels(lm: LabelImage, format: str = "pgm16") -> bytes:
     raise ValueError(f"unknown label format {format!r}")
 
 
-def load_labels(data: bytes) -> LabelImage:
+def load_labels(data: bytes) -> Partition:
     """Load a label map from 16-bit/8-bit PGM bytes or CSV bytes."""
     if data[:2] in (b"P2", b"P5"):
         img = load_pnm(data)
-        return LabelImage(img.lattice, img.samples[:, :, 0].astype(np.int32))
+        return Partition(img.lattice, img.samples[:, :, 0])
     if data[:2] in (b"P3", b"P6"):
         raise ValueError("label maps must be single-band (PGM), got PPM")
     text = data.decode("utf-8")
@@ -209,16 +201,18 @@ def load_labels(data: bytes) -> LabelImage:
     if len(widths) != 1:
         raise ValueError(f"ragged label CSV: row lengths {sorted(widths)}")
     labels = np.array([[int(v) for v in row] for row in rows], dtype=np.int32)
-    return LabelImage(Lattice(labels.shape[1], labels.shape[0]), labels)
+    _check_nonnegative(labels)
+    return Partition(Lattice(labels.shape[1], labels.shape[0]), labels)
 
 
-def colorize(lm: LabelImage, seed: int = 0) -> ImageBuffer:
+def colorize(lm: Partition, seed: int = 0) -> ImageBuffer:
     """Render a label map as an RGB image, one color per label.
 
     Colors come from a seeded affine bijection of the 24-bit color cube,
     so distinct labels get distinct colors for up to 2**24 labels and the
     output is byte-reproducible for a fixed seed.
     """
+    _check_nonnegative(lm.labels)
     rng = np.random.default_rng(seed)
     mult = 2 * int(rng.integers(0, 2**23)) + 1
     offset = int(rng.integers(0, 2**24))

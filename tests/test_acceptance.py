@@ -19,7 +19,7 @@ from mcvseg.metrics import rand_index
 from mcvseg.mrf import (MrfModel, calibrate_rho, energy, evaluate,
                         gibbs_distribution, tau_rho_consistency)
 from mcvseg.partition import (Partition, canonicalize, connected_components,
-                              merge_step, merge_step_parallel, singletons_full)
+                              merge_step, singletons_full)
 from mcvseg.pnmio import ImageBuffer
 from mcvseg.pyramid import (WindowImage, downsample, make_pyramid_evaluator,
                             pyramid_evaluate)
@@ -138,18 +138,38 @@ def test_criterion_03_merge_matches_set_oracle():
     report(3, split_ok, "200 random merges equal set arithmetic, split case exact")
 
 
+def _level_counts(seq):
+    return [(st.level, st.evaluations, st.accepted, st.region_count)
+            for st in seq.stats]
+
+
 def test_criterion_04_parallel_equals_sequential():
     rng = np.random.default_rng(404)
-    for _ in range(200):
-        w, h = int(rng.integers(3, 11)), int(rng.integers(3, 9))
-        p = _random_partition(rng, w, h, int(rng.integers(2, 7)))
-        x = (int(rng.integers(1, w + 1)), int(rng.integers(1, h + 1)))
-        psi = square_window(int(rng.integers(1, 4)))
-        base = merge_step(x, p, NINE_NEIGHBORHOOD, psi)
-        for workers in (1, 2, 3, 8):
-            got = merge_step_parallel(x, p, NINE_NEIGHBORHOOD, psi, workers)
-            assert np.array_equal(got.labels, base.labels)
-    report(4, True, "workers {1,2,3,8} bitwise equal on 200 cases")
+    cases = 30
+    for _ in range(cases):
+        w, h = int(rng.integers(1, 11)), int(rng.integers(1, 9))
+        tones = rng.integers(0, 4, size=(h, w)) * 60.0
+        img = gray_image(tones + rng.normal(0.0, 2.0, size=(h, w)))
+        order = ("raster", "random", "reshuffle")[int(rng.integers(0, 3))]
+        fields = dict(
+            max_level=int(rng.integers(1, 4)),
+            permutation="raster" if order == "raster" else "random",
+            reshuffle_per_level=order == "reshuffle",
+            seed=int(rng.integers(0, 100)),
+            rho=float(rng.choice([1.0, 10.0, 50.0])),
+            neighborhood=int(rng.choice([4, 8])),
+            metric=str(rng.choice(["l1", "l2"])),
+            eval_mode=str(rng.choice(["direct", "pyramid"])),
+        )
+        base = run_mcv(img, McvConfig(workers=1, **fields))
+        for workers in (2, 3, 8):
+            got = run_mcv(img, McvConfig(workers=workers, **fields))
+            assert len(got.levels) == len(base.levels)
+            for a, b in zip(got.levels, base.levels):
+                assert np.array_equal(a.labels, b.labels)
+            assert _level_counts(got) == _level_counts(base)
+    report(4, True, f"workers {{1,2,3,8}} give bitwise equal sequences and "
+                    f"LevelStats on {cases} random runs")
 
 
 def test_criterion_05_energy_ground_truths():
@@ -361,7 +381,7 @@ def test_criterion_10_stability():
     for seed in range(5):
         cfg = McvConfig(max_level=7, permutation="random", seed=seed, rho=50.0,
                         eval_windows=(NINE_NEIGHBORHOOD,) * 7)
-        finals.append(Partition.from_label_image(run_mcv(img, cfg).final()))
+        finals.append(run_mcv(img, cfg).final())
     worst = min(rand_index(a, b) for a, b in itertools.combinations(finals, 2))
 
     flat = gray_image(np.full((16, 16), 55.0))

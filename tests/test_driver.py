@@ -1,10 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 
 from mcvseg.driver import (ConfigError, McvConfig, config_updates,
                            load_permutation, permutation, run_level, run_mcv)
 from mcvseg.geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD,
-                             dilate, square_window)
+                             WindowGeom, dilate, square_window)
 from mcvseg.partition import same_partition, singletons_full
 from mcvseg.pnmio import ImageBuffer
 
@@ -211,6 +213,19 @@ def test_run_mcv_deterministic_and_worker_independent():
                 assert np.array_equal(a, b)
 
 
+def test_run_mcv_max_level_30_on_a_line():
+    # the default merge window of level 30 is a square of radius 2**30;
+    # materializing its offsets would never finish
+    img = gray([[10.0, 10.0, 11.0, 200.0, 201.0, 200.0]])
+    t0 = time.perf_counter()
+    seq = run_mcv(img, McvConfig(max_level=30, rho=5.0,
+                                 eval_windows=(NINE_NEIGHBORHOOD,) * 30))
+    assert time.perf_counter() - t0 < 5.0
+    assert seq.region_counts()[-1] == 2
+    assert all(lm.labels.dtype == np.int32 for lm in seq.levels)
+    assert WindowGeom.square(2 ** 30).clip(0, 2, 1, 6) == (slice(0, 1), slice(0, 6), None)
+
+
 def test_run_mcv_region_count_nonincreasing_with_default_windows():
     # every default level satisfies merge window >= eval window + base
     # window, which forbids net splits across a level
@@ -281,5 +296,5 @@ def test_partition_sequence_accessors():
     img = gray(np.full((4, 4), 1.0))
     seq = run_mcv(img, McvConfig(max_level=2, rho=1.0))
     assert seq.final() is seq.levels[-1]
-    assert seq.partition(0).block_count() == 16
+    assert seq.levels[0].block_count() == 16
     assert len(seq.region_counts()) == 3

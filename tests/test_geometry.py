@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mcvseg.geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD,
-                             Window, boundary_point, clip, dilate,
+                             Window, WindowGeom, boundary_point, clip, dilate,
                              square_window)
 
 
@@ -78,6 +80,55 @@ def test_clip_interior_and_corner():
     assert clip(NINE_NEIGHBORHOOD, (1, 1), lat) == {(1, 1), (2, 1), (1, 2), (2, 2)}
     with pytest.raises(ValueError):
         clip(NINE_NEIGHBORHOOD, (5, 1), lat)
+
+
+def geom_clip_as_set(geom, x, lat):
+    """The pixels WindowGeom.clip selects at ``x``, as a 1-based pixel set."""
+    rs, cs, sub = geom.clip(x[1] - 1, x[0] - 1, lat.height, lat.width)
+    return {(c + 1, r + 1)
+            for r in range(rs.start, rs.stop) for c in range(cs.start, cs.stop)
+            if sub is None or sub[r - rs.start, c - cs.start]}
+
+
+lattice_shapes = st.one_of(
+    st.tuples(st.just(1), st.integers(1, 9)),
+    st.tuples(st.integers(1, 9), st.just(1)),
+    st.tuples(st.integers(1, 9), st.integers(1, 9)),
+)
+# Positions past the lattice edge clamp onto it, so edges and corners
+# come up often.
+positions = st.tuples(st.integers(0, 9), st.integers(0, 9))
+offset = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+windows = st.one_of(
+    st.lists(offset, max_size=10).map(lambda extra: Window(((0, 0), *extra))),
+    st.tuples(st.integers(-3, 0), st.integers(0, 3), st.integers(-3, 0),
+              st.integers(0, 3)).map(lambda b: Window(tuple(
+                  (dx, dy) for dx in range(b[0], b[1] + 1)
+                  for dy in range(b[2], b[3] + 1)))),
+)
+
+
+def on_lattice(shape, pos):
+    w, h = shape
+    return Lattice(w, h), (min(pos[0], w - 1) + 1, min(pos[1], h - 1) + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=lattice_shapes, pos=positions, win=windows)
+@example(shape=(1, 6), pos=(0, 0), win=FIVE_NEIGHBORHOOD)
+@example(shape=(6, 1), pos=(9, 9), win=Window(((0, 0), (2, 0), (0, -1))))
+def test_window_geom_clip_matches_set_clip(shape, pos, win):
+    lat, x = on_lattice(shape, pos)
+    assert geom_clip_as_set(WindowGeom.of(win), x, lat) == clip(win, x, lat)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=lattice_shapes, pos=positions, r=st.integers(0, 12))
+@example(shape=(1, 1), pos=(0, 0), r=12)
+def test_window_geom_square_matches_square_window(shape, pos, r):
+    lat, x = on_lattice(shape, pos)
+    assert geom_clip_as_set(WindowGeom.square(r), x, lat) == clip(square_window(r), x, lat)
+    assert WindowGeom.square(r) == WindowGeom.of(square_window(r))
 
 
 def test_boundary_point_half_split():

@@ -5,9 +5,9 @@ from mcvseg.geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD,
                              Window)
 from mcvseg.partition import (ABSENT, Partition, canonicalize,
                               components_by_class, connected_components,
-                              m_step, merge_step, merge_step_parallel,
-                              same_partition, singletons, singletons_full)
-from mcvseg.pnmio import LabelImage
+                              m_step, merge_step, same_partition, singletons,
+                              singletons_full)
+from mcvseg.pnmio import load_labels, save_labels
 
 from oracles import bfs_components, merge_sets
 
@@ -100,7 +100,7 @@ def test_connected_components_rejects_bad_order():
 
 def test_components_by_class_two_tone():
     lat = Lattice(4, 1)
-    cm = LabelImage(lat, np.array([[7, 7, 3, 3]]))
+    cm = Partition(lat, np.array([[7, 7, 3, 3]]))
     p = components_by_class(cm, NINE_NEIGHBORHOOD)
     assert p.is_total
     assert blocks_as_sets(p) == {
@@ -112,7 +112,7 @@ def test_components_by_class_two_tone():
 def test_components_by_class_never_mixes_classes():
     rng = np.random.default_rng(2)
     lat = Lattice(6, 6)
-    cm = LabelImage(lat, rng.integers(0, 3, size=(6, 6)).astype(np.int32))
+    cm = Partition(lat, rng.integers(0, 3, size=(6, 6)).astype(np.int32))
     p = components_by_class(cm, NINE_NEIGHBORHOOD)
     for block in p.blocks().values():
         classes = {int(cm.labels[r - 1, c - 1]) for c, r in block}
@@ -155,30 +155,11 @@ def test_merge_step_matches_set_oracle():
         assert blocks_as_sets(got) == expected
 
 
-def test_merge_step_parallel_identical():
-    rng = np.random.default_rng(4)
-    lat = Lattice(9, 6)
-    for _ in range(20):
-        labels = rng.integers(0, 7, size=(6, 9)).astype(np.int32)
-        p = Partition(lat, labels)
-        x = (int(rng.integers(1, 10)), int(rng.integers(1, 7)))
-        base = merge_step(x, p, NINE_NEIGHBORHOOD, Window(
-            tuple((dx, dy) for dx in range(-3, 4) for dy in range(-3, 4))))
-        for workers in (1, 2, 3, 8):
-            par = merge_step_parallel(x, p, NINE_NEIGHBORHOOD, Window(
-                tuple((dx, dy) for dx in range(-3, 4) for dy in range(-3, 4))),
-                workers)
-            assert np.array_equal(par.labels, base.labels)
-
-
 def test_merge_step_requires_total():
     lat = Lattice(2, 1)
     p = singletons({(1, 1)}, lat)
     with pytest.raises(ValueError):
         merge_step((1, 1), p, NINE_NEIGHBORHOOD, NINE_NEIGHBORHOOD)
-    with pytest.raises(ValueError):
-        merge_step_parallel((1, 1), singletons_full(lat), NINE_NEIGHBORHOOD,
-                            NINE_NEIGHBORHOOD, 0)
 
 
 def test_canonicalize_first_occurrence():
@@ -209,8 +190,8 @@ def test_same_partition_relabel_invariance():
 def test_label_image_round_trip():
     lat = Lattice(2, 2)
     p = Partition(lat, np.array([[0, 1], [1, 0]], dtype=np.int32))
-    again = Partition.from_label_image(p.to_label_image())
-    assert same_partition(p, again)
+    again = load_labels(save_labels(p))
+    assert np.array_equal(again.labels, p.labels)
     partial = singletons({(1, 1)}, lat)
     with pytest.raises(ValueError):
-        partial.to_label_image()
+        save_labels(partial)

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcvseg.geometry import Lattice
-from mcvseg.pnmio import (ImageBuffer, LabelImage, PnmParseError, colorize,
-                          load_labels, load_pnm, save_labels, save_pnm)
+from mcvseg.partition import ABSENT, Partition
+from mcvseg.pnmio import (ImageBuffer, PnmParseError, colorize, load_labels,
+                          load_pnm, save_labels, save_pnm)
 
 
 def test_load_p2_plain():
@@ -97,13 +98,13 @@ def test_round_trip_any_image(w, h, bands, maxval, body):
 
 
 def test_label_pgm16_round_trip():
-    lm = LabelImage(Lattice(3, 2), np.array([[0, 1, 2], [3, 4, 65535]]))
+    lm = Partition(Lattice(3, 2), np.array([[0, 1, 2], [3, 4, 65535]]))
     again = load_labels(save_labels(lm, "pgm16"))
     assert np.array_equal(again.labels, lm.labels)
 
 
 def test_label_csv_round_trip():
-    lm = LabelImage(Lattice(2, 2), np.array([[0, 70000], [1, 2]], dtype=np.int32))
+    lm = Partition(Lattice(2, 2), np.array([[0, 70000], [1, 2]], dtype=np.int32))
     blob = save_labels(lm, "csv")
     assert blob == b"0,70000\n1,2\n"
     again = load_labels(blob)
@@ -111,7 +112,7 @@ def test_label_csv_round_trip():
 
 
 def test_label_overflow_suggests_csv():
-    lm = LabelImage(Lattice(1, 1), np.array([[70000]], dtype=np.int32))
+    lm = Partition(Lattice(1, 1), np.array([[70000]], dtype=np.int32))
     with pytest.raises(ValueError) as exc:
         save_labels(lm, "pgm16")
     assert "csv" in str(exc.value)
@@ -130,7 +131,7 @@ def test_load_labels_rejects_ragged_csv():
 
 def test_colorize_distinct_and_deterministic():
     labels = np.arange(12, dtype=np.int32).reshape(3, 4)
-    lm = LabelImage(Lattice(4, 3), labels)
+    lm = Partition(Lattice(4, 3), labels)
     img1 = colorize(lm, seed=5)
     img2 = colorize(lm, seed=5)
     assert np.array_equal(img1.samples, img2.samples)
@@ -140,7 +141,7 @@ def test_colorize_distinct_and_deterministic():
 
 
 def test_colorize_same_label_same_color():
-    lm = LabelImage(Lattice(2, 1), np.array([[4, 4]], dtype=np.int32))
+    lm = Partition(Lattice(2, 1), np.array([[4, 4]], dtype=np.int32))
     img = colorize(lm, seed=0)
     assert tuple(img.samples[0, 0]) == tuple(img.samples[0, 1])
 
@@ -154,4 +155,11 @@ def test_image_buffer_validates_shape():
 
 def test_label_image_rejects_negative():
     with pytest.raises(ValueError):
-        LabelImage(Lattice(2, 1), np.array([[0, -1]]))
+        load_labels(b"0,-1\n")
+    partial = Partition(Lattice(2, 1), np.array([[0, ABSENT]]))
+    with pytest.raises(ValueError):
+        save_labels(partial, "pgm16")
+    with pytest.raises(ValueError):
+        save_labels(partial, "csv")
+    with pytest.raises(ValueError):
+        colorize(partial)
