@@ -19,7 +19,7 @@ from mcvseg.metrics import rand_index
 from mcvseg.mrf import (MrfModel, calibrate_rho, energy, evaluate,
                         gibbs_distribution, tau_rho_consistency)
 from mcvseg.partition import (Partition, canonicalize, connected_components,
-                              merge_step, singletons_full)
+                              merge_step)
 from mcvseg.pnmio import ImageBuffer
 from mcvseg.pyramid import (WindowImage, downsample, make_pyramid_evaluator,
                             pyramid_evaluate)
