@@ -27,8 +27,7 @@ from .geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD, Window,
 from .mrf import MrfModel, evaluate
 from .partition import Partition, _relabel, canonicalize, singletons_full
 from .pnmio import ImageBuffer
-from .pyramid import (PyramidEvaluator, WindowImage, make_pyramid_evaluator,
-                      pyramid_evaluate)
+from .pyramid import PyramidEvaluator, WindowImage, pyramid_evaluate
 
 
 class ConfigError(ValueError):
@@ -103,6 +102,8 @@ class McvConfig:
             raise ConfigError(f"max_level must be >= 1, got {self.max_level}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.permutation not in PERMUTATION_KINDS:
             raise ConfigError(f"permutation must be one of {PERMUTATION_KINDS}, "
                               f"got {self.permutation!r}")
@@ -246,11 +247,8 @@ def load_permutation(text: str, lat: Lattice) -> np.ndarray:
 
 
 def _evaluator_for(cfg: McvConfig) -> PyramidEvaluator:
-    model = cfg.model()
-    if cfg.eval_windows is None:
-        return make_pyramid_evaluator(model, cfg.max_level)
-    levels = tuple((win, None) for win in reversed(cfg.eval_windows))
-    return PyramidEvaluator(model, levels, cfg.w0)
+    return PyramidEvaluator(cfg.model(),
+                            tuple(cfg.eval_window(i) for i in range(cfg.max_level, 0, -1)))
 
 
 def _check_perm(perm: np.ndarray, lat: Lattice) -> np.ndarray:

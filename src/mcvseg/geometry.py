@@ -8,6 +8,7 @@ structuring elements for dilation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,19 +67,25 @@ class Window:
         """Offsets as an (k, 2) int array of (dx, dy) rows."""
         return np.array(self.offsets, dtype=np.int64)
 
-    def bbox(self) -> tuple[int, int, int, int]:
-        """(min_dx, max_dx, min_dy, max_dy) of the offset set."""
+    @cached_property
+    def _grid(self) -> tuple[tuple[int, int, int, int], np.ndarray]:
         dxs = [o[0] for o in self.offsets]
         dys = [o[1] for o in self.offsets]
-        return min(dxs), max(dxs), min(dys), max(dys)
-
-    def mask(self) -> np.ndarray:
-        """Boolean membership grid over the bounding box, indexed [dy, dx]."""
-        x0, x1, y0, y1 = self.bbox()
+        x0, x1, y0, y1 = min(dxs), max(dxs), min(dys), max(dys)
         m = np.zeros((y1 - y0 + 1, x1 - x0 + 1), dtype=bool)
         for dx, dy in self.offsets:
             m[dy - y0, dx - x0] = True
-        return m
+        m.flags.writeable = False
+        return (x0, x1, y0, y1), m
+
+    def bbox(self) -> tuple[int, int, int, int]:
+        """(min_dx, max_dx, min_dy, max_dy) of the offset set."""
+        return self._grid[0]
+
+    def mask(self) -> np.ndarray:
+        """Read-only boolean membership grid over the bounding box,
+        indexed [dy, dx]."""
+        return self._grid[1]
 
     def is_full_rectangle(self) -> bool:
         x0, x1, y0, y1 = self.bbox()

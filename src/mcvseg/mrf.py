@@ -2,10 +2,12 @@
 
 The energy of a patch is the summed squared deviation of each pixel from
 the weighted mean of its in-region neighbors; a patch is acceptable when
-the per-pixel energy falls below the model threshold. The Boltzmann
-distribution this energy induces is enumerable for tiny state spaces,
-which gives an exact oracle for the threshold equivalence and a target
-for the Metropolis calibration of the threshold.
+the per-pixel energy falls below the model threshold. The weighted
+neighbor sums come from ``_neighbor_sums``, the one kernel that also
+builds every ``pyramid.downsample`` layer. The Boltzmann distribution
+this energy induces is enumerable for tiny state spaces, which gives an
+exact oracle for the threshold equivalence and a target for the
+Metropolis calibration of the threshold.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ class MrfModel:
             raise ValueError(f"metric must be one of {METRICS}, got {self.metric!r}")
         if not self.temperature > 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
-        if self.rho < 0:
+        if not self.rho >= 0:
             raise ValueError(f"rho must be nonnegative, got {self.rho}")
         if self.weights is not None:
             extra = set(self.weights) - set(self.neighborhood.offsets)
@@ -77,15 +79,34 @@ def _as_bands(values: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _shifted(arr: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    """arr sampled at (row+dy, col+dx), zero-filled outside the array."""
-    out = np.zeros_like(arr)
-    h, w = arr.shape[:2]
-    r0, r1 = max(0, -dy), min(h, h - dy)
-    c0, c1 = max(0, -dx), min(w, w - dx)
-    if r0 < r1 and c0 < c1:
-        out[r0:r1, c0:c1] = arr[r0 + dy : r1 + dy, c0 + dx : c1 + dx]
-    return out
+def _neighbor_sums(vals: np.ndarray, mask: np.ndarray,
+                   pairs: Iterable[tuple[Offset, float]], shape: tuple[int, int],
+                   dy0: int = 0, dx0: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted sums of in-mask neighbors on a ``shape`` grid.
+
+    Grid position (i, j) sits at source position (i + dy0, j + dx0). Each
+    ((dx, dy), weight) pair adds ``weight * vals`` from source position
+    (i + dy0 + dy, j + dx0 + dx) where that position is inside the source
+    and ``mask``. Returns the per-band sums, shape + (bands,), and the
+    weight totals, shape.
+    """
+    h, w = shape
+    hs, ws = mask.shape
+    wsum = np.zeros((h, w, vals.shape[2]))
+    wtot = np.zeros((h, w))
+    for (dx, dy), weight in pairs:
+        if weight == 0.0:
+            continue
+        ry, rx = dy0 + dy, dx0 + dx
+        i0, i1 = max(0, -ry), min(h, hs - ry)
+        j0, j1 = max(0, -rx), min(w, ws - rx)
+        if i0 >= i1 or j0 >= j1:
+            continue
+        nb_in = mask[i0 + ry : i1 + ry, j0 + rx : j1 + rx]
+        nb_val = vals[i0 + ry : i1 + ry, j0 + rx : j1 + rx]
+        wsum[i0:i1, j0:j1] += weight * nb_val * nb_in[:, :, None]
+        wtot[i0:i1, j0:j1] += weight * nb_in
+    return wsum, wtot
 
 
 def energy(values: np.ndarray, model: MrfModel, mask: np.ndarray | None = None) -> float:
@@ -97,23 +118,14 @@ def energy(values: np.ndarray, model: MrfModel, mask: np.ndarray | None = None) 
     are renormalized per pixel over the available neighbors.
     """
     vals = _as_bands(values)
-    h, w, b = vals.shape
+    h, w = vals.shape[:2]
     region = np.ones((h, w), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
     if region.shape != (h, w):
         raise ValueError(f"mask shape {region.shape} != patch shape {(h, w)}")
     if not region.any():
         raise ValueError("region is empty")
 
-    wsum = np.zeros((h, w, b))
-    wtot = np.zeros((h, w))
-    for (dx, dy), weight in model.neighbor_offsets():
-        if weight == 0.0:
-            continue
-        nb_in = _shifted(region, dy, dx)
-        nb_val = _shifted(vals, dy, dx)
-        wsum += weight * nb_val * nb_in[:, :, None]
-        wtot += weight * nb_in
-
+    wsum, wtot = _neighbor_sums(vals, region, model.neighbor_offsets(), (h, w))
     has = region & (wtot > 0)
     if not has.any():
         return 0.0
@@ -129,11 +141,8 @@ def energy(values: np.ndarray, model: MrfModel, mask: np.ndarray | None = None) 
 def evaluate(values: np.ndarray, model: MrfModel, mask: np.ndarray | None = None) -> int:
     """1 iff the patch is acceptable: per-pixel energy at most ``rho``."""
     vals = _as_bands(values)
-    region = np.ones(vals.shape[:2], dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    size = int(region.sum())
-    if size == 0:
-        raise ValueError("region is empty")
-    return 1 if energy(vals, model, region) / size <= model.rho else 0
+    size = vals.shape[0] * vals.shape[1] if mask is None else int(np.count_nonzero(mask))
+    return 1 if energy(vals, model, mask) / size <= model.rho else 0
 
 
 # --- exact enumeration over tiny state spaces ------------------------------

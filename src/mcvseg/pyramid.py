@@ -5,6 +5,9 @@ resolution step by step until it fits the base 3x3 neighborhood and then
 thresholding the energy there. The chain of fixed weighted-sum layers
 plus the threshold is exactly the composition of ``downsample`` calls
 followed by ``mrf.evaluate``; nothing is learned, the weights are wired.
+Each layer is one call of ``mrf._neighbor_sums``, the kernel behind the
+energy's autoregressive prediction, so both compute the same weighted
+sum the same way.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Mapping
 import numpy as np
 
 from .geometry import Offset, Window, dilate
-from .mrf import MrfModel, evaluate
+from .mrf import MrfModel, _as_bands, _neighbor_sums, evaluate
 
 
 @dataclass
@@ -33,21 +36,17 @@ class WindowImage:
     mask: np.ndarray | None = None
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim == 2:
-            vals = vals[:, :, None]
-        if vals.ndim != 3:
-            raise ValueError(f"values must be (h, w) or (h, w, b), got {vals.shape}")
-        shape = self.window.mask().shape
-        if vals.shape[:2] != shape:
-            raise ValueError(f"values shape {vals.shape[:2]} != window bbox {shape}")
+        vals = _as_bands(self.values)
+        wmask = self.window.mask()
+        if vals.shape[:2] != wmask.shape:
+            raise ValueError(f"values shape {vals.shape[:2]} != window bbox {wmask.shape}")
         if self.mask is None:
-            mask = self.window.mask()
+            mask = wmask
         else:
             mask = np.asarray(self.mask, dtype=bool)
-            if mask.shape != shape:
-                raise ValueError(f"mask shape {mask.shape} != window bbox {shape}")
-            mask = mask & self.window.mask()
+            if mask.shape != wmask.shape:
+                raise ValueError(f"mask shape {mask.shape} != window bbox {wmask.shape}")
+            mask = mask & wmask
         self.values = vals
         self.mask = mask
 
@@ -84,28 +83,11 @@ def downsample(src: WindowImage, out_window: Window, g: Window,
     pairs = _check_theta(g, theta)
     ox0, _, oy0, _ = out_window.bbox()
     sx0, _, sy0, _ = src.window.bbox()
-    out_shape = out_window.mask().shape
-    hs, ws = src.mask.shape
-    b = src.bands
-
-    wsum = np.zeros(out_shape + (b,))
-    wtot = np.zeros(out_shape)
-    for (odx, ody), weight in pairs:
-        if weight == 0.0:
-            continue
-        ry = oy0 + ody - sy0
-        rx = ox0 + odx - sx0
-        i0, i1 = max(0, -ry), min(out_shape[0], hs - ry)
-        j0, j1 = max(0, -rx), min(out_shape[1], ws - rx)
-        if i0 >= i1 or j0 >= j1:
-            continue
-        sub_mask = src.mask[i0 + ry : i1 + ry, j0 + rx : j1 + rx]
-        sub_vals = src.values[i0 + ry : i1 + ry, j0 + rx : j1 + rx]
-        wsum[i0:i1, j0:j1] += weight * sub_vals * sub_mask[:, :, None]
-        wtot[i0:i1, j0:j1] += weight * sub_mask
-
-    present = out_window.mask() & (wtot > 0)
-    values = np.zeros(out_shape + (b,))
+    out_mask = out_window.mask()
+    wsum, wtot = _neighbor_sums(src.values, src.mask, pairs, out_mask.shape,
+                                oy0 - sy0, ox0 - sx0)
+    present = out_mask & (wtot > 0)
+    values = np.zeros(wsum.shape)
     values[present] = wsum[present] / wtot[present][:, None]
     return WindowImage(out_window, values, present)
 
@@ -116,34 +98,28 @@ class PyramidEvaluator:
 
     ``levels`` runs coarse-ward: the first entry is the largest window the
     evaluator accepts, the last is the base neighborhood the model scores.
-    Each entry pairs the window with the aggregation weights used to map
-    onto it from the level above (None means uniform; the first entry's
-    weights are never used).
+    Each step down aggregates with uniform weights over the model's
+    neighborhood.
     """
 
     model: MrfModel
-    levels: tuple[tuple[Window, Mapping[Offset, float] | None], ...]
-    aggregation: Window | None = None
+    levels: tuple[Window, ...]
 
     def __post_init__(self):
         if not self.levels:
             raise ValueError("evaluator needs at least one level")
-        g = self.aggregation if self.aggregation is not None else self.model.neighborhood
-        object.__setattr__(self, "aggregation", g)
-        for (coarse, _), (fine, _) in zip(self.levels[1:], self.levels):
+        for coarse, fine in zip(self.levels[1:], self.levels):
             if not set(coarse.offsets) < set(fine.offsets):
                 raise ValueError("levels must shrink strictly coarse-ward")
 
 
-def make_pyramid_evaluator(model: MrfModel, max_level: int,
-                           g: Window | None = None,
-                           theta: Mapping[Offset, float] | None = None) -> PyramidEvaluator:
-    """Evaluator for the standard window sequence dilate(g, i), i = max..1."""
+def make_pyramid_evaluator(model: MrfModel, max_level: int) -> PyramidEvaluator:
+    """Evaluator for the standard window sequence dilate(g, i), i = max..1,
+    with g the model's neighborhood."""
     if max_level < 1:
         raise ValueError(f"max_level must be >= 1, got {max_level}")
-    g = model.neighborhood if g is None else g
-    levels = tuple((dilate(g, i), theta) for i in range(max_level, 0, -1))
-    return PyramidEvaluator(model, levels, g)
+    g = model.neighborhood
+    return PyramidEvaluator(model, tuple(dilate(g, i) for i in range(max_level, 0, -1)))
 
 
 def pyramid_evaluate(img: WindowImage, pe: PyramidEvaluator) -> int:
@@ -153,12 +129,12 @@ def pyramid_evaluate(img: WindowImage, pe: PyramidEvaluator) -> int:
     it is aggregated down to the final level and scored by the base
     model. With zero aggregation steps this is exactly ``mrf.evaluate``.
     """
-    for idx, (win, _) in enumerate(pe.levels):
+    for idx, win in enumerate(pe.levels):
         if win == img.window:
             break
     else:
         raise ValueError("window is not one of the evaluator's levels")
     cur = img
-    for win, theta in pe.levels[idx + 1 :]:
-        cur = downsample(cur, win, pe.aggregation, theta)
+    for win in pe.levels[idx + 1 :]:
+        cur = downsample(cur, win, pe.model.neighborhood)
     return evaluate(cur.values, pe.model, cur.mask)

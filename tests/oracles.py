@@ -123,3 +123,32 @@ def energy_reference(values, region, offsets, metric="euclidean"):
             pred = sum(values[q] for q in nbrs) / len(nbrs)
             total += (pred - v) ** 2
     return total
+
+
+def downsample_reference(src, out_offsets, g_offsets, theta):
+    """Scalar-loop transcription of one pyramid layer.
+
+    ``src`` maps each sampled (dx, dy) position to a tuple of band
+    values; ``theta`` maps each aggregation offset to its weight. Every
+    output offset takes the theta-weighted mean of the samples at its
+    g-neighbors, adding the neighbors in sorted offset order. Outputs
+    with no weighted sample are absent. Returns a dict shaped like
+    ``src``.
+    """
+    out = {}
+    for (x, y) in out_offsets:
+        sums = None
+        total = 0.0
+        for (dx, dy) in sorted(g_offsets):
+            v = src.get((x + dx, y + dy))
+            wt = theta[(dx, dy)]
+            if v is None or wt == 0.0:
+                continue
+            if sums is None:
+                sums = [0.0] * len(v)
+            for k in range(len(v)):
+                sums[k] += wt * v[k]
+            total += wt
+        if total > 0.0:
+            out[(x, y)] = tuple(s / total for s in sums)
+    return out

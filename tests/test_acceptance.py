@@ -322,7 +322,7 @@ def test_criterion_08_pyramid_equals_composition():
             got = pyramid_evaluate(patch, pe_m)
             assert got == want
             checked += 1
-        assert pe.levels[0][0] == top
+        assert pe.levels[0] == top
     report(8, True, f"{checked} patches, decisions identical at levels 1..3")
 
 

@@ -96,6 +96,16 @@ def test_segment_bad_config_key(tmp_path, capsys):
     assert "speed" in capsys.readouterr().err
 
 
+def test_segment_rejects_nan_rho(tmp_path, capsys):
+    src = tmp_path / "img.pgm"
+    write_pgm(src, np.zeros((4, 4)))
+    outdir = tmp_path / "out"
+    rc = main(["segment", str(src), str(outdir), "--rho", "nan"])
+    assert rc == 1
+    assert "rho" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_segment_permutation_file(tmp_path):
     src = tmp_path / "img.pgm"
     write_pgm(src, np.full((4, 4), 200.0))

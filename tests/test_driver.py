@@ -82,6 +82,10 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         McvConfig(rho=-1.0).validate()
     with pytest.raises(ConfigError):
+        McvConfig(rho=float("nan")).validate()
+    with pytest.raises(ConfigError):
+        McvConfig(seed=-1).validate()
+    with pytest.raises(ConfigError):
         McvConfig(max_level=2, eval_windows=(NINE_NEIGHBORHOOD,)).validate()
     with pytest.raises(ConfigError):
         McvConfig(max_level=2, merge_windows=(square_window(2),

@@ -131,6 +131,21 @@ def test_window_geom_square_matches_square_window(shape, pos, r):
     assert WindowGeom.square(r) == WindowGeom.of(square_window(r))
 
 
+@settings(max_examples=100, deadline=None)
+@given(win=windows)
+def test_window_mask_is_cached_read_only_grid(win):
+    arr = win.offset_array()
+    (x0, y0), (x1, y1) = arr.min(axis=0), arr.max(axis=0)
+    fresh = np.zeros((y1 - y0 + 1, x1 - x0 + 1), dtype=bool)
+    fresh[arr[:, 1] - y0, arr[:, 0] - x0] = True
+    mask = win.mask()
+    assert win.bbox() == (x0, x1, y0, y1)
+    assert np.array_equal(mask, fresh) and mask.dtype == bool
+    assert win.mask() is mask
+    with pytest.raises(ValueError):
+        mask[0, 0] = not mask[0, 0]
+
+
 def test_boundary_point_half_split():
     lat = Lattice(4, 2)
     left = {(1, 1), (2, 1), (1, 2), (2, 2)}

@@ -21,6 +21,8 @@ def test_model_validation():
     with pytest.raises(ValueError):
         MrfModel(rho=-1.0)
     with pytest.raises(ValueError):
+        MrfModel(rho=float("nan"))
+    with pytest.raises(ValueError):
         MrfModel(weights={(5, 5): 1.0})
     with pytest.raises(ValueError):
         MrfModel(weights={(1, 0): -2.0})

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mcvseg.geometry import NINE_NEIGHBORHOOD, Window, dilate, square_window
+from mcvseg.geometry import (FIVE_NEIGHBORHOOD, NINE_NEIGHBORHOOD, Window,
+                             dilate, square_window)
 from mcvseg.mrf import MrfModel, evaluate
 from mcvseg.pyramid import (PyramidEvaluator, WindowImage, downsample,
                             make_pyramid_evaluator, pyramid_evaluate)
+
+from oracles import downsample_reference
 
 
 def full_image(window, values):
@@ -95,10 +100,53 @@ def test_downsample_custom_weights_validate():
                    {(0, 0): -1.0})
 
 
+def grid_samples(img):
+    """The sampled positions of a window image as {(dx, dy): band tuple}."""
+    x0, _, y0, _ = img.window.bbox()
+    return {(int(c) + x0, int(r) + y0): tuple(float(v) for v in img.values[r, c])
+            for r, c in np.argwhere(img.mask)}
+
+
+neighborhoods = st.sampled_from((FIVE_NEIGHBORHOOD, NINE_NEIGHBORHOOD))
+# Dilations have square boxes, so the rectangles are what tell a row
+# shift from a column shift.
+layer_windows = st.one_of(
+    st.builds(dilate, neighborhoods, st.integers(1, 3)),
+    st.tuples(st.integers(-3, 0), st.integers(0, 3), st.integers(-3, 0),
+              st.integers(0, 3)).map(lambda b: Window(tuple(
+                  (dx, dy) for dx in range(b[0], b[1] + 1)
+                  for dy in range(b[2], b[3] + 1)))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_downsample_matches_reference(data):
+    src_win = data.draw(layer_windows, label="src window")
+    out_win = data.draw(layer_windows, label="out window")
+    g = data.draw(neighborhoods, label="g")
+    bands = data.draw(st.integers(1, 3), label="bands")
+    h, w = src_win.mask().shape
+    sampled = data.draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
+    samples = data.draw(st.lists(st.floats(0.0, 255.0), min_size=h * w * bands,
+                                 max_size=h * w * bands))
+    weights = st.lists(st.just(0.0) | st.floats(0.0, 4.0), min_size=len(g), max_size=len(g))
+    theta = data.draw(st.none() | weights.map(lambda ws: dict(zip(g.offsets, ws))))
+    src = WindowImage(src_win, np.reshape(samples, (h, w, bands)),
+                      np.reshape(sampled, (h, w)))
+    if theta is not None and not any(theta.values()):
+        with pytest.raises(ValueError):
+            downsample(src, out_win, g, theta)
+        return
+    want = downsample_reference(grid_samples(src), out_win.offsets, g.offsets,
+                                theta or dict.fromkeys(g.offsets, 1.0))
+    assert grid_samples(downsample(src, out_win, g, theta)) == want
+
+
 def test_make_pyramid_evaluator_levels():
     pe = make_pyramid_evaluator(MrfModel(), 3)
-    assert [w for w, _ in pe.levels] == [square_window(3), square_window(2),
-                                         square_window(1)]
+    assert list(pe.levels) == [square_window(3), square_window(2),
+                               square_window(1)]
     with pytest.raises(ValueError):
         make_pyramid_evaluator(MrfModel(), 0)
 
@@ -148,7 +196,6 @@ def test_pyramid_evaluate_level_mismatch():
 
 def test_evaluator_rejects_non_nested_levels():
     with pytest.raises(ValueError):
-        PyramidEvaluator(MrfModel(), ((square_window(1), None),
-                                      (square_window(2), None)))
+        PyramidEvaluator(MrfModel(), (square_window(1), square_window(2)))
     with pytest.raises(ValueError):
         PyramidEvaluator(MrfModel(), ())
