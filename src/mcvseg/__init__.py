@@ -18,7 +18,7 @@ from .partition import (ABSENT, Partition, canonicalize, components_by_class,
 from .pnmio import (ImageBuffer, PnmParseError, colorize, load_labels,
                     load_pnm, save_labels, save_pnm)
 from .pyramid import (PyramidEvaluator, WindowImage, downsample,
-                      make_pyramid_evaluator, pyramid_evaluate)
+                      make_pyramid_evaluator, pyramid_evaluate, verdict_map)
 
 __version__ = "0.1.0"
 
@@ -71,5 +71,6 @@ __all__ = [
     "singletons_full",
     "square_window",
     "tau_rho_consistency",
+    "verdict_map",
     "__version__",
 ]

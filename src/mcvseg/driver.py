@@ -1,20 +1,26 @@
 """Sequential level loop tying permutation, boundary test, homogeneity
 evaluation, and windowed merging together.
 
-Levels run in order with growing evaluation and merge windows. Within a
-level, pixels are visited in a fixed permutation; a pixel sitting on a
-label boundary triggers an homogeneity test of the raw image on the
-level's evaluation window, and an accepted test merges the bordering
-blocks inside the level's merge window. The result is a multiresolution
-sequence of partitions, deterministic for a given configuration.
+Levels run in order with growing evaluation and merge windows. The
+homogeneity test reads only the raw image, the pixel and the level,
+never the labels, so each level starts by scoring every pixel's
+evaluation window in one verdict map (``pyramid.verdict_map``; direct
+mode is the pyramid with no aggregation step). Then the pixels are
+visited in a fixed permutation: a pixel sitting on a label boundary
+counts as one evaluation and reads its verdict, and an accepted verdict
+merges the bordering blocks inside the level's merge window. The result
+is a multiresolution sequence of partitions, deterministic for a given
+configuration.
 
-Each accepted merge reads the labels the previous one wrote, so a level
-runs strictly in order on one thread. All window clipping goes through
-``WindowGeom.clip`` and every merge through ``partition._relabel``.
+Each accepted merge reads the labels the previous one wrote, so the
+merge loop runs strictly in order on one thread. All window clipping
+goes through ``WindowGeom.clip`` and every merge through
+``partition._relabel``.
 """
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,10 +30,12 @@ import numpy as np
 
 from .geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD, Window,
                        WindowGeom, dilate, square_window)
-from .mrf import MrfModel, evaluate
+# The level loop no longer calls ``evaluate`` or ``pyramid_evaluate``;
+# they stay importable here under the names perfbench's traced run wraps.
+from .mrf import MrfModel, evaluate  # noqa: F401
 from .partition import Partition, _relabel, canonicalize, singletons_full
 from .pnmio import ImageBuffer
-from .pyramid import PyramidEvaluator, WindowImage, pyramid_evaluate
+from .pyramid import PyramidEvaluator, pyramid_evaluate, verdict_map  # noqa: F401
 
 
 class ConfigError(ValueError):
@@ -98,6 +106,10 @@ class McvConfig:
         return square_window(2 ** level)
 
     def validate(self) -> None:
+        for name in ("max_level", "seed", "neighborhood", "workers"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.max_level < 1:
             raise ConfigError(f"max_level must be >= 1, got {self.max_level}")
         if self.workers < 1:
@@ -271,20 +283,15 @@ def _run_level_inplace(labels: np.ndarray, omega: ImageBuffer, level: int,
                        pe: PyramidEvaluator | None) -> LevelStats:
     t0 = time.perf_counter()
     h, w = labels.shape
-    samples = omega.samples
-    model = cfg.model()
-    direct = cfg.eval_mode == "direct"
     clip_w0 = WindowGeom.of(cfg.w0).clip
-    wi_window = cfg.eval_window(level)
-    wig = WindowGeom.of(wi_window)
     if cfg.merge_windows is None:
         clip_psi = WindowGeom.square(2 ** level).clip
     else:
         clip_psi = WindowGeom.of(cfg.merge_windows[level - 1]).clip
-    # The pyramid scores the eval window's whole bounding box; the box
-    # slots that hold lattice pixels are the lattice clipped to the box.
-    box = (wig.by1 - wig.by0 + 1, wig.bx1 - wig.bx0 + 1)
-    clip_lattice = WindowGeom(0, w - 1, 0, h - 1, None).clip
+    # Direct mode is the pyramid with no aggregation step.
+    top = cfg.eval_window(level)
+    levels = (top,) if pe is None else pe.levels[pe.levels.index(top):]
+    verdict = verdict_map(omega.samples, levels, cfg.model()).tolist()
     evaluations = 0
     accepted = 0
     next_label = int(labels.max()) + 1
@@ -300,19 +307,8 @@ def _run_level_inplace(labels: np.ndarray, omega: ImageBuffer, level: int,
         if not (block != center).any():
             continue
 
-        rs, cs, sub = wig.clip(r0, c0, h, w)
-        patch = samples[rs, cs]
-        if direct:
-            ok = evaluate(patch, model, sub)
-        else:
-            brs, bcs, _ = clip_lattice(-r0 - wig.by0, -c0 - wig.bx0, *box)
-            vals = np.zeros(box + (omega.bands,))
-            msk = np.zeros(box, dtype=bool)
-            vals[brs, bcs] = patch
-            msk[brs, bcs] = True
-            ok = pyramid_evaluate(WindowImage(wi_window, vals, msk), pe)
         evaluations += 1
-        if not ok:
+        if not verdict[r0][c0]:
             continue
 
         _relabel(labels, *clip_psi(r0, c0, h, w), np.unique(block), next_label)

@@ -4,10 +4,11 @@ The energy of a patch is the summed squared deviation of each pixel from
 the weighted mean of its in-region neighbors; a patch is acceptable when
 the per-pixel energy falls below the model threshold. The weighted
 neighbor sums come from ``_neighbor_sums``, the one kernel that also
-builds every ``pyramid.downsample`` layer. The Boltzmann distribution
-this energy induces is enumerable for tiny state spaces, which gives an
-exact oracle for the threshold equivalence and a target for the
-Metropolis calibration of the threshold.
+builds every ``pyramid.downsample`` layer; ``evaluate_batch`` scores
+many windows at once from the same per-pixel terms. The Boltzmann
+distribution this energy induces is enumerable for tiny state spaces,
+which gives an exact oracle for the threshold equivalence and a target
+for the Metropolis calibration of the threshold.
 """
 
 from __future__ import annotations
@@ -87,13 +88,14 @@ def _neighbor_sums(vals: np.ndarray, mask: np.ndarray,
     Grid position (i, j) sits at source position (i + dy0, j + dx0). Each
     ((dx, dy), weight) pair adds ``weight * vals`` from source position
     (i + dy0 + dy, j + dx0 + dx) where that position is inside the source
-    and ``mask``. Returns the per-band sums, shape + (bands,), and the
-    weight totals, shape.
+    and ``mask``. ``vals`` is (..., hs, ws, bands) and ``mask``
+    (..., hs, ws); leading batch axes carry through. Returns the per-band
+    sums, (..., *shape, bands), and the weight totals, (..., *shape).
     """
     h, w = shape
-    hs, ws = mask.shape
-    wsum = np.zeros((h, w, vals.shape[2]))
-    wtot = np.zeros((h, w))
+    *lead, hs, ws = mask.shape
+    wsum = np.zeros((*lead, h, w, vals.shape[-1]))
+    wtot = np.zeros((*lead, h, w))
     for (dx, dy), weight in pairs:
         if weight == 0.0:
             continue
@@ -102,11 +104,24 @@ def _neighbor_sums(vals: np.ndarray, mask: np.ndarray,
         j0, j1 = max(0, -rx), min(w, ws - rx)
         if i0 >= i1 or j0 >= j1:
             continue
-        nb_in = mask[i0 + ry : i1 + ry, j0 + rx : j1 + rx]
-        nb_val = vals[i0 + ry : i1 + ry, j0 + rx : j1 + rx]
-        wsum[i0:i1, j0:j1] += weight * nb_val * nb_in[:, :, None]
-        wtot[i0:i1, j0:j1] += weight * nb_in
+        nb_in = mask[..., i0 + ry : i1 + ry, j0 + rx : j1 + rx]
+        nb_val = vals[..., i0 + ry : i1 + ry, j0 + rx : j1 + rx, :]
+        wsum[..., i0:i1, j0:j1, :] += weight * nb_val * nb_in[..., None]
+        wtot[..., i0:i1, j0:j1] += weight * nb_in
     return wsum, wtot
+
+
+def _site_terms(vals: np.ndarray, region: np.ndarray, model: MrfModel):
+    """Per-pixel energy terms of the in-region pixels that have an
+    in-region neighbor, flattened in row-major order, and the boolean
+    map of those pixels. Leading batch axes carry through."""
+    wsum, wtot = _neighbor_sums(vals, region, model.neighbor_offsets(), region.shape[-2:])
+    has = region & (wtot > 0)
+    pred = wsum[has] / wtot[has][:, None]
+    diff = pred - vals[has]
+    if model.metric == "euclidean":
+        return np.sum(diff * diff, axis=1), has
+    return np.sum(np.abs(diff), axis=1) ** 2, has
 
 
 def energy(values: np.ndarray, model: MrfModel, mask: np.ndarray | None = None) -> float:
@@ -124,18 +139,8 @@ def energy(values: np.ndarray, model: MrfModel, mask: np.ndarray | None = None) 
         raise ValueError(f"mask shape {region.shape} != patch shape {(h, w)}")
     if not region.any():
         raise ValueError("region is empty")
-
-    wsum, wtot = _neighbor_sums(vals, region, model.neighbor_offsets(), (h, w))
-    has = region & (wtot > 0)
-    if not has.any():
-        return 0.0
-    pred = wsum[has] / wtot[has][:, None]
-    diff = pred - vals[has]
-    if model.metric == "euclidean":
-        dev_sq = np.sum(diff * diff, axis=1)
-    else:
-        dev_sq = np.sum(np.abs(diff), axis=1) ** 2
-    return float(np.sum(dev_sq))
+    terms, _ = _site_terms(vals, region, model)
+    return float(np.sum(terms))
 
 
 def evaluate(values: np.ndarray, model: MrfModel, mask: np.ndarray | None = None) -> int:
@@ -143,6 +148,28 @@ def evaluate(values: np.ndarray, model: MrfModel, mask: np.ndarray | None = None
     vals = _as_bands(values)
     size = vals.shape[0] * vals.shape[1] if mask is None else int(np.count_nonzero(mask))
     return 1 if energy(vals, model, mask) / size <= model.rho else 0
+
+
+def evaluate_batch(vals: np.ndarray, mask: np.ndarray,
+                   model: MrfModel) -> tuple[np.ndarray, np.ndarray]:
+    """``evaluate`` of n windows at once: ``vals`` is (n, h, w, bands),
+    ``mask`` (n, h, w) with at least one pixel per window.
+
+    Every term is computed exactly as ``energy`` computes it; only the
+    order in which a window's terms are added differs. Returns the
+    verdicts and a flag for the windows whose verdict that order could
+    flip: the terms are non-negative, so for k terms the two sums, and
+    then the per-pixel energies, differ by at most about k eps times
+    their size; a window is flagged within twice that of ``rho``. A zero
+    energy is exact in any order and is never flagged.
+    """
+    n, h, w = mask.shape
+    terms, has = _site_terms(vals, mask, model)
+    grid = np.zeros((n, h, w))
+    grid[has] = terms
+    q = grid.reshape(n, -1).sum(axis=1) / np.count_nonzero(mask.reshape(n, -1), axis=1)
+    near = np.abs(q - model.rho) < 2 * h * w * np.finfo(np.float64).eps * q
+    return q <= model.rho, near
 
 
 # --- exact enumeration over tiny state spaces ------------------------------

@@ -7,7 +7,9 @@ plus the threshold is exactly the composition of ``downsample`` calls
 followed by ``mrf.evaluate``; nothing is learned, the weights are wired.
 Each layer is one call of ``mrf._neighbor_sums``, the kernel behind the
 energy's autoregressive prediction, so both compute the same weighted
-sum the same way.
+sum the same way. ``verdict_map`` applies the wired net to every pixel's
+window of an image at once, batching the windows through the same
+layers; scoring one window directly is the net with no aggregation step.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import Offset, Window, dilate
-from .mrf import MrfModel, _as_bands, _neighbor_sums, evaluate
+from .mrf import MrfModel, _as_bands, _neighbor_sums, evaluate, evaluate_batch
 
 
 @dataclass
@@ -71,6 +74,22 @@ def _check_theta(g: Window, theta: Mapping[Offset, float] | None) -> list[tuple[
     return pairs
 
 
+def _downsample_arrays(vals: np.ndarray, mask: np.ndarray, src_window: Window,
+                       out_window: Window, pairs: list[tuple[Offset, float]]):
+    """``downsample`` on bare arrays: ``vals`` (..., h, w, bands) and
+    ``mask`` (..., h, w) over ``src_window``'s bounding box, with leading
+    batch axes. Returns the output values and mask."""
+    ox0, _, oy0, _ = out_window.bbox()
+    sx0, _, sy0, _ = src_window.bbox()
+    out_mask = out_window.mask()
+    wsum, wtot = _neighbor_sums(vals, mask, pairs, out_mask.shape,
+                                oy0 - sy0, ox0 - sx0)
+    present = out_mask & (wtot > 0)
+    values = np.divide(wsum, wtot[..., None], out=np.zeros(wsum.shape),
+                       where=present[..., None])
+    return values, present
+
+
 def downsample(src: WindowImage, out_window: Window, g: Window,
                theta: Mapping[Offset, float] | None = None) -> WindowImage:
     """One resolution-lowering step.
@@ -80,15 +99,8 @@ def downsample(src: WindowImage, out_window: Window, g: Window,
     a sample are dropped and the weights renormalized over the rest.
     Positions with no sampled neighbor at all come out masked off.
     """
-    pairs = _check_theta(g, theta)
-    ox0, _, oy0, _ = out_window.bbox()
-    sx0, _, sy0, _ = src.window.bbox()
-    out_mask = out_window.mask()
-    wsum, wtot = _neighbor_sums(src.values, src.mask, pairs, out_mask.shape,
-                                oy0 - sy0, ox0 - sx0)
-    present = out_mask & (wtot > 0)
-    values = np.zeros(wsum.shape)
-    values[present] = wsum[present] / wtot[present][:, None]
+    values, present = _downsample_arrays(src.values, src.mask, src.window, out_window,
+                                         _check_theta(g, theta))
     return WindowImage(out_window, values, present)
 
 
@@ -138,3 +150,54 @@ def pyramid_evaluate(img: WindowImage, pe: PyramidEvaluator) -> int:
     for win in pe.levels[idx + 1 :]:
         cur = downsample(cur, win, pe.model.neighborhood)
     return evaluate(cur.values, pe.model, cur.mask)
+
+
+#: Upper bound on the window samples (pixels x bands of the top window's
+#: bounding box, summed over the windows) that ``verdict_map`` scores at
+#: once; it caps the scratch memory of a map, whatever the image size.
+CHUNK_SAMPLES = 16384
+
+
+def verdict_map(samples: np.ndarray, levels: tuple[Window, ...],
+                model: MrfModel) -> np.ndarray:
+    """The verdict of every pixel's window, as an (h, w) bool array.
+
+    ``samples`` is the (h, w[, bands]) image and ``levels`` a coarse-ward
+    window chain as in ``PyramidEvaluator``, whose first window is placed
+    on every pixel. A pixel's window image covers that window's bounding
+    box, with a sample at each in-window lattice position; the chain of
+    downsampling layers and the energy threshold then run on all windows
+    at once. Each entry equals ``pyramid_evaluate`` of the pixel's window
+    image, which is ``evaluate`` on the clipped window when ``levels``
+    holds one window. The batched energy adds a window's terms in another
+    order than ``energy``, so windows it flags as too close to ``rho`` to
+    tell are re-decided by ``pyramid_evaluate`` itself.
+    """
+    vals = _as_bands(samples)
+    h, w, bands = vals.shape
+    pe = PyramidEvaluator(model, tuple(levels))
+    top = pe.levels[0]
+    x0, _, y0, _ = top.bbox()
+    wmask = top.mask()
+    bh, bw = wmask.shape
+    # Pixel (r, c)'s window box is padded[r : r + bh, c : c + bw].
+    padded = np.zeros((h + bh - 1, w + bw - 1, bands))
+    padded[-y0 : h - y0, -x0 : w - x0] = vals
+    inside = np.zeros(padded.shape[:2], dtype=bool)
+    inside[-y0 : h - y0, -x0 : w - x0] = True
+    box_vals = sliding_window_view(padded, (bh, bw, bands))[:, :, 0]
+    box_in = sliding_window_view(inside, (bh, bw))
+    pairs = _check_theta(model.neighborhood, None)
+    step = max(1, CHUNK_SAMPLES // (bh * bw * bands))
+    out = np.empty(h * w, dtype=bool)
+    for p0 in range(0, h * w, step):
+        rs, cs = np.divmod(np.arange(p0, min(h * w, p0 + step)), w)
+        cur, msk = box_vals[rs, cs], box_in[rs, cs] & wmask
+        for src, dst in zip(pe.levels, pe.levels[1:]):
+            cur, msk = _downsample_arrays(cur, msk, src, dst, pairs)
+        ok, near = evaluate_batch(cur, msk, model)
+        for i in np.flatnonzero(near):
+            box = np.s_[rs[i] : rs[i] + bh, cs[i] : cs[i] + bw]
+            ok[i] = pyramid_evaluate(WindowImage(top, padded[box], inside[box]), pe)
+        out[p0 : p0 + len(ok)] = ok
+    return out.reshape(h, w)

@@ -152,3 +152,35 @@ def downsample_reference(src, out_offsets, g_offsets, theta):
         if total > 0.0:
             out[(x, y)] = tuple(s / total for s in sums)
     return out
+
+
+def run_mcv_reference(values, width, height, orders, w0_offsets, eval_offsets,
+                      merge_offsets, rho, metric="euclidean"):
+    """Direct-mode level loop as literal set arithmetic.
+
+    ``values`` maps each (col, row) to a float or a tuple of floats;
+    ``orders`` lists each level's visiting order of (col, row) pixels;
+    ``eval_offsets`` and ``merge_offsets`` list each level's windows. At
+    every pixel in order: if its clipped w0-window leaves its block, test
+    the clipped eval window's energy per pixel against ``rho``, and on
+    acceptance merge the blocks it touches inside the merge window.
+    Returns one (blocks, evaluations, accepted) triple per level, level 0
+    (the singletons) first.
+    """
+    blocks = {frozenset([(c, r)]) for r in range(1, height + 1)
+              for c in range(1, width + 1)}
+    out = [(blocks, 0, 0)]
+    for order, evo, mo in zip(orders, eval_offsets, merge_offsets):
+        evaluations = accepted = 0
+        for x in order:
+            own = next(b for b in blocks if x in b)
+            if window_at(x, w0_offsets, width, height) <= own:
+                continue
+            evaluations += 1
+            window = window_at(x, evo, width, height)
+            if energy_reference(values, window, w0_offsets, metric) / len(window) > rho:
+                continue
+            accepted += 1
+            blocks = merge_sets(blocks, x, w0_offsets, mo, width, height)
+        out.append((blocks, evaluations, accepted))
+    return out

@@ -1,7 +1,10 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mcvseg.driver import (ConfigError, McvConfig, config_updates,
                            load_permutation, permutation, run_level, run_mcv)
@@ -9,6 +12,8 @@ from mcvseg.geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD,
                              WindowGeom, dilate, square_window)
 from mcvseg.partition import same_partition, singletons_full
 from mcvseg.pnmio import ImageBuffer
+
+from oracles import energy_reference, run_mcv_reference, window_at
 
 
 def gray(values, max_value=255):
@@ -85,6 +90,11 @@ def test_config_validation():
         McvConfig(rho=float("nan")).validate()
     with pytest.raises(ConfigError):
         McvConfig(seed=-1).validate()
+    for field, value in (("max_level", 1.5), ("seed", 1.5), ("neighborhood", 8.0),
+                         ("workers", 2.5), ("max_level", "2")):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            McvConfig(**{field: value}).validate()
+    McvConfig(max_level=np.int64(2), seed=np.uint8(3), workers=np.int32(2)).validate()
     with pytest.raises(ConfigError):
         McvConfig(max_level=2, eval_windows=(NINE_NEIGHBORHOOD,)).validate()
     with pytest.raises(ConfigError):
@@ -302,3 +312,61 @@ def test_partition_sequence_accessors():
     assert seq.final() is seq.levels[-1]
     assert seq.levels[0].block_count() == 16
     assert len(seq.region_counts()) == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_run_mcv_matches_set_reference(data):
+    """Direct-mode ``run_mcv`` against the literal set-arithmetic loop:
+    same partitions and same LevelStats counts at every level."""
+    width = data.draw(st.integers(1, 10), label="width")
+    height = data.draw(st.integers(1, 10), label="height")
+    bands = data.draw(st.integers(1, 3), label="bands")
+    tones = st.sampled_from((0, 1, 2, 60, 61, 200)) | st.integers(0, 255)
+    flat = data.draw(st.lists(tones, min_size=width * height * bands,
+                              max_size=width * height * bands), label="samples")
+    samples = np.reshape(flat, (height, width, bands)).astype(np.float64)
+    order = data.draw(st.sampled_from(("raster", "random", "reshuffle")), label="order")
+    cfg = McvConfig(
+        max_level=data.draw(st.integers(1, 3), label="levels"),
+        permutation="raster" if order == "raster" else "random",
+        reshuffle_per_level=order == "reshuffle",
+        seed=data.draw(st.integers(0, 50), label="seed"),
+        neighborhood=data.draw(st.sampled_from((4, 8)), label="neighborhood"),
+        metric=data.draw(st.sampled_from(("l1", "l2")), label="metric"),
+        rho=data.draw(st.floats(0.01, 3000.0), label="rho"),
+    )
+    if data.draw(st.booleans(), label="pin eval windows"):
+        cfg = replace(cfg, eval_windows=(cfg.w0,) * cfg.max_level)
+    lat = Lattice(width, height)
+    levels = range(1, cfg.max_level + 1)
+    if order == "reshuffle":
+        perms = [permutation("random", lat, [cfg.seed, i]) for i in levels]
+    else:
+        perms = [permutation(cfg.permutation, lat, cfg.seed)] * cfg.max_level
+    values = {(c + 1, r + 1): (float(samples[r, c, 0]) if bands == 1
+                               else tuple(float(v) for v in samples[r, c]))
+              for r in range(height) for c in range(width)}
+    w0 = cfg.w0.offsets
+    metric = cfg.model().metric
+    # energy_reference adds in its own order: keep rho clear of every
+    # window's energy per pixel by more than that order can move it.
+    for i in levels:
+        for x in values:
+            window = window_at(x, cfg.eval_window(i).offsets, width, height)
+            q = energy_reference(values, window, w0, metric) / len(window)
+            assume(abs(q - cfg.rho) > 1e-9 * max(1.0, q, cfg.rho))
+
+    want = run_mcv_reference(values, width, height,
+                             [[tuple(int(v) for v in p) for p in perm] for perm in perms],
+                             w0, [cfg.eval_window(i).offsets for i in levels],
+                             [cfg.merge_window(i).offsets for i in levels],
+                             cfg.rho, metric)
+    got = run_mcv(ImageBuffer(lat, bands, samples, 255), cfg)
+    for part, st_, (blocks, evaluations, accepted) in zip(got.levels, got.stats, want):
+        labels = part.labels
+        got_blocks = {frozenset((int(c) + 1, int(r) + 1) for r, c in np.argwhere(labels == k))
+                      for k in np.unique(labels)}
+        assert got_blocks == blocks
+        assert (st_.evaluations, st_.accepted, st_.region_count) == (
+            evaluations, accepted, len(blocks))

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcvseg import pyramid
 from mcvseg.geometry import (FIVE_NEIGHBORHOOD, NINE_NEIGHBORHOOD, Window,
-                             dilate, square_window)
-from mcvseg.mrf import MrfModel, evaluate
+                             WindowGeom, dilate, square_window)
+from mcvseg.mrf import MrfModel, energy, evaluate
 from mcvseg.pyramid import (PyramidEvaluator, WindowImage, downsample,
-                            make_pyramid_evaluator, pyramid_evaluate)
+                            make_pyramid_evaluator, pyramid_evaluate,
+                            verdict_map)
 
 from oracles import downsample_reference
 
@@ -199,3 +201,111 @@ def test_evaluator_rejects_non_nested_levels():
         PyramidEvaluator(MrfModel(), (square_window(1), square_window(2)))
     with pytest.raises(ValueError):
         PyramidEvaluator(MrfModel(), ())
+
+
+def pixel_window(samples, top, r0, c0):
+    """Pixel (r0, c0)'s window cut out of an (h, w, bands) image, as the
+    clipped patch with its window mask and as the window image on the
+    window's bounding box, whose slots off the lattice carry no sample."""
+    h, w, bands = samples.shape
+    geom = WindowGeom.of(top)
+    rs, cs, sub = geom.clip(r0, c0, h, w)
+    box = (geom.by1 - geom.by0 + 1, geom.bx1 - geom.bx0 + 1)
+    brs, bcs, _ = WindowGeom(0, w - 1, 0, h - 1, None).clip(
+        -r0 - geom.by0, -c0 - geom.bx0, *box)
+    vals = np.zeros(box + (bands,))
+    msk = np.zeros(box, dtype=bool)
+    vals[brs, bcs] = samples[rs, cs]
+    msk[brs, bcs] = True
+    return samples[rs, cs], sub, WindowImage(top, vals, msk)
+
+
+def per_pixel_verdicts(samples, levels, model):
+    """One evaluator call per pixel: ``evaluate`` on the clipped window
+    when there is no aggregation step, ``pyramid_evaluate`` on the
+    window image otherwise."""
+    h, w, _ = samples.shape
+    pe = PyramidEvaluator(model, levels)
+    out = np.zeros((h, w), dtype=bool)
+    for r0 in range(h):
+        for c0 in range(w):
+            patch, sub, img = pixel_window(samples, levels[0], r0, c0)
+            out[r0, c0] = (evaluate(patch, model, sub) if len(levels) == 1
+                           else pyramid_evaluate(img, pe))
+    return out
+
+
+def per_pixel_energy(samples, levels, model, r0, c0):
+    """Energy per scored pixel of pixel (r0, c0)'s window, computed the
+    way the reference computes it before comparing with rho."""
+    cur = pixel_window(samples, levels[0], r0, c0)[2]
+    for win in levels[1:]:
+        cur = downsample(cur, win, model.neighborhood)
+    return energy(cur.values, model, cur.mask) / np.count_nonzero(cur.mask)
+
+
+# Windows a level may evaluate on without aggregation: dilations of the
+# base neighborhood, or any offset set (holes, asymmetric boxes).
+direct_windows = st.sets(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                         max_size=12).map(lambda offs: Window(tuple(offs | {(0, 0)})))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_verdict_map_matches_per_pixel_reference(data):
+    g = data.draw(neighborhoods, label="g")
+    radii = sorted(data.draw(st.sets(st.integers(1, 3), min_size=1), label="radii"),
+                   reverse=True)
+    levels = tuple(dilate(g, i) for i in radii)
+    if len(levels) == 1 and data.draw(st.booleans(), label="any window"):
+        levels = (data.draw(direct_windows, label="window"),)
+    h = data.draw(st.integers(1, 12), label="h")
+    w = data.draw(st.integers(1, 12), label="w")
+    bands = data.draw(st.integers(1, 3), label="bands")
+    values = st.integers(0, 255) | st.floats(0.0, 255.0)
+    samples = np.reshape(data.draw(st.lists(values, min_size=h * w * bands,
+                                            max_size=h * w * bands)),
+                         (h, w, bands)).astype(np.float64)
+    metric = data.draw(st.sampled_from(("euclidean", "per_band_abs")), label="metric")
+    # rho is one pixel's exact reference energy, so at least one window
+    # sits exactly on the threshold.
+    r0 = data.draw(st.integers(0, h - 1), label="tie row")
+    c0 = data.draw(st.integers(0, w - 1), label="tie col")
+    rho = per_pixel_energy(samples, levels, MrfModel(g, metric=metric), r0, c0)
+    model = MrfModel(g, metric=metric, rho=rho)
+    got = verdict_map(samples, levels, model)
+    assert got.dtype == bool and got.shape == (h, w)
+    assert np.array_equal(got, per_pixel_verdicts(samples, levels, model))
+    assert got[r0, c0]
+
+
+# Samples per chunk for 5x5 gray windows on a 7x10 image: one window,
+# four windows (the last chunk is short), the whole image.
+@pytest.mark.parametrize("chunk", [1, 4 * 25, 70 * 25])
+def test_verdict_map_chunks_agree(chunk, monkeypatch):
+    """Chunk boundaries change nothing, and an (h, w) gray image scores
+    like its one-band form."""
+    rng = np.random.default_rng(9)
+    samples = np.repeat([[40.0, 160.0]], 7, axis=0).repeat(5, axis=1)
+    samples = samples + rng.normal(0, 2, size=samples.shape)
+    model = MrfModel(rho=50.0)
+    levels = (square_window(2), square_window(1))
+    want = per_pixel_verdicts(samples[:, :, None], levels, model)
+    assert 0 < want.sum() < want.size
+    monkeypatch.setattr(pyramid, "CHUNK_SAMPLES", chunk)
+    assert np.array_equal(verdict_map(samples, levels, model), want)
+
+
+def test_verdict_map_rechecks_only_near_ties(monkeypatch):
+    """A zero energy is exact in any summation order, so a constant image
+    at rho = 0 needs no per-window recheck; an exact tie does."""
+    calls = []
+    monkeypatch.setattr(pyramid, "pyramid_evaluate",
+                        lambda img, pe: calls.append(img) or pyramid_evaluate(img, pe))
+    levels = (square_window(2), square_window(1))
+    assert verdict_map(np.full((5, 6), 7.0), levels, MrfModel(rho=0.0)).all()
+    assert calls == []
+    samples = np.arange(30.0).reshape(5, 6) % 4
+    rho = per_pixel_energy(samples[:, :, None], levels, MrfModel(), 2, 3)
+    assert verdict_map(samples, levels, MrfModel(rho=rho))[2, 3]
+    assert len(calls) >= 1
