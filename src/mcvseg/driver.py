@@ -1,16 +1,16 @@
 """Sequential level loop tying permutation, boundary test, homogeneity
 evaluation, and windowed merging together.
 
-Levels run in order with growing evaluation and merge windows. The
+Levels run in order with growing evaluation and merge windows, which
+``McvConfig.eval_chain`` and ``McvConfig.merge_geom`` alone decide. The
 homogeneity test reads only the raw image, the pixel and the level,
 never the labels, so each level starts by scoring every pixel's
-evaluation window in one verdict map (``pyramid.verdict_map``; direct
-mode is the pyramid with no aggregation step). Then the pixels are
-visited in a fixed permutation: a pixel sitting on a label boundary
-counts as one evaluation and reads its verdict, and an accepted verdict
-merges the bordering blocks inside the level's merge window. The result
-is a multiresolution sequence of partitions, deterministic for a given
-configuration.
+evaluation window chain in one verdict map (``pyramid.verdict_map``).
+Then the pixels are visited in a fixed permutation: a pixel sitting on a
+label boundary counts as one evaluation and reads its verdict, and an
+accepted verdict merges the bordering blocks inside the level's merge
+window. The result is a multiresolution sequence of partitions,
+deterministic for a given configuration.
 
 Each accepted merge reads the labels the previous one wrote, so the
 merge loop runs strictly in order on one thread. All window clipping
@@ -30,12 +30,10 @@ import numpy as np
 
 from .geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD, Window,
                        WindowGeom, dilate, square_window)
-# The level loop no longer calls ``evaluate`` or ``pyramid_evaluate``;
-# they stay importable here under the names perfbench's traced run wraps.
-from .mrf import MrfModel, evaluate  # noqa: F401
+from .mrf import MrfModel
 from .partition import Partition, _relabel, canonicalize, singletons_full
 from .pnmio import ImageBuffer
-from .pyramid import PyramidEvaluator, pyramid_evaluate, verdict_map  # noqa: F401
+from .pyramid import verdict_map
 
 
 class ConfigError(ValueError):
@@ -61,7 +59,9 @@ class McvConfig:
     ``neighborhood`` picks the base adjacency (8 = 3x3 block, 4 = cross).
     Evaluation windows default to the i-fold dilation of the base
     neighborhood, merge windows to squares of radius 2^i; both sequences
-    can be overridden with explicit per-level windows. ``rho`` thresholds
+    can be overridden with explicit per-level windows, which must nest
+    (strictly, for eval windows in pyramid mode). ``eval_chain`` and
+    ``merge_geom`` give the windows each level runs with. ``rho`` thresholds
     the per-pixel energy, so it is comparable across window sizes.
     ``workers`` is validated and recorded in ``stats.txt`` but changes
     nothing: a level's merges run in order on one thread.
@@ -96,14 +96,29 @@ class McvConfig:
             return self.eval_windows[level - 1]
         return dilate(self.w0, level)
 
+    def eval_chain(self, level: int) -> tuple[Window, ...]:
+        """The coarse-ward window chain level ``level`` is scored through:
+        its eval window alone in direct mode, or the eval windows of
+        levels ``level``..1 in pyramid mode, each step down one layer."""
+        if self.eval_mode == "direct":
+            return (self.eval_window(level),)
+        return tuple(self.eval_window(i) for i in range(level, 0, -1))
+
     def merge_window(self, level: int) -> Window:
         """The level's merge window as an explicit Window. At high levels
-        the default square is huge; the run loop never materializes it."""
+        the default square is huge; the run loop uses ``merge_geom``."""
         if not 1 <= level <= self.max_level:
             raise ValueError(f"level {level} outside 1..{self.max_level}")
         if self.merge_windows is not None:
             return self.merge_windows[level - 1]
         return square_window(2 ** level)
+
+    def merge_geom(self, level: int) -> WindowGeom:
+        """``merge_window(level)`` as a ``WindowGeom`` to clip with; the
+        default square is never materialized."""
+        if self.merge_windows is None and 1 <= level <= self.max_level:
+            return WindowGeom.square(2 ** level)
+        return WindowGeom.of(self.merge_window(level))
 
     def validate(self) -> None:
         for name in ("max_level", "seed", "neighborhood", "workers"):
@@ -133,7 +148,7 @@ class McvConfig:
                               f"got {self.eval_mode!r}")
         try:
             self.model()
-        except ValueError as e:
+        except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from e
         for name, seq in (("eval_windows", self.eval_windows),
                           ("merge_windows", self.merge_windows)):
@@ -142,10 +157,12 @@ class McvConfig:
             if len(seq) != self.max_level:
                 raise ConfigError(f"{name} must list one window per level "
                                   f"({self.max_level}), got {len(seq)}")
+            strict = name == "eval_windows" and self.eval_mode == "pyramid"
             for i in range(len(seq) - 1):
-                if not set(seq[i].offsets) <= set(seq[i + 1].offsets):
-                    raise ConfigError(f"{name}[{i}] is not contained in "
-                                      f"{name}[{i + 1}]")
+                inner, outer = set(seq[i].offsets), set(seq[i + 1].offsets)
+                if not (inner < outer if strict else inner <= outer):
+                    raise ConfigError(f"{name}[{i}] is not {'strictly ' if strict else ''}"
+                                      f"contained in {name}[{i + 1}]")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -258,11 +275,6 @@ def load_permutation(text: str, lat: Lattice) -> np.ndarray:
     return _check_perm(_pixel_pairs(np.array(values, dtype=np.int64), lat), lat)
 
 
-def _evaluator_for(cfg: McvConfig) -> PyramidEvaluator:
-    return PyramidEvaluator(cfg.model(),
-                            tuple(cfg.eval_window(i) for i in range(cfg.max_level, 0, -1)))
-
-
 def _check_perm(perm: np.ndarray, lat: Lattice) -> np.ndarray:
     perm = np.asarray(perm)
     if perm.shape != (lat.size, 2):
@@ -279,19 +291,12 @@ def _check_perm(perm: np.ndarray, lat: Lattice) -> np.ndarray:
 
 
 def _run_level_inplace(labels: np.ndarray, omega: ImageBuffer, level: int,
-                       cfg: McvConfig, perm: np.ndarray,
-                       pe: PyramidEvaluator | None) -> LevelStats:
+                       cfg: McvConfig, perm: np.ndarray) -> LevelStats:
     t0 = time.perf_counter()
     h, w = labels.shape
     clip_w0 = WindowGeom.of(cfg.w0).clip
-    if cfg.merge_windows is None:
-        clip_psi = WindowGeom.square(2 ** level).clip
-    else:
-        clip_psi = WindowGeom.of(cfg.merge_windows[level - 1]).clip
-    # Direct mode is the pyramid with no aggregation step.
-    top = cfg.eval_window(level)
-    levels = (top,) if pe is None else pe.levels[pe.levels.index(top):]
-    verdict = verdict_map(omega.samples, levels, cfg.model()).tolist()
+    clip_psi = cfg.merge_geom(level).clip
+    verdict = verdict_map(omega.samples, cfg.eval_chain(level), cfg.model()).tolist()
     evaluations = 0
     accepted = 0
     next_label = int(labels.max()) + 1
@@ -330,9 +335,8 @@ def run_level(p: Partition, omega: ImageBuffer, i: int, cfg: McvConfig,
     if not 1 <= i <= cfg.max_level:
         raise ValueError(f"level {i} outside 1..{cfg.max_level}")
     perm = _check_perm(perm, p.lattice)
-    pe = _evaluator_for(cfg) if cfg.eval_mode == "pyramid" else None
     labels = p.labels.copy()
-    stats = _run_level_inplace(labels, omega, i, cfg, perm, pe)
+    stats = _run_level_inplace(labels, omega, i, cfg, perm)
     return Partition(p.lattice, labels), stats
 
 
@@ -352,13 +356,6 @@ def run_mcv(omega: ImageBuffer, cfg: McvConfig = McvConfig()) -> PartitionSequen
         base = load_permutation(Path(cfg.perm_file).read_text(), lat)
     else:
         base = permutation(cfg.permutation, lat, cfg.seed)
-    pe = None
-    if cfg.eval_mode == "pyramid":
-        try:
-            pe = _evaluator_for(cfg)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-
     labels = singletons_full(lat).labels
     snapshots = [canonicalize(Partition(lat, labels))]
     stats = [LevelStats(0, 0, 0, lat.size)]
@@ -367,7 +364,7 @@ def run_mcv(omega: ImageBuffer, cfg: McvConfig = McvConfig()) -> PartitionSequen
             order = permutation("random", lat, [cfg.seed, i])
         else:
             order = base
-        st = _run_level_inplace(labels, omega, i, cfg, order, pe)
+        st = _run_level_inplace(labels, omega, i, cfg, order)
         snapshots.append(canonicalize(Partition(lat, labels)))
         stats.append(st)
     return PartitionSequence(cfg, snapshots, stats)

@@ -55,10 +55,6 @@ class Partition:
         present = self.labels[self.labels != ABSENT]
         return int(np.unique(present).size)
 
-    def present_pixels(self) -> set[Pixel]:
-        rows, cols = np.nonzero(self.labels != ABSENT)
-        return {(int(c) + 1, int(r) + 1) for r, c in zip(rows, cols)}
-
     def blocks(self) -> dict[int, set[Pixel]]:
         """Label -> block pixel set. Intended for small partitions and tests."""
         out: dict[int, set[Pixel]] = {}

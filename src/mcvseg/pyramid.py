@@ -171,7 +171,9 @@ def verdict_map(samples: np.ndarray, levels: tuple[Window, ...],
     image, which is ``evaluate`` on the clipped window when ``levels``
     holds one window. The batched energy adds a window's terms in another
     order than ``energy``, so windows it flags as too close to ``rho`` to
-    tell are re-decided by ``pyramid_evaluate`` itself.
+    tell are re-decided by ``evaluate`` on their downsampled arrays; the
+    layers work element-wise, so those are bitwise the arrays
+    ``pyramid_evaluate`` would score.
     """
     vals = _as_bands(samples)
     h, w, bands = vals.shape
@@ -197,7 +199,6 @@ def verdict_map(samples: np.ndarray, levels: tuple[Window, ...],
             cur, msk = _downsample_arrays(cur, msk, src, dst, pairs)
         ok, near = evaluate_batch(cur, msk, model)
         for i in np.flatnonzero(near):
-            box = np.s_[rs[i] : rs[i] + bh, cs[i] : cs[i] + bw]
-            ok[i] = pyramid_evaluate(WindowImage(top, padded[box], inside[box]), pe)
+            ok[i] = evaluate(cur[i], model, msk[i])
         out[p0 : p0 + len(ok)] = ok
     return out.reshape(h, w)

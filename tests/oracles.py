@@ -154,31 +154,51 @@ def downsample_reference(src, out_offsets, g_offsets, theta):
     return out
 
 
-def run_mcv_reference(values, width, height, orders, w0_offsets, eval_offsets,
-                      merge_offsets, rho, metric="euclidean"):
-    """Direct-mode level loop as literal set arithmetic.
+def chain_energy_per_pixel(values, x, chain, w0_offsets, width, height,
+                           metric="euclidean"):
+    """Energy per scored pixel of pixel x's evaluation window chain.
 
-    ``values`` maps each (col, row) to a float or a tuple of floats;
-    ``orders`` lists each level's visiting order of (col, row) pixels;
-    ``eval_offsets`` and ``merge_offsets`` list each level's windows. At
-    every pixel in order: if its clipped w0-window leaves its block, test
-    the clipped eval window's energy per pixel against ``rho``, and on
-    acceptance merge the blocks it touches inside the merge window.
-    Returns one (blocks, evaluations, accepted) triple per level, level 0
-    (the singletons) first.
+    ``chain`` lists offset sets coarse-ward. The first one, placed on x
+    and clipped, picks the samples of ``values`` (tuples of floats); each
+    later one is one ``downsample_reference`` layer with uniform weights
+    over ``w0_offsets``. The last layer's samples are scored with
+    ``energy_reference``.
+    """
+    c, r = x
+    samples = {p: values[p] for p in window_at(x, chain[0], width, height)}
+    uniform = {o: 1.0 for o in w0_offsets}
+    for offsets in chain[1:]:
+        out = [(c + dx, r + dy) for dx, dy in offsets]
+        samples = downsample_reference(samples, out, w0_offsets, uniform)
+    return energy_reference(samples, set(samples), w0_offsets, metric) / len(samples)
+
+
+def run_mcv_reference(values, width, height, orders, w0_offsets, eval_chains,
+                      merge_offsets, rho, metric="euclidean"):
+    """The level loop as literal set arithmetic.
+
+    ``values`` maps each (col, row) to a tuple of floats; ``orders``
+    lists each level's visiting order of (col, row) pixels;
+    ``eval_chains`` and ``merge_offsets`` list each level's evaluation
+    window chain (one window in direct mode) and merge window. At every
+    pixel in order: if its clipped w0-window leaves its block, test the
+    chain's energy per pixel (``chain_energy_per_pixel``) against
+    ``rho``, and on acceptance merge the blocks it touches inside the
+    merge window. Returns one (blocks, evaluations, accepted) triple per
+    level, level 0 (the singletons) first.
     """
     blocks = {frozenset([(c, r)]) for r in range(1, height + 1)
               for c in range(1, width + 1)}
     out = [(blocks, 0, 0)]
-    for order, evo, mo in zip(orders, eval_offsets, merge_offsets):
+    for order, chain, mo in zip(orders, eval_chains, merge_offsets):
         evaluations = accepted = 0
         for x in order:
             own = next(b for b in blocks if x in b)
             if window_at(x, w0_offsets, width, height) <= own:
                 continue
             evaluations += 1
-            window = window_at(x, evo, width, height)
-            if energy_reference(values, window, w0_offsets, metric) / len(window) > rho:
+            if chain_energy_per_pixel(values, x, chain, w0_offsets, width, height,
+                                      metric) > rho:
                 continue
             accepted += 1
             blocks = merge_sets(blocks, x, w0_offsets, mo, width, height)

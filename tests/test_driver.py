@@ -13,7 +13,7 @@ from mcvseg.geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD,
 from mcvseg.partition import same_partition, singletons_full
 from mcvseg.pnmio import ImageBuffer
 
-from oracles import energy_reference, run_mcv_reference, window_at
+from oracles import chain_energy_per_pixel, run_mcv_reference
 
 
 def gray(values, max_value=255):
@@ -90,6 +90,10 @@ def test_config_validation():
         McvConfig(rho=float("nan")).validate()
     with pytest.raises(ConfigError):
         McvConfig(seed=-1).validate()
+    with pytest.raises(ConfigError):
+        McvConfig(rho="1").validate()
+    with pytest.raises(ConfigError):
+        McvConfig(temperature=None).validate()
     for field, value in (("max_level", 1.5), ("seed", 1.5), ("neighborhood", 8.0),
                          ("workers", 2.5), ("max_level", "2")):
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
@@ -100,6 +104,11 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         McvConfig(max_level=2, merge_windows=(square_window(2),
                                               square_window(1))).validate()
+    # Pinned eval windows nest, but not strictly: direct mode only.
+    pinned = McvConfig(max_level=2, eval_windows=(NINE_NEIGHBORHOOD,) * 2)
+    pinned.validate()
+    with pytest.raises(ConfigError, match="strictly"):
+        replace(pinned, eval_mode="pyramid").validate()
 
 
 def test_config_window_defaults():
@@ -111,6 +120,24 @@ def test_config_window_defaults():
     assert McvConfig(neighborhood=4).w0 == FIVE_NEIGHBORHOOD
     with pytest.raises(ValueError):
         cfg.eval_window(4)
+    with pytest.raises(ValueError):
+        cfg.merge_geom(0)
+    assert cfg.eval_chain(3) == (cfg.eval_window(3),)
+    assert replace(cfg, eval_mode="pyramid").eval_chain(3) == tuple(
+        dilate(NINE_NEIGHBORHOOD, i) for i in (3, 2, 1))
+    assert cfg.merge_geom(3) == WindowGeom.square(8)
+    # The default merge square of a high level is never materialized.
+    t0 = time.perf_counter()
+    assert McvConfig(max_level=30).merge_geom(30) == WindowGeom.square(2 ** 30)
+    assert time.perf_counter() - t0 < 0.1
+    diamonds = McvConfig(max_level=2, merge_windows=tuple(
+        dilate(FIVE_NEIGHBORHOOD, 2 * i) for i in (1, 2)))
+    for i in (1, 2):
+        geom, want = diamonds.merge_geom(i), WindowGeom.of(diamonds.merge_window(i))
+        assert geom.mask is not None
+        assert (geom.bx0, geom.bx1, geom.by0, geom.by1) == (want.bx0, want.bx1,
+                                                             want.by0, want.by1)
+        assert np.array_equal(geom.mask, want.mask)
 
 
 def test_config_updates_parsing():
@@ -317,8 +344,9 @@ def test_partition_sequence_accessors():
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_run_mcv_matches_set_reference(data):
-    """Direct-mode ``run_mcv`` against the literal set-arithmetic loop:
-    same partitions and same LevelStats counts at every level."""
+    """``run_mcv`` against the literal set-arithmetic loop, in direct
+    mode and in pyramid mode with default windows: same partitions and
+    same LevelStats counts at every level."""
     width = data.draw(st.integers(1, 10), label="width")
     height = data.draw(st.integers(1, 10), label="height")
     bands = data.draw(st.integers(1, 3), label="bands")
@@ -336,7 +364,11 @@ def test_run_mcv_matches_set_reference(data):
         metric=data.draw(st.sampled_from(("l1", "l2")), label="metric"),
         rho=data.draw(st.floats(0.01, 3000.0), label="rho"),
     )
-    if data.draw(st.booleans(), label="pin eval windows"):
+    pyramid = data.draw(st.booleans(), label="pyramid")
+    pinned = not pyramid and data.draw(st.booleans(), label="pin eval windows")
+    if pyramid:
+        cfg = replace(cfg, eval_mode="pyramid")
+    if pinned:
         cfg = replace(cfg, eval_windows=(cfg.w0,) * cfg.max_level)
     lat = Lattice(width, height)
     levels = range(1, cfg.max_level + 1)
@@ -344,23 +376,24 @@ def test_run_mcv_matches_set_reference(data):
         perms = [permutation("random", lat, [cfg.seed, i]) for i in levels]
     else:
         perms = [permutation(cfg.permutation, lat, cfg.seed)] * cfg.max_level
-    values = {(c + 1, r + 1): (float(samples[r, c, 0]) if bands == 1
-                               else tuple(float(v) for v in samples[r, c]))
+    values = {(c + 1, r + 1): tuple(float(v) for v in samples[r, c])
               for r in range(height) for c in range(width)}
     w0 = cfg.w0.offsets
     metric = cfg.model().metric
-    # energy_reference adds in its own order: keep rho clear of every
+    # Level i is scored on dilate(w0, i) (w0 when pinned), in pyramid mode
+    # downsampled through the windows of levels i - 1..1.
+    chains = [[(cfg.w0 if pinned else dilate(cfg.w0, j)).offsets
+               for j in (range(i, 0, -1) if pyramid else (i,))] for i in levels]
+    # The reference adds in its own order: keep rho clear of every
     # window's energy per pixel by more than that order can move it.
-    for i in levels:
+    for chain in chains:
         for x in values:
-            window = window_at(x, cfg.eval_window(i).offsets, width, height)
-            q = energy_reference(values, window, w0, metric) / len(window)
+            q = chain_energy_per_pixel(values, x, chain, w0, width, height, metric)
             assume(abs(q - cfg.rho) > 1e-9 * max(1.0, q, cfg.rho))
 
     want = run_mcv_reference(values, width, height,
                              [[tuple(int(v) for v in p) for p in perm] for perm in perms],
-                             w0, [cfg.eval_window(i).offsets for i in levels],
-                             [cfg.merge_window(i).offsets for i in levels],
+                             w0, chains, [cfg.merge_window(i).offsets for i in levels],
                              cfg.rho, metric)
     got = run_mcv(ImageBuffer(lat, bands, samples, 255), cfg)
     for part, st_, (blocks, evaluations, accepted) in zip(got.levels, got.stats, want):

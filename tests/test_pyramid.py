@@ -300,8 +300,8 @@ def test_verdict_map_rechecks_only_near_ties(monkeypatch):
     """A zero energy is exact in any summation order, so a constant image
     at rho = 0 needs no per-window recheck; an exact tie does."""
     calls = []
-    monkeypatch.setattr(pyramid, "pyramid_evaluate",
-                        lambda img, pe: calls.append(img) or pyramid_evaluate(img, pe))
+    monkeypatch.setattr(pyramid, "evaluate",
+                        lambda vals, model, mask: calls.append(mask) or evaluate(vals, model, mask))
     levels = (square_window(2), square_window(1))
     assert verdict_map(np.full((5, 6), 7.0), levels, MrfModel(rho=0.0)).all()
     assert calls == []
