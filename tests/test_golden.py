@@ -6,7 +6,9 @@ writes: every ``level_*`` label map, ``final.ppm`` and ``stats.txt``. The
 config matrix covers the raster, random and reshuffled orders, direct and
 pyramid evaluation, 4- and 8-neighborhoods, the l1 and l2 metrics, default,
 pinned or overridden eval windows, overridden merge windows, and 1 or 2
-workers.
+workers. Four more cases run 128x128 gray and RGB images for 7 levels,
+direct and pyramid, so that windows up to 15x15 and pyramid chains seven
+layers deep are covered too.
 
 The digests were recorded once and must never move: a refactor that
 changes one changed the program's output. To print the digests of the
@@ -25,19 +27,21 @@ from mcvseg.cli import _stats_text, main
 
 SIDE = 12
 LEVELS = 3
+LARGE_SIDE = 128
+LARGE_LEVELS = 7
 
 
-def make_image(kind: str) -> ImageBuffer:
-    """Four tone quadrants plus Gaussian noise; fixed per kind."""
+def make_image(kind: str, side: int = SIDE) -> ImageBuffer:
+    """Four tone quadrants plus Gaussian noise; fixed per kind and side."""
     bands, max_value, sigma = {"gray": (1, 255, 3.0), "rgb": (3, 255, 3.0),
                                "gray16": (1, 65535, 600.0)}[kind]
-    rng = np.random.default_rng([SIDE, bands, max_value])
+    rng = np.random.default_rng([side, bands, max_value])
     tones = rng.integers(0, max_value + 1, size=(2, 2, bands))
-    half = np.arange(SIDE) * 2 // SIDE
+    half = np.arange(side) * 2 // side
     clean = tones[half[:, None], half[None, :]].astype(np.float64)
     noisy = clean + rng.normal(0.0, sigma, size=clean.shape)
     samples = np.clip(np.rint(noisy), 0, max_value)
-    return ImageBuffer(Lattice(SIDE, SIDE), bands, samples, max_value)
+    return ImageBuffer(Lattice(side, side), bands, samples, max_value)
 
 
 PINNED_8 = (NINE_NEIGHBORHOOD,) * LEVELS
@@ -89,6 +93,15 @@ CASES = {
         merge_windows=DIAMOND_MERGE)),
 }
 
+# name -> (image kind, McvConfig fields), run at LARGE_SIDE for LARGE_LEVELS
+LARGE_CASES = {
+    "gray128-random-direct-8-l2": ("gray", dict(rho=20.0, seed=16)),
+    "gray128-random-pyramid-8-l2": ("gray", dict(rho=20.0, seed=17, eval_mode="pyramid")),
+    "rgb128-random-direct-8-l2": ("rgb", dict(rho=100.0, seed=18)),
+    "rgb128-random-pyramid-8-l1": ("rgb", dict(rho=100.0, seed=19, metric="l1",
+                                               eval_mode="pyramid")),
+}
+
 GOLDEN = {
     'gray-random-direct-4-l2': '512accefe750bfa4202d4411a70b5211734d705d7549067dca28ea509b0c712f',
     'gray-random-direct-4-pinned-w2': 'ff9fbfde885951b42914ace5c77d3baa72f5f32e09707603a307680ff0714414',
@@ -101,6 +114,8 @@ GOLDEN = {
     'gray-raster-pyramid-4-l1-w2': '024d0cb6c28434d0a724288faf3601d3a4bbe6460ffb946d336f66e05ca9b056',
     'gray-reshuffle-direct-8-l1': '9629173aaadf0e611bcefeb031d82d97456f337d3ff22479975590ee558a2b42',
     'gray-reshuffle-pyramid-8-eval-skip-w2': 'b39b93f42c0bd948213a973612ae1b43cd7ac6b0166855e8eb51c17611e43e5b',
+    'gray128-random-direct-8-l2': 'e2d2efb082ccb91f8b4b14809e34682adc7652e40511d946d41199d21fa53bea',
+    'gray128-random-pyramid-8-l2': '9911182529be8368f0a87dba51514feab728c268de2a3d891b0aa87c00204d13',
     'gray16-random-direct-8-l2': '0d67b77047851687553481d6a84ed86867e9904ca627b526215604269d89ae8b',
     'gray16-raster-pyramid-4-l1-w2': 'bef95ba9b8d3a88d480ecc40cf55b4f57ce97c4baf6a897cf1bf5bf5b4e6f013',
     'gray16-reshuffle-direct-4-merge-diamond': '8861d5ec222f1232e9d3c4211eb87a7a998c1fdbd2094d5d8aa0184c00116481',
@@ -108,14 +123,17 @@ GOLDEN = {
     'rgb-random-pyramid-4-eval-skip': '610fb7c46c6b9bbc5df0354297860f2b323900d857d5fdaa651ced88f7f4b835',
     'rgb-raster-direct-4-l1-w2': '73f6243641aa1679e89d136d050276e65d34639e7d56f317fdc514b29d1dd1ac',
     'rgb-reshuffle-pyramid-8-l1': '613a2bcf34ca36dfdaee7f2a6f771535814b58a463a3253d036ad8e397e80c89',
+    'rgb128-random-direct-8-l2': 'b7d018096fcc0b46a174a1b554858c764b2b36f4b141c0ed60107015fecf6f81',
+    'rgb128-random-pyramid-8-l1': '6675a84e2dd0b25105760548526b344fcfeec00fe8a7a9a5fc4399fe660168dd',
 }
 
 
-def segment_outputs(kind: str, fields: dict) -> dict[str, bytes]:
+def segment_outputs(kind: str, fields: dict, side: int = SIDE,
+                    levels: int = LEVELS) -> dict[str, bytes]:
     """The files ``mcvseg segment`` writes, as {name: bytes}."""
-    cfg = McvConfig(max_level=LEVELS, **fields)
+    cfg = McvConfig(max_level=levels, **fields)
     cfg.validate()
-    seq = run_mcv(make_image(kind), cfg)
+    seq = run_mcv(make_image(kind, side), cfg)
     out = {}
     for level, lm in enumerate(seq.levels):
         if int(lm.labels.max(initial=0)) <= 65535:
@@ -143,6 +161,12 @@ def test_segment_digest(name):
     assert digest(segment_outputs(kind, fields)) == GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(LARGE_CASES))
+def test_large_segment_digest(name):
+    kind, fields = LARGE_CASES[name]
+    assert digest(segment_outputs(kind, fields, LARGE_SIDE, LARGE_LEVELS)) == GOLDEN[name]
+
+
 def test_corpus_digests_match_cli(tmp_path):
     """The corpus hashes what the CLI writes, for a config it can express."""
     kind, fields = CASES["gray-random-direct-8-l2-w2"]
@@ -158,3 +182,6 @@ def test_corpus_digests_match_cli(tmp_path):
 if __name__ == "__main__":
     for name in sorted(CASES):
         print(f"    {name!r}: {digest(segment_outputs(*CASES[name]))!r},")
+    for name in sorted(LARGE_CASES):
+        outputs = segment_outputs(*LARGE_CASES[name], LARGE_SIDE, LARGE_LEVELS)
+        print(f"    {name!r}: {digest(outputs)!r},")
