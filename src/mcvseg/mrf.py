@@ -1,10 +1,10 @@
 """Autoregressive Gaussian MRF homogeneity scoring.
 
 The energy of a patch is the summed squared deviation of each pixel from
-the weighted mean of its in-region neighbors; a patch is acceptable when
-the per-pixel energy falls below the model threshold. The weighted
-neighbor sums come from ``_neighbor_sums``, the one kernel that also
-builds every ``pyramid.downsample`` layer; ``evaluate_batch`` scores
+the mean of its in-region neighbors; a patch is acceptable when the
+per-pixel energy falls below the model threshold. The neighbor sums and
+counts come from ``_neighbor_sums``, the one kernel that also builds
+every ``pyramid.downsample`` layer; ``evaluate_batch`` scores
 many windows at once from the same per-pixel terms. The Boltzmann
 distribution this energy induces is enumerable for tiny state spaces,
 which gives an exact oracle for the threshold equivalence and a target
@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -30,18 +30,15 @@ METRICS = ("euclidean", "per_band_abs")
 
 @dataclass(frozen=True)
 class MrfModel:
-    """Neighborhood, weights, metric, temperature and energy threshold.
+    """Neighborhood, metric, temperature and energy threshold.
 
     The neighborhood window contains the origin (as every Window does);
-    the origin is skipped in the autoregressive sum. ``weights`` maps
-    offsets to nonnegative reals and defaults to uniform; per pixel the
-    weights are renormalized over the neighbors actually inside the
-    region, so their absolute scale never matters. ``rho`` thresholds the
-    per-pixel normalized energy.
+    the origin is skipped in the autoregressive sum, which predicts each
+    pixel by the plain mean of its neighbors inside the region. ``rho``
+    thresholds the per-pixel normalized energy.
     """
 
     neighborhood: Window = NINE_NEIGHBORHOOD
-    weights: Mapping[Offset, float] | None = None
     metric: str = "euclidean"
     temperature: float = 1.0
     rho: float = 0.0
@@ -53,22 +50,10 @@ class MrfModel:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
         if not self.rho >= 0:
             raise ValueError(f"rho must be nonnegative, got {self.rho}")
-        if self.weights is not None:
-            extra = set(self.weights) - set(self.neighborhood.offsets)
-            if extra:
-                raise ValueError(f"weight offsets {sorted(extra)} not in neighborhood")
-            if any(w < 0 for w in self.weights.values()):
-                raise ValueError("weights must be nonnegative")
 
-    def neighbor_offsets(self) -> list[tuple[Offset, float]]:
-        """Non-origin (offset, raw weight) pairs used by the AR sum."""
-        out = []
-        for o in self.neighborhood.offsets:
-            if o == (0, 0):
-                continue
-            w = 1.0 if self.weights is None else float(self.weights.get(o, 0.0))
-            out.append((o, w))
-        return out
+    def neighbor_offsets(self) -> list[Offset]:
+        """Non-origin offsets used by the AR sum."""
+        return [o for o in self.neighborhood.offsets if o != (0, 0)]
 
 
 def _as_bands(values: np.ndarray) -> np.ndarray:
@@ -80,25 +65,24 @@ def _as_bands(values: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _neighbor_sums(vals: np.ndarray, mask: np.ndarray,
-                   pairs: Iterable[tuple[Offset, float]], shape: tuple[int, int],
-                   dy0: int = 0, dx0: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted sums of in-mask neighbors on a ``shape`` grid.
+def _neighbor_sums(vals: np.ndarray, mask: np.ndarray, offsets: Iterable[Offset],
+                   shape: tuple[int, int], dy0: int = 0,
+                   dx0: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Sums and counts of in-mask neighbors on a ``shape`` grid.
 
     Grid position (i, j) sits at source position (i + dy0, j + dx0). Each
-    ((dx, dy), weight) pair adds ``weight * vals`` from source position
+    (dx, dy) offset adds ``vals`` from source position
     (i + dy0 + dy, j + dx0 + dx) where that position is inside the source
     and ``mask``. ``vals`` is (..., hs, ws, bands) and ``mask``
     (..., hs, ws); leading batch axes carry through. Returns the per-band
-    sums, (..., *shape, bands), and the weight totals, (..., *shape).
+    sums, (..., *shape, bands), and the neighbor counts as floats,
+    (..., *shape).
     """
     h, w = shape
     *lead, hs, ws = mask.shape
-    wsum = np.zeros((*lead, h, w, vals.shape[-1]))
-    wtot = np.zeros((*lead, h, w))
-    for (dx, dy), weight in pairs:
-        if weight == 0.0:
-            continue
+    sums = np.zeros((*lead, h, w, vals.shape[-1]))
+    counts = np.zeros((*lead, h, w))
+    for dx, dy in offsets:
         ry, rx = dy0 + dy, dx0 + dx
         i0, i1 = max(0, -ry), min(h, hs - ry)
         j0, j1 = max(0, -rx), min(w, ws - rx)
@@ -106,18 +90,18 @@ def _neighbor_sums(vals: np.ndarray, mask: np.ndarray,
             continue
         nb_in = mask[..., i0 + ry : i1 + ry, j0 + rx : j1 + rx]
         nb_val = vals[..., i0 + ry : i1 + ry, j0 + rx : j1 + rx, :]
-        wsum[..., i0:i1, j0:j1, :] += weight * nb_val * nb_in[..., None]
-        wtot[..., i0:i1, j0:j1] += weight * nb_in
-    return wsum, wtot
+        sums[..., i0:i1, j0:j1, :] += nb_val * nb_in[..., None]
+        counts[..., i0:i1, j0:j1] += nb_in
+    return sums, counts
 
 
 def _site_terms(vals: np.ndarray, region: np.ndarray, model: MrfModel):
     """Per-pixel energy terms of the in-region pixels that have an
     in-region neighbor, flattened in row-major order, and the boolean
     map of those pixels. Leading batch axes carry through."""
-    wsum, wtot = _neighbor_sums(vals, region, model.neighbor_offsets(), region.shape[-2:])
-    has = region & (wtot > 0)
-    pred = wsum[has] / wtot[has][:, None]
+    sums, counts = _neighbor_sums(vals, region, model.neighbor_offsets(), region.shape[-2:])
+    has = region & (counts > 0)
+    pred = sums[has] / counts[has][:, None]
     diff = pred - vals[has]
     if model.metric == "euclidean":
         return np.sum(diff * diff, axis=1), has
@@ -128,9 +112,8 @@ def energy(values: np.ndarray, model: MrfModel, mask: np.ndarray | None = None) 
     """Autoregressive energy of a patch over region ``mask``.
 
     Each in-region pixel with at least one in-region neighbor contributes
-    the squared metric deviation between its value and the weighted mean
-    of its in-region neighbors; isolated pixels contribute zero. Weights
-    are renormalized per pixel over the available neighbors.
+    the squared metric deviation between its value and the mean of its
+    in-region neighbors; isolated pixels contribute zero.
     """
     vals = _as_bands(values)
     h, w = vals.shape[:2]
@@ -175,34 +158,14 @@ def evaluate_batch(vals: np.ndarray, mask: np.ndarray,
 # --- exact enumeration over tiny state spaces ------------------------------
 
 
-def _region_pixels(region: Iterable[Pixel]) -> tuple[tuple[Pixel, ...], np.ndarray, tuple[int, int]]:
-    """Sorted pixel tuple, bbox-local mask, and bbox origin for a region."""
-    pixels = tuple(sorted(set(region), key=lambda p: (p[1], p[0])))
-    if not pixels:
-        raise ValueError("region is empty")
-    cs = [p[0] for p in pixels]
-    rs = [p[1] for p in pixels]
-    c0, r0 = min(cs), min(rs)
-    mask = np.zeros((max(rs) - r0 + 1, max(cs) - c0 + 1), dtype=bool)
-    for c, r in pixels:
-        mask[r - r0, c - c0] = True
-    return pixels, mask, (c0, r0)
-
-
-def _neighbor_table(pixels: Sequence[Pixel], model: MrfModel) -> list[tuple[list[tuple[int, float]], float]]:
-    """Per pixel: ((index, raw weight) of each in-region neighbor, weight
-    total). Normalization is deferred to a single division per prediction
-    so a constant patch scores exactly zero."""
+def _neighbor_table(pixels: Sequence[Pixel], model: MrfModel) -> list[list[int]]:
+    """Per pixel, the indices of its in-region neighbors. A prediction
+    divides the neighbors' sum once, so a constant patch scores exactly
+    zero."""
     index = {p: i for i, p in enumerate(pixels)}
-    table: list[tuple[list[tuple[int, float]], float]] = []
-    for c, r in pixels:
-        row = []
-        for (dx, dy), weight in model.neighbor_offsets():
-            j = index.get((c + dx, r + dy))
-            if j is not None and weight > 0:
-                row.append((j, weight))
-        table.append((row, sum(wt for _, wt in row)))
-    return table
+    offsets = model.neighbor_offsets()
+    return [[index[q] for q in ((c + dx, r + dy) for dx, dy in offsets) if q in index]
+            for c, r in pixels]
 
 
 def _state_energy(state: Sequence, table, metric: str) -> float:
@@ -212,11 +175,9 @@ def _state_energy(state: Sequence, table, metric: str) -> float:
 
 def _boltzmann(energies: np.ndarray, temperature: float):
     """Normalized Boltzmann weights, computed relative to the minimum
-    energy for stability. Returns (probabilities, scaled_z, shift)."""
-    shift = float(energies.min())
-    scaled = np.exp(-(energies - shift) / temperature)
-    z = float(scaled.sum())
-    return scaled / z, z, shift
+    energy for stability."""
+    scaled = np.exp(-(energies - float(energies.min())) / temperature)
+    return scaled / float(scaled.sum())
 
 
 @dataclass
@@ -237,7 +198,9 @@ def gibbs_distribution(region: Iterable[Pixel], values: Sequence, model: MrfMode
 
     Guarded at MAX_STATES states; probabilities are positive and sum to 1.
     """
-    pixels, _, _ = _region_pixels(region)
+    pixels = tuple(sorted(set(region), key=lambda p: (p[1], p[0])))
+    if not pixels:
+        raise ValueError("region is empty")
     k = len(pixels)
     values = list(values)
     if len(values) == 0:
@@ -248,8 +211,7 @@ def gibbs_distribution(region: Iterable[Pixel], values: Sequence, model: MrfMode
     table = _neighbor_table(pixels, model)
     states = list(itertools.product(values, repeat=k))
     energies = np.array([_state_energy(s, table, model.metric) for s in states])
-    probs, _, _ = _boltzmann(energies, model.temperature)
-    return GibbsTable(pixels, states, energies, probs)
+    return GibbsTable(pixels, states, energies, _boltzmann(energies, model.temperature))
 
 
 def tau_rho_consistency(region: Iterable[Pixel], values: Sequence, model: MrfModel) -> bool:
@@ -293,8 +255,8 @@ def calibrate_rho(patch_shape: tuple[int, int], values: Sequence, model: MrfMode
     table = _neighbor_table(pixels, model)
     # terms affected by a change at site j: j itself plus sites with j as neighbor
     affected: list[list[int]] = [[j] for j in range(k)]
-    for i, (nbrs, _) in enumerate(table):
-        for j, _ in nbrs:
+    for i, nbrs in enumerate(table):
+        for j in nbrs:
             if i not in affected[j]:
                 affected[j].append(i)
 
@@ -322,23 +284,24 @@ def calibrate_rho(patch_shape: tuple[int, int], values: Sequence, model: MrfMode
 
 def _site_term(state: Sequence, i: int, table, metric: str) -> float:
     """Energy contribution of the single site ``i`` for the current state."""
-    nbrs, total = table[i]
+    nbrs = table[i]
     if not nbrs:
         return 0.0
+    n = len(nbrs)
     vi = state[i]
     if isinstance(vi, (tuple, list)):
         pred = [0.0] * len(vi)
-        for j, wt in nbrs:
+        for j in nbrs:
             vj = state[j]
             for b in range(len(pred)):
-                pred[b] += wt * vj[b]
+                pred[b] += vj[b]
         if metric == "euclidean":
-            return sum((pb / total - vb) ** 2 for pb, vb in zip(pred, vi))
-        return sum(abs(pb / total - vb) for pb, vb in zip(pred, vi)) ** 2
+            return sum((pb / n - vb) ** 2 for pb, vb in zip(pred, vi))
+        return sum(abs(pb / n - vb) for pb, vb in zip(pred, vi)) ** 2
     pred = 0.0
-    for j, wt in nbrs:
-        pred += wt * state[j]
-    return (pred / total - vi) ** 2
+    for j in nbrs:
+        pred += state[j]
+    return (pred / n - vi) ** 2
 
 
 def neighborhood_squared(g: Window) -> Window:

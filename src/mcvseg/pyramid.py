@@ -2,11 +2,11 @@
 
 A big evaluation window is scored either directly or by lowering its
 resolution step by step until it fits the base 3x3 neighborhood and then
-thresholding the energy there. The chain of fixed weighted-sum layers
-plus the threshold is exactly the composition of ``downsample`` calls
-followed by ``mrf.evaluate``; nothing is learned, the weights are wired.
-Each layer is one call of ``mrf._neighbor_sums``, the kernel behind the
-energy's autoregressive prediction, so both compute the same weighted
+thresholding the energy there. The chain of fixed mean layers plus the
+threshold is exactly the composition of ``downsample`` calls followed by
+``mrf.evaluate``; nothing is learned, every weight is wired to one. Each
+layer is one call of ``mrf._neighbor_sums``, the kernel behind the
+energy's autoregressive prediction, so both compute the same neighbor
 sum the same way. ``verdict_map`` applies the wired net to every pixel's
 window of an image at once, batching the windows through the same
 layers; scoring one window directly is the net with no aggregation step.
@@ -15,12 +15,11 @@ layers; scoring one window directly is the net with no aggregation step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .geometry import Offset, Window, dilate
+from .geometry import Window, dilate
 from .mrf import MrfModel, _as_bands, _neighbor_sums, evaluate, evaluate_batch
 
 
@@ -58,49 +57,30 @@ class WindowImage:
         return self.values.shape[2]
 
 
-def _check_theta(g: Window, theta: Mapping[Offset, float] | None) -> list[tuple[Offset, float]]:
-    pairs = []
-    for o in g.offsets:
-        w = 1.0 if theta is None else float(theta.get(o, 0.0))
-        if w < 0:
-            raise ValueError(f"negative weight for offset {o}")
-        pairs.append((o, w))
-    if theta is not None:
-        extra = set(theta) - set(g.offsets)
-        if extra:
-            raise ValueError(f"weight offsets {sorted(extra)} not in aggregation window")
-        if all(w == 0 for _, w in pairs):
-            raise ValueError("all aggregation weights are zero")
-    return pairs
-
-
 def _downsample_arrays(vals: np.ndarray, mask: np.ndarray, src_window: Window,
-                       out_window: Window, pairs: list[tuple[Offset, float]]):
+                       out_window: Window, g: Window):
     """``downsample`` on bare arrays: ``vals`` (..., h, w, bands) and
     ``mask`` (..., h, w) over ``src_window``'s bounding box, with leading
     batch axes. Returns the output values and mask."""
     ox0, _, oy0, _ = out_window.bbox()
     sx0, _, sy0, _ = src_window.bbox()
     out_mask = out_window.mask()
-    wsum, wtot = _neighbor_sums(vals, mask, pairs, out_mask.shape,
-                                oy0 - sy0, ox0 - sx0)
-    present = out_mask & (wtot > 0)
-    values = np.divide(wsum, wtot[..., None], out=np.zeros(wsum.shape),
+    sums, counts = _neighbor_sums(vals, mask, g.offsets, out_mask.shape,
+                                  oy0 - sy0, ox0 - sx0)
+    present = out_mask & (counts > 0)
+    values = np.divide(sums, counts[..., None], out=np.zeros(sums.shape),
                        where=present[..., None])
     return values, present
 
 
-def downsample(src: WindowImage, out_window: Window, g: Window,
-               theta: Mapping[Offset, float] | None = None) -> WindowImage:
+def downsample(src: WindowImage, out_window: Window, g: Window) -> WindowImage:
     """One resolution-lowering step.
 
-    Each output position takes the theta-weighted average of its
-    g-neighbors (origin included) in the source image; neighbors without
-    a sample are dropped and the weights renormalized over the rest.
-    Positions with no sampled neighbor at all come out masked off.
+    Each output position takes the mean of its sampled g-neighbors
+    (origin included) in the source image. Positions with no sampled
+    neighbor at all come out masked off.
     """
-    values, present = _downsample_arrays(src.values, src.mask, src.window, out_window,
-                                         _check_theta(g, theta))
+    values, present = _downsample_arrays(src.values, src.mask, src.window, out_window, g)
     return WindowImage(out_window, values, present)
 
 
@@ -110,8 +90,7 @@ class PyramidEvaluator:
 
     ``levels`` runs coarse-ward: the first entry is the largest window the
     evaluator accepts, the last is the base neighborhood the model scores.
-    Each step down aggregates with uniform weights over the model's
-    neighborhood.
+    Each step down takes means over the model's neighborhood.
     """
 
     model: MrfModel
@@ -189,14 +168,13 @@ def verdict_map(samples: np.ndarray, levels: tuple[Window, ...],
     inside[-y0 : h - y0, -x0 : w - x0] = True
     box_vals = sliding_window_view(padded, (bh, bw, bands))[:, :, 0]
     box_in = sliding_window_view(inside, (bh, bw))
-    pairs = _check_theta(model.neighborhood, None)
     step = max(1, CHUNK_SAMPLES // (bh * bw * bands))
     out = np.empty(h * w, dtype=bool)
     for p0 in range(0, h * w, step):
         rs, cs = np.divmod(np.arange(p0, min(h * w, p0 + step)), w)
         cur, msk = box_vals[rs, cs], box_in[rs, cs] & wmask
         for src, dst in zip(pe.levels, pe.levels[1:]):
-            cur, msk = _downsample_arrays(cur, msk, src, dst, pairs)
+            cur, msk = _downsample_arrays(cur, msk, src, dst, model.neighborhood)
         ok, near = evaluate_batch(cur, msk, model)
         for i in np.flatnonzero(near):
             ok[i] = evaluate(cur[i], model, msk[i])

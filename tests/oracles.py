@@ -96,8 +96,9 @@ def energy_reference(values, region, offsets, metric="euclidean"):
     """Scalar-loop transcription of the autoregressive patch energy.
 
     ``values`` maps (col, row) to a float or a tuple of floats; ``region``
-    is the pixel set; ``offsets`` the neighborhood without any weights
-    (uniform). Isolated pixels contribute nothing.
+    is the pixel set; ``offsets`` the neighborhood. Each pixel is predicted
+    by the mean of its in-region neighbors; isolated pixels contribute
+    nothing.
     """
     total = 0.0
     for (c, r) in region:
@@ -125,32 +126,30 @@ def energy_reference(values, region, offsets, metric="euclidean"):
     return total
 
 
-def downsample_reference(src, out_offsets, g_offsets, theta):
+def downsample_reference(src, out_offsets, g_offsets):
     """Scalar-loop transcription of one pyramid layer.
 
     ``src`` maps each sampled (dx, dy) position to a tuple of band
-    values; ``theta`` maps each aggregation offset to its weight. Every
-    output offset takes the theta-weighted mean of the samples at its
+    values. Every output offset takes the mean of the samples at its
     g-neighbors, adding the neighbors in sorted offset order. Outputs
-    with no weighted sample are absent. Returns a dict shaped like
+    with no sampled neighbor are absent. Returns a dict shaped like
     ``src``.
     """
     out = {}
     for (x, y) in out_offsets:
         sums = None
-        total = 0.0
+        count = 0
         for (dx, dy) in sorted(g_offsets):
             v = src.get((x + dx, y + dy))
-            wt = theta[(dx, dy)]
-            if v is None or wt == 0.0:
+            if v is None:
                 continue
             if sums is None:
                 sums = [0.0] * len(v)
             for k in range(len(v)):
-                sums[k] += wt * v[k]
-            total += wt
-        if total > 0.0:
-            out[(x, y)] = tuple(s / total for s in sums)
+                sums[k] += v[k]
+            count += 1
+        if count:
+            out[(x, y)] = tuple(s / count for s in sums)
     return out
 
 
@@ -160,16 +159,15 @@ def chain_energy_per_pixel(values, x, chain, w0_offsets, width, height,
 
     ``chain`` lists offset sets coarse-ward. The first one, placed on x
     and clipped, picks the samples of ``values`` (tuples of floats); each
-    later one is one ``downsample_reference`` layer with uniform weights
-    over ``w0_offsets``. The last layer's samples are scored with
+    later one is one ``downsample_reference`` layer of means over
+    ``w0_offsets``. The last layer's samples are scored with
     ``energy_reference``.
     """
     c, r = x
     samples = {p: values[p] for p in window_at(x, chain[0], width, height)}
-    uniform = {o: 1.0 for o in w0_offsets}
     for offsets in chain[1:]:
         out = [(c + dx, r + dy) for dx, dy in offsets]
-        samples = downsample_reference(samples, out, w0_offsets, uniform)
+        samples = downsample_reference(samples, out, w0_offsets)
     return energy_reference(samples, set(samples), w0_offsets, metric) / len(samples)
 
 

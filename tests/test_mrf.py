@@ -22,10 +22,6 @@ def test_model_validation():
         MrfModel(rho=-1.0)
     with pytest.raises(ValueError):
         MrfModel(rho=float("nan"))
-    with pytest.raises(ValueError):
-        MrfModel(weights={(5, 5): 1.0})
-    with pytest.raises(ValueError):
-        MrfModel(weights={(1, 0): -2.0})
 
 
 def test_energy_constant_patch_zero():
@@ -105,16 +101,6 @@ def test_metrics_agree_on_single_band():
     patch = rng.random((5, 5)) * 9
     assert energy(patch, MrfModel(metric="euclidean")) == pytest.approx(
         energy(patch, MrfModel(metric="per_band_abs")), rel=1e-12)
-
-
-def test_energy_custom_weights():
-    # weight only the left neighbor: each pixel predicts exactly its left
-    # neighbor's value
-    model = MrfModel(weights={(-1, 0): 2.0})
-    vals = np.array([[1.0, 4.0, 6.0]])
-    # pixel 1 has no in-region weighted neighbor; pixels 2 and 3 miss by 3
-    # and 2
-    assert energy(vals, model) == 9.0 + 4.0
 
 
 def test_evaluate_thresholds_per_pixel_energy():

@@ -92,16 +92,6 @@ def test_downsample_marks_unreachable_positions_absent():
     assert not out.mask[2, 2]
 
 
-def test_downsample_custom_weights_validate():
-    src = full_image(square_window(2), np.zeros((5, 5)))
-    with pytest.raises(ValueError):
-        downsample(src, square_window(1), NINE_NEIGHBORHOOD,
-                   {(9, 9): 1.0})
-    with pytest.raises(ValueError):
-        downsample(src, square_window(1), NINE_NEIGHBORHOOD,
-                   {(0, 0): -1.0})
-
-
 def grid_samples(img):
     """The sampled positions of a window image as {(dx, dy): band tuple}."""
     x0, _, y0, _ = img.window.bbox()
@@ -132,17 +122,10 @@ def test_downsample_matches_reference(data):
     sampled = data.draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
     samples = data.draw(st.lists(st.floats(0.0, 255.0), min_size=h * w * bands,
                                  max_size=h * w * bands))
-    weights = st.lists(st.just(0.0) | st.floats(0.0, 4.0), min_size=len(g), max_size=len(g))
-    theta = data.draw(st.none() | weights.map(lambda ws: dict(zip(g.offsets, ws))))
     src = WindowImage(src_win, np.reshape(samples, (h, w, bands)),
                       np.reshape(sampled, (h, w)))
-    if theta is not None and not any(theta.values()):
-        with pytest.raises(ValueError):
-            downsample(src, out_win, g, theta)
-        return
-    want = downsample_reference(grid_samples(src), out_win.offsets, g.offsets,
-                                theta or dict.fromkeys(g.offsets, 1.0))
-    assert grid_samples(downsample(src, out_win, g, theta)) == want
+    want = downsample_reference(grid_samples(src), out_win.offsets, g.offsets)
+    assert grid_samples(downsample(src, out_win, g)) == want
 
 
 def test_make_pyramid_evaluator_levels():
