@@ -136,11 +136,14 @@ class McvConfig:
                               f"got {self.permutation!r}")
         if self.permutation == "file" and not self.perm_file:
             raise ConfigError("permutation=file needs perm_file")
+        if not isinstance(self.reshuffle_per_level, (bool, np.bool_)):
+            raise ConfigError(f"reshuffle_per_level must be a bool, "
+                              f"got {self.reshuffle_per_level!r}")
         if self.reshuffle_per_level and self.permutation != "random":
             raise ConfigError("reshuffle_per_level needs permutation=random")
         if self.neighborhood not in (4, 8):
             raise ConfigError(f"neighborhood must be 4 or 8, got {self.neighborhood}")
-        if self.metric not in METRIC_ALIASES:
+        if not isinstance(self.metric, str) or self.metric not in METRIC_ALIASES:
             raise ConfigError(f"metric must be one of {sorted(METRIC_ALIASES)}, "
                               f"got {self.metric!r}")
         if self.eval_mode not in EVAL_MODES:
@@ -154,6 +157,8 @@ class McvConfig:
                           ("merge_windows", self.merge_windows)):
             if seq is None:
                 continue
+            if not isinstance(seq, Sequence) or not all(isinstance(win, Window) for win in seq):
+                raise ConfigError(f"{name} must be a sequence of Window objects")
             if len(seq) != self.max_level:
                 raise ConfigError(f"{name} must list one window per level "
                                   f"({self.max_level}), got {len(seq)}")

@@ -8,6 +8,7 @@ as CSV (one line per lattice row, comma-separated, LF endings) otherwise.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,9 @@ class PnmParseError(ValueError):
 @dataclass
 class ImageBuffer:
     """Real-valued raster: ``samples[row, col, band]``, row-major, 0-based
-    storage for the 1-based (col, row) lattice."""
+    storage for the 1-based (col, row) lattice. ``bands`` is an integer of
+    at least 1 and ``max_value`` an integer in 1..65535, the range a PNM
+    header can carry."""
 
     lattice: Lattice
     bands: int
@@ -35,6 +38,11 @@ class ImageBuffer:
     max_value: int
 
     def __post_init__(self):
+        if not isinstance(self.bands, numbers.Integral) or self.bands < 1:
+            raise ValueError(f"bands must be an integer >= 1, got {self.bands!r}")
+        if not isinstance(self.max_value, numbers.Integral) or not 1 <= self.max_value <= 65535:
+            raise ValueError(f"max_value must be an integer in 1..65535, "
+                             f"got {self.max_value!r}")
         self.samples = np.asarray(self.samples, dtype=np.float64)
         expected = (self.lattice.height, self.lattice.width, self.bands)
         if self.samples.shape != expected:

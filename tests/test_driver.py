@@ -109,6 +109,17 @@ def test_config_validation():
     pinned.validate()
     with pytest.raises(ConfigError, match="strictly"):
         replace(pinned, eval_mode="pyramid").validate()
+    # Entries that are not Windows are caught even when no nesting check runs.
+    for field in ("eval_windows", "merge_windows"):
+        for value in ((3,), ("w",), 3):
+            with pytest.raises(ConfigError, match=field):
+                McvConfig(max_level=1, **{field: value}).validate()
+    for value in ("no", 1, None):
+        with pytest.raises(ConfigError, match="reshuffle_per_level"):
+            McvConfig(reshuffle_per_level=value).validate()
+    McvConfig(reshuffle_per_level=np.bool_(True)).validate()
+    with pytest.raises(ConfigError, match="metric"):
+        McvConfig(metric=["l2"]).validate()
 
 
 def test_config_window_defaults():

@@ -153,6 +153,20 @@ def test_image_buffer_validates_shape():
         ImageBuffer(Lattice(2, 2), 1, np.full((2, 2, 1), np.nan), 255)
 
 
+def test_image_buffer_rejects_bands_and_max_value_pnm_cannot_hold():
+    # A 0-band image has a consistent (2, 2, 0) sample array.
+    with pytest.raises(ValueError, match="bands"):
+        ImageBuffer(Lattice(2, 2), 0, np.zeros((2, 2, 0)), 255)
+    with pytest.raises(ValueError, match="bands"):
+        ImageBuffer(Lattice(2, 2), 1.0, np.zeros((2, 2, 1)), 255)
+    for max_value in (0, -1, 65536, 70000, 255.5):
+        with pytest.raises(ValueError, match="max_value"):
+            ImageBuffer(Lattice(2, 2), 1, np.zeros((2, 2, 1)), max_value)
+    for max_value in (1, np.int64(65535)):
+        img = ImageBuffer(Lattice(2, 2), 1, np.ones((2, 2, 1)), max_value)
+        assert load_pnm(save_pnm(img)).max_value == max_value
+
+
 def test_label_image_rejects_negative():
     with pytest.raises(ValueError):
         load_labels(b"0,-1\n")
