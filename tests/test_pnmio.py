@@ -153,7 +153,7 @@ def test_image_buffer_validates_shape():
         ImageBuffer(Lattice(2, 2), 1, np.full((2, 2, 1), np.nan), 255)
 
 
-def test_image_buffer_rejects_bands_and_max_value_pnm_cannot_hold():
+def test_image_buffer_rejects_what_pnm_cannot_hold():
     # A 0-band image has a consistent (2, 2, 0) sample array.
     with pytest.raises(ValueError, match="bands"):
         ImageBuffer(Lattice(2, 2), 0, np.zeros((2, 2, 0)), 255)
