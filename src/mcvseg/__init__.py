@@ -17,8 +17,8 @@ from .partition import (ABSENT, Partition, canonicalize, components_by_class,
                         same_partition, singletons, singletons_full)
 from .pnmio import (ImageBuffer, PnmParseError, colorize, load_labels,
                     load_pnm, save_labels, save_pnm)
-from .pyramid import (PyramidEvaluator, WindowImage, downsample,
-                      make_pyramid_evaluator, pyramid_evaluate, verdict_map)
+from .pyramid import (check_chain, downsample, make_pyramid_evaluator,
+                      pyramid_evaluate, verdict_map)
 
 __version__ = "0.1.0"
 
@@ -36,12 +36,11 @@ __all__ = [
     "Partition",
     "PartitionSequence",
     "PnmParseError",
-    "PyramidEvaluator",
-    "WindowImage",
     "Window",
     "boundary_point",
     "calibrate_rho",
     "canonicalize",
+    "check_chain",
     "clip",
     "colorize",
     "components_by_class",

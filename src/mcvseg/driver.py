@@ -9,8 +9,10 @@ evaluation window chain in one verdict map (``pyramid.verdict_map``).
 Then the pixels are visited in a fixed permutation: a pixel sitting on a
 label boundary counts as one evaluation and reads its verdict, and an
 accepted verdict merges the bordering blocks inside the level's merge
-window. The result is a multiresolution sequence of partitions,
-deterministic for a given configuration.
+window under a fresh label. A level ends by renumbering the labels to
+canonical form, so they stay below twice the pixel count at any level.
+The result is a multiresolution sequence of partitions, deterministic
+for a given configuration.
 
 Each accepted merge reads the labels the previous one wrote, so the
 merge loop runs strictly in order on one thread. All window clipping
@@ -33,7 +35,7 @@ from .geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD, Window,
 from .mrf import MrfModel
 from .partition import Partition, _relabel, canonicalize, singletons_full
 from .pnmio import ImageBuffer
-from .pyramid import verdict_map
+from .pyramid import check_chain, verdict_map
 
 
 class ConfigError(ValueError):
@@ -60,7 +62,8 @@ class McvConfig:
     Evaluation windows default to the i-fold dilation of the base
     neighborhood, merge windows to squares of radius 2^i; both sequences
     can be overridden with explicit per-level windows, which must nest
-    (strictly, for eval windows in pyramid mode). ``eval_chain`` and
+    (in pyramid mode, ``eval_chain(max_level)`` must pass
+    ``pyramid.check_chain``). ``eval_chain`` and
     ``merge_geom`` give the windows each level runs with. ``rho`` thresholds
     the per-pixel energy, so it is comparable across window sizes.
     ``workers`` is validated and recorded in ``stats.txt`` but changes
@@ -162,12 +165,16 @@ class McvConfig:
             if len(seq) != self.max_level:
                 raise ConfigError(f"{name} must list one window per level "
                                   f"({self.max_level}), got {len(seq)}")
-            strict = name == "eval_windows" and self.eval_mode == "pyramid"
+            if name == "eval_windows" and self.eval_mode == "pyramid":
+                continue  # the chain check below
             for i in range(len(seq) - 1):
-                inner, outer = set(seq[i].offsets), set(seq[i + 1].offsets)
-                if not (inner < outer if strict else inner <= outer):
-                    raise ConfigError(f"{name}[{i}] is not {'strictly ' if strict else ''}"
-                                      f"contained in {name}[{i + 1}]")
+                if not set(seq[i].offsets) <= set(seq[i + 1].offsets):
+                    raise ConfigError(f"{name}[{i}] is not contained in {name}[{i + 1}]")
+        if self.eval_mode == "pyramid":
+            try:
+                check_chain(self.eval_chain(self.max_level))
+            except ValueError as e:
+                raise ConfigError(f"eval_chain({self.max_level}): {e}") from e
 
 
 def _parse_bool(raw: str) -> bool:
@@ -325,14 +332,15 @@ def _run_level_inplace(labels: np.ndarray, omega: ImageBuffer, level: int,
         accepted += 1
         next_label += 1
 
-    regions = int(np.unique(labels).size)
-    return LevelStats(level, evaluations, accepted, regions,
+    labels[...] = canonicalize(Partition(omega.lattice, labels)).labels
+    return LevelStats(level, evaluations, accepted, int(labels.max()) + 1,
                       time.perf_counter() - t0)
 
 
 def run_level(p: Partition, omega: ImageBuffer, i: int, cfg: McvConfig,
               perm: np.ndarray) -> tuple[Partition, LevelStats]:
-    """Execute one level over a copy of ``p`` and return it with stats."""
+    """Execute one level over a copy of ``p`` and return the result, in
+    canonical form, with stats."""
     if p.lattice != omega.lattice:
         raise ValueError("partition and image live on different lattices")
     if not p.is_total:
@@ -362,7 +370,7 @@ def run_mcv(omega: ImageBuffer, cfg: McvConfig = McvConfig()) -> PartitionSequen
     else:
         base = permutation(cfg.permutation, lat, cfg.seed)
     labels = singletons_full(lat).labels
-    snapshots = [canonicalize(Partition(lat, labels))]
+    snapshots = [Partition(lat, labels.copy())]
     stats = [LevelStats(0, 0, 0, lat.size)]
     for i in range(1, cfg.max_level + 1):
         if cfg.reshuffle_per_level:
@@ -370,6 +378,6 @@ def run_mcv(omega: ImageBuffer, cfg: McvConfig = McvConfig()) -> PartitionSequen
         else:
             order = base
         st = _run_level_inplace(labels, omega, i, cfg, order)
-        snapshots.append(canonicalize(Partition(lat, labels)))
+        snapshots.append(Partition(lat, labels.copy()))
         stats.append(st)
     return PartitionSequence(cfg, snapshots, stats)

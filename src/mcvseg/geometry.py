@@ -7,6 +7,7 @@ structuring elements for dilation.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,6 +25,8 @@ class Lattice:
     height: int
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Integral) for v in (self.width, self.height)):
+            raise ValueError(f"lattice sides must be integers, got {self.width!r}x{self.height!r}")
         if self.width < 1 or self.height < 1:
             raise ValueError(f"lattice dimensions must be positive, got {self.width}x{self.height}")
 
@@ -49,6 +52,8 @@ class Window:
     offsets: tuple[Offset, ...]
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Integral) for offset in self.offsets for v in offset):
+            raise ValueError(f"window offsets must be integers, got {self.offsets!r}")
         cleaned = tuple(sorted({(int(dx), int(dy)) for dx, dy in self.offsets}))
         if (0, 0) not in cleaned:
             raise ValueError("window must contain the origin (0, 0)")

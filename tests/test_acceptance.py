@@ -21,8 +21,7 @@ from mcvseg.mrf import (MrfModel, calibrate_rho, energy, evaluate,
 from mcvseg.partition import (Partition, canonicalize, connected_components,
                               merge_step)
 from mcvseg.pnmio import ImageBuffer
-from mcvseg.pyramid import (WindowImage, downsample, make_pyramid_evaluator,
-                            pyramid_evaluate)
+from mcvseg.pyramid import downsample, make_pyramid_evaluator, pyramid_evaluate
 
 from oracles import bfs_components, merge_sets, rand_brute
 
@@ -306,23 +305,22 @@ def test_criterion_08_pyramid_equals_composition():
     g = model.neighborhood
     checked = 0
     for level in (1, 2, 3):
-        pe = make_pyramid_evaluator(model, level)
+        levels = make_pyramid_evaluator(model, level)
         top = dilate(g, level)
         h, w = top.mask().shape
         for _ in range(100):
             rho = float(rng.choice([0.5, 2.0, 10.0, 100.0]))
             m = MrfModel(rho=rho)
-            pe_m = make_pyramid_evaluator(m, level)
+            levels_m = make_pyramid_evaluator(m, level)
             values = rng.random((h, w)) * 100
-            patch = WindowImage(top, values)
-            wi = patch
+            vals, mask = values[:, :, None], top.mask()
             for j in range(level, 1, -1):
-                wi = downsample(wi, dilate(g, j - 1), g)
-            want = evaluate(wi.values, m, wi.mask)
-            got = pyramid_evaluate(patch, pe_m)
+                vals, mask = downsample(vals, mask, dilate(g, j), dilate(g, j - 1), g)
+            want = evaluate(vals, m, mask)
+            got = pyramid_evaluate(values, levels_m, m)
             assert got == want
             checked += 1
-        assert pe.levels[0] == top
+        assert levels[0] == top
     report(8, True, f"{checked} patches, decisions identical at levels 1..3")
 
 

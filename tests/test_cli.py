@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from mcvseg.cli import main
 from mcvseg.geometry import Lattice

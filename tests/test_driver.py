@@ -10,7 +10,7 @@ from mcvseg.driver import (ConfigError, McvConfig, config_updates,
                            load_permutation, permutation, run_level, run_mcv)
 from mcvseg.geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD,
                              WindowGeom, dilate, square_window)
-from mcvseg.partition import same_partition, singletons_full
+from mcvseg.partition import canonicalize, same_partition, singletons_full
 from mcvseg.pnmio import ImageBuffer
 
 from oracles import chain_energy_per_pixel, run_mcv_reference
@@ -214,6 +214,22 @@ def test_run_level_two_tone_never_mixes():
         for block in p.blocks().values():
             tones = {vals[r - 1, c - 1] for c, r in block}
             assert len(tones) == 1
+
+
+def test_run_level_returns_canonical_partition():
+    """A level ends with its labels renumbered 0..K-1 by first raster
+    occurrence, so the next level's fresh labels stay below 2N."""
+    rng = np.random.default_rng(11)
+    vals = np.repeat([[10.0, 200.0]], 8, axis=0).repeat(4, axis=1)
+    img = gray(vals + rng.normal(0, 1, size=vals.shape))
+    cfg = McvConfig(max_level=2, rho=5.0, seed=2)
+    p = singletons_full(img.lattice)
+    perm = permutation("random", img.lattice, seed=2)
+    for level in (1, 2):
+        p, stats = run_level(p, img, level, cfg, perm)
+        assert stats.accepted > 0
+        assert np.array_equal(p.labels, canonicalize(p).labels)
+        assert stats.region_count == p.labels.max() + 1 == p.block_count()
 
 
 def test_run_level_validates_inputs():

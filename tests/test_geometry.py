@@ -24,9 +24,26 @@ def test_lattice_rejects_empty():
         Lattice(0, 4)
 
 
+def test_lattice_rejects_non_integer_dimensions():
+    for dims in ((2.5, 2), (2, 2.0), ("3", 2), (None, 1)):
+        with pytest.raises(ValueError, match="integers"):
+            Lattice(*dims)
+    lat = Lattice(np.int64(3), np.uint8(2))
+    assert lat.size == 6
+
+
 def test_window_requires_origin():
     with pytest.raises(ValueError):
         Window(((1, 0), (0, 1)))
+
+
+def test_window_rejects_non_integer_offsets():
+    for offsets in (((0, 0), (1.5, 0)), ((0, 0), (1, 1.0)), ((0, 0), ("1", 0))):
+        with pytest.raises(ValueError, match="integers"):
+            Window(offsets)
+    w = Window(((np.int64(0), np.int32(0)), (np.int8(1), 0)))
+    assert w.offsets == ((0, 0), (1, 0))
+    assert all(type(v) is int for offset in w.offsets for v in offset)
 
 
 def test_window_dedupes_and_sorts():

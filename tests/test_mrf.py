@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mcvseg.geometry import FIVE_NEIGHBORHOOD, NINE_NEIGHBORHOOD, Window, dilate
+from mcvseg.geometry import FIVE_NEIGHBORHOOD, NINE_NEIGHBORHOOD, dilate
 from mcvseg.mrf import (MrfModel, calibrate_rho, energy, evaluate,
                         gibbs_distribution, neighborhood_squared,
                         tau_rho_consistency)

@@ -4,47 +4,74 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcvseg import pyramid
+from mcvseg.driver import ConfigError, McvConfig
 from mcvseg.geometry import (FIVE_NEIGHBORHOOD, NINE_NEIGHBORHOOD, Window,
                              WindowGeom, dilate, square_window)
 from mcvseg.mrf import MrfModel, energy, evaluate
-from mcvseg.pyramid import (PyramidEvaluator, WindowImage, downsample,
-                            make_pyramid_evaluator, pyramid_evaluate,
-                            verdict_map)
+from mcvseg.pyramid import (check_chain, downsample, make_pyramid_evaluator,
+                            pyramid_evaluate, verdict_map)
 
 from oracles import downsample_reference
 
+ORIGIN = Window(((0, 0),))
+
 
 def full_image(window, values):
-    return WindowImage(window, np.asarray(values, dtype=np.float64))
+    """Gray ``values`` over the window's bounding box with every window
+    position sampled, as the (values, mask) pair a layer takes."""
+    return np.asarray(values, dtype=np.float64)[:, :, None], window.mask()
 
 
-def test_window_image_validates_shape():
+def test_downsample_validates_shape():
+    win = square_window(1)
     with pytest.raises(ValueError):
-        WindowImage(square_window(1), np.zeros((2, 3)))
-    img = WindowImage(square_window(1), np.zeros((3, 3)))
-    assert img.bands == 1
-    assert img.mask.all()
+        downsample(np.zeros((2, 3, 1)), np.ones((2, 3), dtype=bool), win, win, ORIGIN)
+    with pytest.raises(ValueError):
+        downsample(np.zeros((3, 3, 1)), np.ones((2, 3), dtype=bool), win, win, ORIGIN)
+    with pytest.raises(ValueError):  # no band axis
+        downsample(np.zeros((3, 3)), np.ones((3, 3), dtype=bool), win, win, ORIGIN)
+    # The origin-only layer copies its input: one band, every position.
+    values, mask = downsample(*full_image(win, np.zeros((3, 3))), win, win, ORIGIN)
+    assert values.shape == (3, 3, 1)
+    assert mask.all()
 
 
-def test_window_image_mask_clipped_to_window():
+def test_downsample_ignores_mask_outside_window():
     win = Window(((0, 0), (1, 0), (0, 1)))  # L-shape in a 2x2 box
-    img = WindowImage(win, np.zeros((2, 2)), np.ones((2, 2), dtype=bool))
-    assert img.mask.sum() == 3
+    vals = np.zeros((2, 2, 1))
+    vals[1, 1, 0] = 100.0  # the one box position off the window
+    everywhere = np.ones((2, 2), dtype=bool)
+    _, mask = downsample(vals, everywhere, win, win, ORIGIN)
+    assert mask.sum() == 3
+    values, _ = downsample(vals, everywhere, win, ORIGIN, NINE_NEIGHBORHOOD)
+    assert values[0, 0, 0] == 0.0
+
+
+def test_downsample_keeps_batch_axes():
+    rng = np.random.default_rng(4)
+    w2, w1 = square_window(2), square_window(1)
+    vals = rng.random((3, 2, 5, 5, 2))
+    mask = rng.random((3, 2, 5, 5)) < 0.7
+    values, present = downsample(vals, mask, w2, w1, NINE_NEIGHBORHOOD)
+    assert values.shape == (3, 2, 3, 3, 2) and present.shape == (3, 2, 3, 3)
+    one = downsample(vals[1, 0], mask[1, 0], w2, w1, NINE_NEIGHBORHOOD)
+    assert np.array_equal(values[1, 0], one[0])
+    assert np.array_equal(present[1, 0], one[1])
 
 
 def test_downsample_constant_stays_constant():
-    src = full_image(square_window(2), np.full((5, 5), 6.5))
-    out = downsample(src, square_window(1), NINE_NEIGHBORHOOD)
-    assert out.mask.all()
-    assert np.all(out.values == 6.5)
+    values, mask = downsample(*full_image(square_window(2), np.full((5, 5), 6.5)),
+                              square_window(2), square_window(1), NINE_NEIGHBORHOOD)
+    assert mask.all()
+    assert np.all(values == 6.5)
 
 
 def test_downsample_impulse_center():
     vals = np.zeros((5, 5))
     vals[2, 2] = 1.0
-    src = full_image(square_window(2), vals)
-    out = downsample(src, square_window(1), NINE_NEIGHBORHOOD)
-    assert out.values[1, 1, 0] == pytest.approx(1.0 / 9.0, rel=1e-15)
+    values, _ = downsample(*full_image(square_window(2), vals), square_window(2),
+                           square_window(1), NINE_NEIGHBORHOOD)
+    assert values[1, 1, 0] == pytest.approx(1.0 / 9.0, rel=1e-15)
 
 
 def test_downsample_linearity():
@@ -52,9 +79,12 @@ def test_downsample_linearity():
     a = rng.random((5, 5))
     b = rng.random((5, 5))
     w2, w1 = square_window(2), square_window(1)
-    lhs = downsample(full_image(w2, 3.0 * a + b), w1, NINE_NEIGHBORHOOD).values
-    rhs = (3.0 * downsample(full_image(w2, a), w1, NINE_NEIGHBORHOOD).values
-           + downsample(full_image(w2, b), w1, NINE_NEIGHBORHOOD).values)
+
+    def down(vals):
+        return downsample(*full_image(w2, vals), w2, w1, NINE_NEIGHBORHOOD)[0]
+
+    lhs = down(3.0 * a + b)
+    rhs = 3.0 * down(a) + down(b)
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
@@ -62,41 +92,41 @@ def test_downsample_never_extends_range():
     rng = np.random.default_rng(1)
     for _ in range(10):
         vals = rng.random((7, 7)) * 50
-        src = full_image(square_window(3), vals)
-        out = downsample(src, square_window(2), NINE_NEIGHBORHOOD)
-        assert out.values[out.mask].min() >= vals.min() - 1e-12
-        assert out.values[out.mask].max() <= vals.max() + 1e-12
+        values, mask = downsample(*full_image(square_window(3), vals), square_window(3),
+                                  square_window(2), NINE_NEIGHBORHOOD)
+        assert values[mask].min() >= vals.min() - 1e-12
+        assert values[mask].max() <= vals.max() + 1e-12
 
 
 def test_downsample_renormalizes_over_holes():
     # only the center sample exists; every output that can see it takes
     # exactly its value
-    vals = np.zeros((5, 5))
+    vals = np.zeros((5, 5, 1))
     vals[2, 2] = 8.0
     mask = np.zeros((5, 5), dtype=bool)
     mask[2, 2] = True
-    src = WindowImage(square_window(2), vals, mask)
-    out = downsample(src, square_window(1), NINE_NEIGHBORHOOD)
-    assert out.mask.all()
-    assert np.all(out.values == 8.0)
+    values, present = downsample(vals, mask, square_window(2), square_window(1),
+                                 NINE_NEIGHBORHOOD)
+    assert present.all()
+    assert np.all(values == 8.0)
 
 
 def test_downsample_marks_unreachable_positions_absent():
-    vals = np.zeros((5, 5))
+    vals = np.zeros((5, 5, 1))
     mask = np.zeros((5, 5), dtype=bool)
     mask[0, 0] = True
-    src = WindowImage(square_window(2), vals, mask)
-    out = downsample(src, square_window(1), NINE_NEIGHBORHOOD)
+    _, present = downsample(vals, mask, square_window(2), square_window(1),
+                            NINE_NEIGHBORHOOD)
     # only the output corner adjacent to the lone sample is defined
-    assert out.mask[0, 0]
-    assert not out.mask[2, 2]
+    assert present[0, 0]
+    assert not present[2, 2]
 
 
-def grid_samples(img):
-    """The sampled positions of a window image as {(dx, dy): band tuple}."""
-    x0, _, y0, _ = img.window.bbox()
-    return {(int(c) + x0, int(r) + y0): tuple(float(v) for v in img.values[r, c])
-            for r, c in np.argwhere(img.mask)}
+def grid_samples(window, values, mask):
+    """The sampled positions of a window's arrays as {(dx, dy): band tuple}."""
+    x0, _, y0, _ = window.bbox()
+    return {(int(c) + x0, int(r) + y0): tuple(float(v) for v in values[r, c])
+            for r, c in np.argwhere(mask & window.mask())}
 
 
 neighborhoods = st.sampled_from((FIVE_NEIGHBORHOOD, NINE_NEIGHBORHOOD))
@@ -122,16 +152,16 @@ def test_downsample_matches_reference(data):
     sampled = data.draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
     samples = data.draw(st.lists(st.floats(0.0, 255.0), min_size=h * w * bands,
                                  max_size=h * w * bands))
-    src = WindowImage(src_win, np.reshape(samples, (h, w, bands)),
-                      np.reshape(sampled, (h, w)))
-    want = downsample_reference(grid_samples(src), out_win.offsets, g.offsets)
-    assert grid_samples(downsample(src, out_win, g)) == want
+    vals = np.reshape(samples, (h, w, bands))
+    mask = np.reshape(sampled, (h, w))
+    want = downsample_reference(grid_samples(src_win, vals, mask), out_win.offsets,
+                                g.offsets)
+    assert grid_samples(out_win, *downsample(vals, mask, src_win, out_win, g)) == want
 
 
 def test_make_pyramid_evaluator_levels():
-    pe = make_pyramid_evaluator(MrfModel(), 3)
-    assert list(pe.levels) == [square_window(3), square_window(2),
-                               square_window(1)]
+    levels = make_pyramid_evaluator(MrfModel(), 3)
+    assert levels == (square_window(3), square_window(2), square_window(1))
     with pytest.raises(ValueError):
         make_pyramid_evaluator(MrfModel(), 0)
 
@@ -139,57 +169,71 @@ def test_make_pyramid_evaluator_levels():
 def test_pyramid_evaluate_level_one_is_evaluate():
     rng = np.random.default_rng(2)
     model = MrfModel(rho=5.0)
-    pe = make_pyramid_evaluator(model, 3)
+    levels = make_pyramid_evaluator(model, 3)
     for _ in range(20):
         vals = rng.random((3, 3)) * 30
-        img = full_image(square_window(1), vals)
-        assert pyramid_evaluate(img, pe) == evaluate(vals, model)
+        assert pyramid_evaluate(vals, levels[2:], model) == evaluate(vals, model)
 
 
 def test_pyramid_evaluate_equals_composition():
     rng = np.random.default_rng(3)
     model = MrfModel(rho=2.0)
-    pe = make_pyramid_evaluator(model, 3)
+    levels = make_pyramid_evaluator(model, 3)
     for level in (2, 3):
         win = square_window(level)
         for _ in range(20):
             side = 2 * level + 1
             vals = rng.random((side, side)) * 20
-            img = full_image(win, vals)
-            cur = img
+            cur, mask = full_image(win, vals)
             for i in range(level - 1, 0, -1):
-                cur = downsample(cur, square_window(i), model.neighborhood)
-            expected = evaluate(cur.values, model, cur.mask)
-            assert pyramid_evaluate(img, pe) == expected
+                cur, mask = downsample(cur, mask, square_window(i + 1), square_window(i),
+                                       model.neighborhood)
+            expected = evaluate(cur, model, mask)
+            assert pyramid_evaluate(vals, levels[3 - level:], model) == expected
 
 
 def test_pyramid_evaluate_constant_accepted():
     model = MrfModel(rho=0.0)
-    pe = make_pyramid_evaluator(model, 3)
+    levels = make_pyramid_evaluator(model, 3)
     for level in (1, 2, 3):
-        img = full_image(square_window(level),
-                         np.full((2 * level + 1, 2 * level + 1), 4.0))
-        assert pyramid_evaluate(img, pe) == 1
+        vals = np.full((2 * level + 1, 2 * level + 1), 4.0)
+        assert pyramid_evaluate(vals, levels[3 - level:], model) == 1
 
 
 def test_pyramid_evaluate_level_mismatch():
-    pe = make_pyramid_evaluator(MrfModel(), 2)
-    img = full_image(square_window(4), np.zeros((9, 9)))
+    levels = make_pyramid_evaluator(MrfModel(), 2)
     with pytest.raises(ValueError):
-        pyramid_evaluate(img, pe)
+        pyramid_evaluate(np.zeros((9, 9)), levels, MrfModel())
+    with pytest.raises(ValueError):
+        pyramid_evaluate(np.zeros((5, 5)), levels, MrfModel(), np.ones((3, 3), dtype=bool))
 
 
-def test_evaluator_rejects_non_nested_levels():
-    with pytest.raises(ValueError):
-        PyramidEvaluator(MrfModel(), (square_window(1), square_window(2)))
-    with pytest.raises(ValueError):
-        PyramidEvaluator(MrfModel(), ())
+@pytest.mark.parametrize("chain", [(), (square_window(1), square_window(1)),
+                                   (square_window(1), square_window(2))],
+                         ids=["empty", "equal", "growing"])
+def test_bad_chains_rejected_everywhere(chain):
+    """A chain must hold a window and shrink strictly coarse-ward; every
+    entry point that takes one says so, and in pyramid mode the config's
+    eval windows (listed fine-ward) are such a chain."""
+    model = MrfModel()
+    match = "strictly" if chain else "at least one"
+    with pytest.raises(ValueError, match=match):
+        check_chain(chain)
+    with pytest.raises(ValueError, match=match):
+        pyramid_evaluate(np.zeros((3, 3)), chain, model)
+    with pytest.raises(ValueError, match=match):
+        verdict_map(np.zeros((4, 4)), chain, model)
+    cfg = McvConfig(max_level=max(1, len(chain)), eval_mode="pyramid",
+                    eval_windows=chain[::-1])
+    with pytest.raises(ConfigError):
+        cfg.validate()
 
 
 def pixel_window(samples, top, r0, c0):
     """Pixel (r0, c0)'s window cut out of an (h, w, bands) image, as the
-    clipped patch with its window mask and as the window image on the
-    window's bounding box, whose slots off the lattice carry no sample."""
+    clipped patch with its window mask and as the (values, mask) arrays
+    on the window's bounding box, whose slots off the lattice carry no
+    sample."""
     h, w, bands = samples.shape
     geom = WindowGeom.of(top)
     rs, cs, sub = geom.clip(r0, c0, h, w)
@@ -200,31 +244,31 @@ def pixel_window(samples, top, r0, c0):
     msk = np.zeros(box, dtype=bool)
     vals[brs, bcs] = samples[rs, cs]
     msk[brs, bcs] = True
-    return samples[rs, cs], sub, WindowImage(top, vals, msk)
+    return samples[rs, cs], sub, (vals, msk)
 
 
 def per_pixel_verdicts(samples, levels, model):
     """One evaluator call per pixel: ``evaluate`` on the clipped window
     when there is no aggregation step, ``pyramid_evaluate`` on the
-    window image otherwise."""
+    window's box arrays otherwise."""
     h, w, _ = samples.shape
-    pe = PyramidEvaluator(model, levels)
     out = np.zeros((h, w), dtype=bool)
     for r0 in range(h):
         for c0 in range(w):
-            patch, sub, img = pixel_window(samples, levels[0], r0, c0)
+            patch, sub, (vals, msk) = pixel_window(samples, levels[0], r0, c0)
             out[r0, c0] = (evaluate(patch, model, sub) if len(levels) == 1
-                           else pyramid_evaluate(img, pe))
+                           else pyramid_evaluate(vals, levels, model, msk))
     return out
 
 
 def per_pixel_energy(samples, levels, model, r0, c0):
     """Energy per scored pixel of pixel (r0, c0)'s window, computed the
     way the reference computes it before comparing with rho."""
-    cur = pixel_window(samples, levels[0], r0, c0)[2]
-    for win in levels[1:]:
-        cur = downsample(cur, win, model.neighborhood)
-    return energy(cur.values, model, cur.mask) / np.count_nonzero(cur.mask)
+    vals, msk = pixel_window(samples, levels[0], r0, c0)[2]
+    msk = msk & levels[0].mask()
+    for src, dst in zip(levels, levels[1:]):
+        vals, msk = downsample(vals, msk, src, dst, model.neighborhood)
+    return energy(vals, model, msk) / np.count_nonzero(msk)
 
 
 # Windows a level may evaluate on without aggregation: dilations of the
