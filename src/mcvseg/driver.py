@@ -14,10 +14,11 @@ canonical form, so they stay below twice the pixel count at any level.
 The result is a multiresolution sequence of partitions, deterministic
 for a given configuration.
 
-Each accepted merge reads the labels the previous one wrote, so the
-merge loop runs strictly in order on one thread. All window clipping
-goes through ``WindowGeom.clip`` and every merge through
-``partition._relabel``.
+Each accepted merge reads the labels the previous one wrote, so merges
+run in visit order on one thread, but ``_merge_level`` tests a chunk of
+visits at once and cuts it at its first accept. Every merge goes through
+``partition._relabel`` and a bool table over labels, and every merge
+window is clipped by ``WindowGeom.clip``.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class McvConfig:
     ``merge_geom`` give the windows each level runs with. ``rho`` thresholds
     the per-pixel energy, so it is comparable across window sizes.
     ``workers`` is validated and recorded in ``stats.txt`` but changes
-    nothing: a level's merges run in order on one thread.
+    nothing: a level's merges run in visit order (``_merge_level``).
     """
 
     max_level: int = 9
@@ -302,36 +303,60 @@ def _check_perm(perm: np.ndarray, lat: Lattice) -> np.ndarray:
     return perm
 
 
+#: Visits per boundary-test gather; a chunk is cut at its first accept.
+MERGE_CHUNK = 16
+
+
+def _merge_level(labels: np.ndarray, verdict: np.ndarray, perm: np.ndarray,
+                 w0: Window, psi: WindowGeom) -> tuple[int, int]:
+    """Visit the (col, row) pixels of ``perm`` in order on ``labels``, in
+    place. A visit whose w0-window holds another label is one evaluation;
+    if its bool ``verdict`` is set, the pixels of its psi-window whose label
+    is in its w0-window take a fresh label. Returns (evaluations, accepted).
+
+    Visits are tested ``MERGE_CHUNK`` at a time in one gather, an
+    out-of-lattice neighbor reading as the center's own label, as if
+    clipped. A chunk is cut at its first accept, whose merge runs before
+    the next chunk starts after it. This is the one-visit-at-a-time loop
+    exactly: no label changed between the gather and the cut, and no
+    test past the cut counts. A merge flags its targets in one bool
+    table over labels: below ``labels.max() + 1``, plus one fresh label
+    per visit at most, so 2N entries on a level that starts canonical.
+    """
+    if not labels.flags.c_contiguous:
+        raise ValueError("labels must be C-contiguous")
+    h, w = labels.shape
+    flat, offsets = labels.reshape(-1), w0.offset_array()
+    cols, rows = perm[:, 0] - 1, perm[:, 1] - 1
+    nr, nc = rows[:, None] + offsets[:, 1], cols[:, None] + offsets[:, 0]
+    inside = (nr >= 0) & (nr < h) & (nc >= 0) & (nc < w)
+    neighbors = np.where(inside, nr * w + nc, (rows * w + cols)[:, None])
+    me = w0.offsets.index((0, 0))
+    hits = verdict.reshape(-1)[neighbors[:, me]]
+    fresh = int(labels.max()) + 1
+    table = np.zeros(fresh + len(perm), dtype=bool)
+    evaluations = accepted = pos = 0
+    while pos < len(perm):
+        block = flat[neighbors[pos : pos + MERGE_CHUNK]]
+        boundary = (block != block[:, me : me + 1]).any(axis=1)
+        accept = boundary & hits[pos : pos + MERGE_CHUNK]
+        j = int(accept.argmax())
+        j = j if accept[j] else len(block)
+        evaluations += int(np.count_nonzero(boundary[: j + 1]))
+        pos += j
+        if j < len(block):
+            table[block[j]] = True
+            _relabel(labels, *psi.clip(*divmod(int(neighbors[pos, me]), w), h, w), table, fresh)
+            table[block[j]] = False
+            accepted, fresh, pos = accepted + 1, fresh + 1, pos + 1
+    return evaluations, accepted
+
+
 def _run_level_inplace(labels: np.ndarray, omega: ImageBuffer, level: int,
                        cfg: McvConfig, perm: np.ndarray) -> LevelStats:
     t0 = time.perf_counter()
-    h, w = labels.shape
-    clip_w0 = WindowGeom.of(cfg.w0).clip
-    clip_psi = cfg.merge_geom(level).clip
-    verdict = verdict_map(omega.samples, cfg.eval_chain(level), cfg.model()).tolist()
-    evaluations = 0
-    accepted = 0
-    next_label = int(labels.max()) + 1
-
-    cols = (perm[:, 0] - 1).tolist()
-    rows = (perm[:, 1] - 1).tolist()
-    for c0, r0 in zip(cols, rows):
-        center = labels[r0, c0]
-        rs, cs, sub = clip_w0(r0, c0, h, w)
-        block = labels[rs, cs]
-        if sub is not None:
-            block = block[sub]
-        if not (block != center).any():
-            continue
-
-        evaluations += 1
-        if not verdict[r0][c0]:
-            continue
-
-        _relabel(labels, *clip_psi(r0, c0, h, w), np.unique(block), next_label)
-        accepted += 1
-        next_label += 1
-
+    verdict = verdict_map(omega.samples, cfg.eval_chain(level), cfg.model())
+    evaluations, accepted = _merge_level(labels, verdict, perm, cfg.w0, cfg.merge_geom(level))
     labels[...] = canonicalize(Partition(omega.lattice, labels)).labels
     return LevelStats(level, evaluations, accepted, int(labels.max()) + 1,
                       time.perf_counter() - t0)
@@ -348,7 +373,7 @@ def run_level(p: Partition, omega: ImageBuffer, i: int, cfg: McvConfig,
     if not 1 <= i <= cfg.max_level:
         raise ValueError(f"level {i} outside 1..{cfg.max_level}")
     perm = _check_perm(perm, p.lattice)
-    labels = p.labels.copy()
+    labels = canonicalize(p).labels
     stats = _run_level_inplace(labels, omega, i, cfg, perm)
     return Partition(p.lattice, labels), stats
 

@@ -177,15 +177,20 @@ def boundary_point(x: Pixel, region: set[Pixel], w0: Window, lat: Lattice) -> bo
     return bool(inside) and len(inside) < len(clipped)
 
 
+_DILATIONS: dict[Window, tuple[Window, ...]] = {}  # dilate(g, 1..k) for each g
+
+
 def dilate(g: Window, i: int) -> Window:
     """i-fold iterated dilation of ``g`` with itself as structuring element.
 
     dilate(g, 1) is g itself; dilate(g, i+1) is the Minkowski sum of g with
-    dilate(g, i).
+    dilate(g, i), which a cache per ``g`` extends one step at a time.
     """
     if i < 1:
         raise ValueError(f"dilation count must be >= 1, got {i}")
-    acc = set(g.offsets)
-    for _ in range(i - 1):
-        acc = {(a0 + b0, a1 + b1) for a0, a1 in g.offsets for b0, b1 in acc}
-    return Window(tuple(acc))
+    chain = _DILATIONS.get(g, (g,))
+    while len(chain) < i:
+        acc = chain[-1].offsets
+        chain += (Window(tuple({(a0 + b0, a1 + b1) for a0, a1 in g.offsets for b0, b1 in acc})),)
+    _DILATIONS[g] = chain
+    return chain[i - 1]

@@ -6,9 +6,10 @@ A partition lives on the whole lattice or on a subset of it; pixels
 outside the domain carry the reserved ABSENT marker. Blocks are the
 maximal sets of pixels sharing a label. No region lists are kept between
 operations: adjacency is always recomputed locally from the label map.
-The merging operator and the windowed merge both end in ``_relabel``,
-one vectorized pass; ``connected_components`` instead fuses small blocks
-into large ones through explicit pixel lists, which bounds its work.
+The merging operator, the windowed merge and the driver's merges all end
+in ``_relabel``, one vectorized pass through a bool table over labels;
+``connected_components`` instead fuses small blocks into large ones
+through explicit pixel lists, which bounds its work.
 """
 
 from __future__ import annotations
@@ -28,14 +29,19 @@ class Partition:
     """Dense label-map representation of a partition.
 
     ``labels[row, col]`` is the 0-based storage for the 1-based (col, row)
-    lattice; ABSENT marks pixels outside the partition's domain.
+    lattice; ABSENT marks pixels outside the partition's domain. Labels
+    are int32; a label outside that range raises ValueError, not wraps.
     """
 
     lattice: Lattice
     labels: np.ndarray
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int32)
+        labels, lim = np.asarray(self.labels), np.iinfo(np.int32)
+        if labels.dtype != lim.dtype and not (
+                lim.min <= labels.min(initial=0) <= labels.max(initial=0) <= lim.max):
+            raise ValueError(f"labels must lie in {lim.min}..{lim.max}")
+        self.labels = labels.astype(np.int32, copy=False)
         expected = (self.lattice.height, self.lattice.width)
         if self.labels.shape != expected:
             raise ValueError(f"label array shape {self.labels.shape} != {expected}")
@@ -72,15 +78,23 @@ def _window_labels(labels: np.ndarray, x: Pixel, geom: WindowGeom) -> np.ndarray
 
 
 def _relabel(labels: np.ndarray, rs: slice, cs: slice, sub: np.ndarray | None,
-             targets: np.ndarray, fresh: int) -> None:
+             table: np.ndarray, fresh: int) -> None:
     """In place, give the label ``fresh`` to every pixel of
-    ``labels[rs, cs]`` (under ``sub`` when given) whose label is in
-    ``targets``."""
+    ``labels[rs, cs]`` (under ``sub`` when given) whose entry in ``table``,
+    a bool array indexed by label, is set."""
     region = labels[rs, cs]
-    sel = np.isin(region, targets)
+    sel = table[region]
     if sub is not None:
         sel &= sub
     region[sel] = fresh
+
+
+def _label_table(labels: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """A ``_relabel`` table over every label of ``labels``, set at
+    ``targets``; negative labels index it from the end, past the largest."""
+    table = np.zeros(int(labels.max()) + 1 - min(int(labels.min()), 0), dtype=bool)
+    table[targets] = True
+    return table
 
 
 def singletons(S: Iterable[Pixel], lat: Lattice) -> Partition:
@@ -113,7 +127,8 @@ def m_step(x: Pixel, p: Partition, w0: Window) -> Partition:
         raise ValueError(f"pixel {x} is not in the partition domain")
     members = _window_labels(p.labels, x, WindowGeom.of(w0))
     out = p.labels.copy()
-    _relabel(out, slice(None), slice(None), None, members[members != ABSENT], target)
+    table = _label_table(out, members[members != ABSENT])
+    _relabel(out, slice(None), slice(None), None, table, target)
     return Partition(p.lattice, out)
 
 
@@ -201,7 +216,7 @@ def merge_step(x: Pixel, p: Partition, w0: Window, psi: Window) -> Partition:
     out = p.labels.copy()
     targets = _window_labels(out, x, WindowGeom.of(w0))
     rs, cs, sub = WindowGeom.of(psi).clip(x[1] - 1, x[0] - 1, *out.shape)
-    _relabel(out, rs, cs, sub, targets, int(out.max()) + 1)
+    _relabel(out, rs, cs, sub, _label_table(out, targets), int(out.max()) + 1)
     return Partition(p.lattice, out)
 
 

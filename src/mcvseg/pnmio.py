@@ -208,7 +208,7 @@ def load_labels(data: bytes) -> Partition:
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ValueError(f"ragged label CSV: row lengths {sorted(widths)}")
-    labels = np.array([[int(v) for v in row] for row in rows], dtype=np.int32)
+    labels = np.array([[int(v) for v in row] for row in rows])
     _check_nonnegative(labels)
     return Partition(Lattice(labels.shape[1], labels.shape[0]), labels)
 

@@ -2,13 +2,16 @@
 
 Everything here is deliberately written in a different style from the
 package: plain Python data structures, breadth-first search, explicit set
-arithmetic, and quadratic pair enumeration. None of it imports from
-mcvseg beyond type-free data (tuples, sets, lists), so a bug in the
-library cannot hide in its own oracle.
+arithmetic, quadratic pair enumeration, and a one-visit-at-a-time NumPy
+loop. None of it imports from mcvseg or takes its types (only tuples,
+sets, lists and plain arrays), so a bug in the library cannot hide in
+its own oracle.
 """
 
 from collections import deque
 from math import comb
+
+import numpy as np
 
 
 def bfs_components(pixels, offsets, width, height):
@@ -202,3 +205,45 @@ def run_mcv_reference(values, width, height, orders, w0_offsets, eval_chains,
             blocks = merge_sets(blocks, x, w0_offsets, mo, width, height)
         out.append((blocks, evaluations, accepted))
     return out
+
+
+def _clipped_indices(c, r, offsets, height, width):
+    """Row and column index arrays of the in-lattice translates of
+    ``offsets`` to the 1-based pixel (c, r)."""
+    pts = [(r - 1 + dy, c - 1 + dx) for dx, dy in offsets
+           if 0 <= r - 1 + dy < height and 0 <= c - 1 + dx < width]
+    return (np.array([p[0] for p in pts], dtype=np.int64),
+            np.array([p[1] for p in pts], dtype=np.int64))
+
+
+def merge_level_reference(labels, verdict, order, w0_offsets, psi_offsets):
+    """The merge layer of one level, one visit at a time.
+
+    ``labels`` is an (h, w) integer array and ``verdict`` an (h, w) bool
+    array; ``order`` lists 1-based (col, row) pixels; the offsets are
+    (dx, dy) pairs. At each pixel in order: if its clipped w0-window holds
+    a label other than the pixel's own, count an evaluation; if the
+    pixel's verdict is set, the window's labels (``np.unique``) are the
+    targets, and every pixel of the clipped psi-window whose label is a
+    target (``np.isin``) takes the next fresh label, one above the largest
+    label so far. Returns (labels, evaluations, accepted) with a new
+    label array.
+    """
+    labels = np.array(labels, copy=True)
+    height, width = labels.shape
+    fresh = int(labels.max()) + 1
+    evaluations = accepted = 0
+    for c, r in order:
+        block = labels[_clipped_indices(c, r, w0_offsets, height, width)]
+        if (block == labels[r - 1, c - 1]).all():
+            continue
+        evaluations += 1
+        if not verdict[r - 1, c - 1]:
+            continue
+        targets = np.unique(block)
+        rows, cols = _clipped_indices(c, r, psi_offsets, height, width)
+        hit = np.isin(labels[rows, cols], targets)
+        labels[rows[hit], cols[hit]] = fresh
+        fresh += 1
+        accepted += 1
+    return labels, evaluations, accepted

@@ -183,3 +183,14 @@ def test_rand_dimension_mismatch(tmp_path, capsys):
     rc = main(["rand", str(a), str(b)])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_rand_label_outside_int32(tmp_path, capsys):
+    big = tmp_path / "big.csv"
+    ok = tmp_path / "ok.csv"
+    big.write_text("0,3000000000\n")
+    ok.write_text("0,1\n")
+    assert main(["rand", str(big), str(ok)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "labels must lie in" in err
+    assert "Traceback" not in err

@@ -1,19 +1,21 @@
 import time
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mcvseg import driver
 from mcvseg.driver import (ConfigError, McvConfig, config_updates,
                            load_permutation, permutation, run_level, run_mcv)
 from mcvseg.geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD,
-                             WindowGeom, dilate, square_window)
-from mcvseg.partition import canonicalize, same_partition, singletons_full
+                             Window, WindowGeom, dilate, square_window)
+from mcvseg.partition import Partition, canonicalize, same_partition, singletons_full
 from mcvseg.pnmio import ImageBuffer
 
-from oracles import chain_energy_per_pixel, run_mcv_reference
+from oracles import chain_energy_per_pixel, merge_level_reference, run_mcv_reference
 
 
 def gray(values, max_value=255):
@@ -151,6 +153,22 @@ def test_config_window_defaults():
         assert np.array_equal(geom.mask, want.mask)
 
 
+def test_eval_chains_at_max_level_20_are_fast_and_exact():
+    """Each dilation extends the one before it, so all 20 pyramid chains
+    and the chain check together stay cheap."""
+    t0 = time.perf_counter()
+    cfg = McvConfig(max_level=20, eval_mode="pyramid")
+    chains = [cfg.eval_chain(i) for i in range(1, 21)]
+    cfg.validate()
+    assert time.perf_counter() - t0 < 0.1
+    # The i-fold dilation of the 3x3 block is the square of radius i.
+    for i, chain in enumerate(chains, 1):
+        assert chain == tuple(square_window(j) for j in range(i, 0, -1))
+    diamond = replace(cfg, neighborhood=4).eval_window(20)
+    assert set(diamond.offsets) == {(dx, dy) for dx in range(-20, 21)
+                                    for dy in range(-20, 21) if abs(dx) + abs(dy) <= 20}
+
+
 def test_config_updates_parsing():
     text = """
     # run setup
@@ -243,6 +261,24 @@ def test_run_level_validates_inputs():
         run_level(p, img, 1, cfg, perm[:-1])
     with pytest.raises(ValueError):
         run_level(singletons_full(Lattice(2, 2)), img, 1, cfg, perm)
+
+
+def test_run_level_accepts_any_total_labeling():
+    """Only which pixels share a label matters: an input with large,
+    negative or gapped labels gives the run from its canonical form."""
+    rng = np.random.default_rng(5)
+    img = gray(rng.integers(0, 3, size=(6, 7)) * 6.0)
+    cfg = McvConfig(max_level=2, rho=30.0)
+    perm = permutation("random", img.lattice, seed=1)
+    base = rng.integers(0, 6, size=(6, 7))
+    odd = np.array([-7, 2**31 - 1, 12, 0, -1000, 99])[base]
+    for level in (1, 2):
+        want = run_level(Partition(img.lattice, base), img, level, cfg, perm)
+        got = run_level(Partition(img.lattice, odd), img, level, cfg, perm)
+        assert 0 < want[1].accepted < want[1].evaluations
+        assert np.array_equal(got[0].labels, want[0].labels)
+        assert got[1].evaluations == want[1].evaluations
+        assert got[1].accepted == want[1].accepted
 
 
 def test_run_mcv_single_pixel_image():
@@ -430,3 +466,57 @@ def test_run_mcv_matches_set_reference(data):
         assert got_blocks == blocks
         assert (st_.evaluations, st_.accepted, st_.region_count) == (
             evaluations, accepted, len(blocks))
+
+
+def _diamond(r):
+    return Window(tuple((dx, dy) for dx in range(-r, r + 1) for dy in range(-r, r + 1)
+                        if abs(dx) + abs(dy) <= r))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_merge_level_matches_sequential_reference(data):
+    """The chunked merge layer against the one-visit-at-a-time loop, on
+    random label maps and random (not MRF) verdicts, so accept-dense and
+    conflict-heavy chunks occur: bitwise-equal labels before
+    canonicalization, equal counts, and one ``_relabel`` call per accepted
+    visit."""
+    shape = data.draw(st.sampled_from(("grid", "row", "column")), label="shape")
+    n = data.draw(st.integers(1, 24), label="n")
+    if shape == "row":
+        height, width = 1, n
+    elif shape == "column":
+        height, width = n, 1
+    else:
+        height = data.draw(st.integers(2, 9), label="height")
+        width = data.draw(st.integers(2, 9), label="width")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    kinds = data.draw(st.sampled_from((1, 2, 3, 5, 2 * height * width)), label="labels")
+    labels = rng.integers(0, kinds, size=(height, width)).astype(np.int32)
+    accept_rate = data.draw(st.sampled_from((0.0, 0.2, 0.6, 1.0)), label="accept rate")
+    verdict = rng.random((height, width)) < accept_rate
+    lat = Lattice(width, height)
+    kind = data.draw(st.sampled_from(("raster", "random")), label="order")
+    perm = permutation(kind, lat, int(rng.integers(0, 1000)))
+    w0 = data.draw(st.sampled_from((NINE_NEIGHBORHOOD, FIVE_NEIGHBORHOOD)), label="w0")
+    merge = data.draw(st.sampled_from(("square", "diamond", "pinned")), label="merge")
+    if merge == "square":
+        psi = square_window(2 ** data.draw(st.integers(1, 3), label="level"))
+    elif merge == "diamond":
+        psi = _diamond(data.draw(st.integers(1, 4), label="radius"))
+    else:
+        psi = w0
+
+    want, evaluations, accepted = merge_level_reference(
+        labels, verdict, perm.tolist(), w0.offsets, psi.offsets)
+    real = driver._relabel
+
+    def bounded(*args):
+        assert spy.call_count <= len(perm), "more merges than visits"
+        real(*args)
+
+    with mock.patch.object(driver, "_relabel", side_effect=bounded) as spy:
+        got = driver._merge_level(labels, verdict, perm, w0, WindowGeom.of(psi))
+    assert np.array_equal(labels, want)
+    assert got == (evaluations, accepted)
+    assert spy.call_count == accepted

@@ -155,6 +155,40 @@ def test_merge_step_matches_set_oracle():
         assert blocks_as_sets(got) == expected
 
 
+def test_partition_rejects_labels_outside_int32():
+    lat = Lattice(2, 1)
+    for bad in ([[0, 2**32 + 5]], [[-(2**31) - 1, 0]], [[0, 2**70]]):
+        with pytest.raises(ValueError, match="labels must lie in"):
+            Partition(lat, np.array(bad))
+    wide = Partition(lat, np.array([[-(2**31), 2**31 - 1]], dtype=np.int64))
+    assert wide.labels.dtype == np.int32
+    assert wide.labels.tolist() == [[-(2**31), 2**31 - 1]]
+    exact = np.array([[3, 4]], dtype=np.int32)
+    assert Partition(lat, exact).labels is exact
+
+
+def test_merges_take_negative_and_large_labels():
+    """The per-call label tables cover negative and large labels: the
+    merges treat them like any other labels."""
+    rng = np.random.default_rng(8)
+    lat = Lattice(6, 5)
+    odd = np.array([-9, -5, 0, 7, 2**20])
+    psi = Window(tuple((dx, dy) for dx in range(-1, 3) for dy in range(-2, 2)))
+    for _ in range(40):
+        codes = rng.integers(0, 5, size=(5, 6))
+        x = (int(rng.integers(1, 7)), int(rng.integers(1, 6)))
+        w0 = NINE_NEIGHBORHOOD if rng.random() < 0.5 else FIVE_NEIGHBORHOOD
+        p = Partition(lat, odd[codes])
+        expected = merge_sets(blocks_as_sets(p), x, w0.offsets, psi.offsets, 6, 5)
+        assert blocks_as_sets(merge_step(x, p, w0, psi)) == expected
+        holes = np.where(rng.random((5, 6)) < 0.3, ABSENT, odd[codes])
+        holes[x[1] - 1, x[0] - 1] = odd[codes[x[1] - 1, x[0] - 1]]
+        compact = np.where(holes == ABSENT, ABSENT, codes)
+        got = m_step(x, Partition(lat, holes), w0)
+        assert same_partition(got, m_step(x, Partition(lat, compact), w0))
+        assert np.array_equal(got.labels == ABSENT, holes == ABSENT)
+
+
 def test_merge_step_requires_total():
     lat = Lattice(2, 1)
     p = singletons({(1, 1)}, lat)

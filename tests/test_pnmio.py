@@ -167,6 +167,14 @@ def test_image_buffer_rejects_what_pnm_cannot_hold():
         assert load_pnm(save_pnm(img)).max_value == max_value
 
 
+def test_load_labels_rejects_labels_outside_int32():
+    with pytest.raises(ValueError, match="labels must lie in"):
+        load_labels(b"0,3000000000\n")
+    with pytest.raises(ValueError, match="labels must lie in"):
+        load_labels(b"0,100000000000000000000000\n")
+    assert load_labels(b"0,2147483647\n").labels.tolist() == [[0, 2**31 - 1]]
+
+
 def test_label_image_rejects_negative():
     with pytest.raises(ValueError):
         load_labels(b"0,-1\n")
