@@ -4,11 +4,11 @@ The energy of a patch is the summed squared deviation of each pixel from
 the mean of its in-region neighbors; a patch is acceptable when the
 per-pixel energy falls below the model threshold. The neighbor sums and
 counts come from ``_neighbor_sums``, the one kernel that also builds
-every ``pyramid.downsample`` layer; ``evaluate_batch`` scores
-many windows at once from the same per-pixel terms. The Boltzmann
-distribution this energy induces is enumerable for tiny state spaces,
-which gives an exact oracle for the threshold equivalence and a target
-for the Metropolis calibration of the threshold.
+every ``pyramid.downsample`` layer. ``evaluate_batch`` gives many
+windows ``evaluate``'s verdicts at once, so only this module adds up a
+window's terms. The Boltzmann distribution this energy induces is
+enumerable for tiny state spaces, which gives an exact oracle for the
+threshold equivalence and a target for the Metropolis calibration.
 """
 
 from __future__ import annotations
@@ -62,6 +62,8 @@ def _as_bands(values: np.ndarray) -> np.ndarray:
         vals = vals[:, :, None]
     if vals.ndim != 3:
         raise ValueError(f"patch must be (h, w) or (h, w, b), got shape {vals.shape}")
+    if vals.shape[2] == 0:
+        raise ValueError("patch has no bands")
     return vals
 
 
@@ -99,16 +101,21 @@ def _neighbor_sums(vals: np.ndarray, mask: np.ndarray, offsets: Iterable[Offset]
 
 
 def _site_terms(vals: np.ndarray, region: np.ndarray, model: MrfModel):
-    """Per-pixel energy terms of the in-region pixels that have an
-    in-region neighbor, flattened in row-major order, and the boolean
-    map of those pixels. Leading batch axes carry through."""
+    """Per-pixel energy terms as a dense map, zero at every pixel outside
+    the region or without an in-region neighbor, and the boolean map of
+    the pixels that have a term. Leading batch axes carry through."""
     sums, counts = _neighbor_sums(vals, region, model.neighbor_offsets(), region.shape[-2:])
     has = region & (counts > 0)
-    pred = sums[has] / counts[has][:, None]
-    diff = pred - vals[has]
+    pred = np.divide(sums, counts[..., None], out=np.zeros(sums.shape), where=has[..., None])
+    diff = pred - vals
     if model.metric == "euclidean":
-        return np.sum(diff * diff, axis=1), has
-    return np.sum(np.abs(diff), axis=1) ** 2, has
+        return np.sum(diff * diff, axis=-1) * has, has
+    return np.sum(np.abs(diff), axis=-1) ** 2 * has, has
+
+
+def _compact_sum(terms: np.ndarray, has: np.ndarray) -> float:
+    """One window's energy: its terms added in row-major order."""
+    return float(np.sum(terms[has]))
 
 
 def energy(values: np.ndarray, model: MrfModel, mask: np.ndarray | None = None) -> float:
@@ -125,8 +132,7 @@ def energy(values: np.ndarray, model: MrfModel, mask: np.ndarray | None = None) 
         raise ValueError(f"mask shape {region.shape} != patch shape {(h, w)}")
     if not region.any():
         raise ValueError("region is empty")
-    terms, _ = _site_terms(vals, region, model)
-    return float(np.sum(terms))
+    return _compact_sum(*_site_terms(vals, region, model))
 
 
 def evaluate(values: np.ndarray, model: MrfModel, mask: np.ndarray | None = None) -> int:
@@ -136,26 +142,25 @@ def evaluate(values: np.ndarray, model: MrfModel, mask: np.ndarray | None = None
     return 1 if energy(vals, model, mask) / size <= model.rho else 0
 
 
-def evaluate_batch(vals: np.ndarray, mask: np.ndarray,
-                   model: MrfModel) -> tuple[np.ndarray, np.ndarray]:
-    """``evaluate`` of n windows at once: ``vals`` is (n, h, w, bands),
-    ``mask`` (n, h, w) with at least one pixel per window.
+def evaluate_batch(vals: np.ndarray, mask: np.ndarray, model: MrfModel) -> np.ndarray:
+    """``evaluate`` of n windows at once, as an (n,) bool array: ``vals``
+    is (n, h, w, bands), ``mask`` (n, h, w) with at least one pixel each.
 
-    Every term is computed exactly as ``energy`` computes it; only the
-    order in which a window's terms are added differs. Returns the
-    verdicts and a flag for the windows whose verdict that order could
-    flip: the terms are non-negative, so for k terms the two sums, and
-    then the per-pixel energies, differ by at most about k eps times
-    their size; a window is flagged within twice that of ``rho``. A zero
-    energy is exact in any order and is never flagged.
+    The terms are ``energy``'s, but a row sum of the dense term map adds
+    them in another order. They are non-negative, so for k terms the
+    per-pixel energies q of the two orders differ by at most about
+    k eps q; a window within 2 h w eps q of ``rho`` is re-summed in
+    ``energy``'s order. A zero q is exact in any order and is never
+    re-summed.
     """
     n, h, w = mask.shape
     terms, has = _site_terms(vals, mask, model)
-    grid = np.zeros((n, h, w))
-    grid[has] = terms
-    q = grid.reshape(n, -1).sum(axis=1) / np.count_nonzero(mask.reshape(n, -1), axis=1)
+    size = np.count_nonzero(mask.reshape(n, -1), axis=1)
+    q = terms.reshape(n, -1).sum(axis=1) / size
     near = np.abs(q - model.rho) < 2 * h * w * np.finfo(np.float64).eps * q
-    return q <= model.rho, near
+    for i in np.flatnonzero(near):
+        q[i] = _compact_sum(terms[i], has[i]) / size[i]
+    return q <= model.rho
 
 
 # --- exact enumeration over tiny state spaces ------------------------------

@@ -128,6 +128,9 @@ def load_pnm(data: bytes) -> ImageBuffer:
                 f"sample {int(flat[bad])} exceeds maxval {maxval}", pos + bad * bytes_per
             )
     else:
+        if len(data) - pos < 2 * count - 1:  # a digit per sample, a space between
+            raise PnmParseError(f"truncated raster: {count} samples need at least "
+                                f"{2 * count - 1} bytes, have {len(data) - pos}", len(data))
         flat = np.empty(count, dtype=np.uint32)
         for i in range(count):
             at = _skip_space(data, pos)

@@ -2,7 +2,7 @@
 
 A window is scored directly, or its resolution is lowered step by step
 down a coarse-ward window chain (``check_chain``) to the base
-neighborhood, where the energy is thresholded by ``mrf.evaluate``. Each
+neighborhood, where the energy is thresholded as ``mrf.evaluate`` does. Each
 step is one ``downsample`` layer of plain means over the model's
 neighborhood: nothing is learned, every weight is wired to one. A layer
 is one call of ``mrf._neighbor_sums``, the kernel behind the energy's
@@ -105,11 +105,9 @@ def verdict_map(samples: np.ndarray, levels, model: MrfModel) -> np.ndarray:
     chain whose first window is placed on every pixel, with a sample at
     each in-window lattice position. Each entry equals ``pyramid_evaluate``
     of the pixel's window, which is ``evaluate`` on the clipped window
-    when ``levels`` holds one window. The batched energy adds a window's
-    terms in another order than ``energy``, so windows it flags as too
-    close to ``rho`` to tell are re-decided by ``evaluate`` on their
-    downsampled arrays: the layers work element-wise, so those are
-    bitwise the arrays ``pyramid_evaluate`` would score.
+    when ``levels`` holds one window. The layers work element-wise, so a
+    chunk's downsampled arrays are bitwise the ones ``pyramid_evaluate``
+    would score, and ``evaluate_batch`` decides them as ``evaluate`` does.
     """
     levels = check_chain(levels)
     vals = _as_bands(samples)
@@ -131,8 +129,5 @@ def verdict_map(samples: np.ndarray, levels, model: MrfModel) -> np.ndarray:
         rs, cs = np.divmod(np.arange(p0, min(h * w, p0 + step)), w)
         cur, msk = _layers(box_vals[rs, cs], box_in[rs, cs] & wmask, levels,
                            model.neighborhood)
-        ok, near = evaluate_batch(cur, msk, model)
-        for i in np.flatnonzero(near):
-            ok[i] = evaluate(cur[i], model, msk[i])
-        out[p0 : p0 + len(ok)] = ok
+        out[p0 : p0 + len(rs)] = evaluate_batch(cur, msk, model)
     return out.reshape(h, w)

@@ -70,6 +70,17 @@ def test_segment_missing_input(tmp_path, capsys):
     assert not outdir.exists()
 
 
+def test_segment_header_larger_than_file(tmp_path, capsys):
+    src = tmp_path / "huge.pgm"
+    src.write_bytes(b"P2\n100000 100000\n255\n1 2 3\n")
+    outdir = tmp_path / "out"
+    assert main(["segment", str(src), str(outdir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "truncated raster" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not outdir.exists()
+
+
 def test_segment_config_file_with_flag_override(tmp_path):
     src = tmp_path / "img.pgm"
     write_pgm(src, np.full((6, 6), 30.0))

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcvseg.geometry import FIVE_NEIGHBORHOOD, NINE_NEIGHBORHOOD, dilate
 from mcvseg.mrf import (MrfModel, calibrate_rho, energy, evaluate,
-                        gibbs_distribution, neighborhood_squared,
-                        tau_rho_consistency)
+                        evaluate_batch, gibbs_distribution,
+                        neighborhood_squared, tau_rho_consistency)
 
 from oracles import energy_reference
 
@@ -108,6 +110,32 @@ def test_evaluate_thresholds_per_pixel_energy():
     assert evaluate(patch, MrfModel(rho=1.0)) == 1
     assert evaluate(patch, MrfModel(rho=0.999)) == 0
     assert evaluate(np.full((3, 3), 8.0), MrfModel(rho=0.0)) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_evaluate_batch_matches_evaluate(data):
+    """Each batch verdict is ``evaluate`` on that window, on random hole
+    masks (with isolated pixels and off-mask values that must not count)
+    and with ``rho`` exactly one window's per-pixel energy."""
+    n, h, w = (data.draw(st.integers(1, 6), label=k) for k in "nhw")
+    bands = data.draw(st.integers(1, 3), label="bands")
+    g = data.draw(st.sampled_from((FIVE_NEIGHBORHOOD, NINE_NEIGHBORHOOD)), label="g")
+    metric = data.draw(st.sampled_from(("euclidean", "per_band_abs")), label="metric")
+    values = st.integers(0, 255) | st.floats(0.0, 255.0)
+    vals = np.reshape(data.draw(st.lists(values, min_size=n * h * w * bands,
+                                         max_size=n * h * w * bands)),
+                      (n, h, w, bands)).astype(np.float64)
+    mask = np.reshape(data.draw(st.lists(st.booleans(), min_size=n * h * w,
+                                         max_size=n * h * w)), (n, h, w))
+    mask[:, 0, 0] |= ~mask.any(axis=(1, 2))  # every window keeps a pixel
+    t = data.draw(st.integers(0, n - 1), label="tie window")
+    rho = energy(vals[t], MrfModel(g, metric=metric), mask[t]) / np.count_nonzero(mask[t])
+    model = MrfModel(g, metric=metric, rho=rho)
+    got = evaluate_batch(vals, mask, model)
+    assert isinstance(got, np.ndarray) and got.dtype == bool and got.shape == (n,)
+    assert got.tolist() == [bool(evaluate(vals[i], model, mask[i])) for i in range(n)]
+    assert got[t]
 
 
 def test_gibbs_two_pixel_exact():

@@ -53,6 +53,19 @@ def test_truncated_raster_names_offset():
     assert "offset" in str(exc.value)
 
 
+def test_plain_header_larger_than_file_rejected_before_allocating():
+    """A 24-byte file claiming 10^10 samples fails on its length, not
+    after allocating tens of GiB for the raster."""
+    data = b"P2\n100000 100000\n255\n1 2 3\n"
+    with pytest.raises(PnmParseError, match="truncated raster") as exc:
+        load_pnm(data)
+    assert exc.value.offset == len(data)
+    # The bound is one digit per sample and one separator between them.
+    assert load_pnm(b"P3\n1 1\n9\n1 2 3").samples.tolist() == [[[1.0, 2.0, 3.0]]]
+    with pytest.raises(PnmParseError, match="truncated raster"):
+        load_pnm(b"P3\n1 1\n9\n1 2")
+
+
 def test_plain_sample_above_maxval():
     with pytest.raises(PnmParseError):
         load_pnm(b"P2\n1 1\n10\n11\n")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcvseg import pyramid
+from mcvseg import mrf, pyramid
 from mcvseg.driver import ConfigError, McvConfig
 from mcvseg.geometry import (FIVE_NEIGHBORHOOD, NINE_NEIGHBORHOOD, Window,
                              WindowGeom, dilate, square_window)
@@ -229,6 +229,19 @@ def test_bad_chains_rejected_everywhere(chain):
         cfg.validate()
 
 
+@pytest.mark.parametrize("call", [
+    energy,
+    evaluate,
+    lambda v, m: pyramid_evaluate(v, (NINE_NEIGHBORHOOD,), m),
+    lambda v, m: verdict_map(v, (NINE_NEIGHBORHOOD,), m),
+], ids=["energy", "evaluate", "pyramid_evaluate", "verdict_map"])
+def test_zero_band_arrays_rejected(call):
+    """An image without bands has no energy; no entry point calls it
+    homogeneous."""
+    with pytest.raises(ValueError, match="no bands"):
+        call(np.zeros((3, 3, 0)), MrfModel())
+
+
 def pixel_window(samples, top, r0, c0):
     """Pixel (r0, c0)'s window cut out of an (h, w, bands) image, as the
     clipped patch with its window mask and as the (values, mask) arrays
@@ -325,14 +338,16 @@ def test_verdict_map_chunks_agree(chunk, monkeypatch):
 
 def test_verdict_map_rechecks_only_near_ties(monkeypatch):
     """A zero energy is exact in any summation order, so a constant image
-    at rho = 0 needs no per-window recheck; an exact tie does."""
-    calls = []
-    monkeypatch.setattr(pyramid, "evaluate",
-                        lambda vals, model, mask: calls.append(mask) or evaluate(vals, model, mask))
+    at rho = 0 needs no window re-summed in the reference order; an exact
+    tie does."""
     levels = (square_window(2), square_window(1))
-    assert verdict_map(np.full((5, 6), 7.0), levels, MrfModel(rho=0.0)).all()
-    assert calls == []
     samples = np.arange(30.0).reshape(5, 6) % 4
     rho = per_pixel_energy(samples[:, :, None], levels, MrfModel(), 2, 3)
+    calls = []
+    compact_sum = mrf._compact_sum
+    monkeypatch.setattr(mrf, "_compact_sum",
+                        lambda terms, has: calls.append(has) or compact_sum(terms, has))
+    assert verdict_map(np.full((5, 6), 7.0), levels, MrfModel(rho=0.0)).all()
+    assert calls == []
     assert verdict_map(samples, levels, MrfModel(rho=rho))[2, 3]
     assert len(calls) >= 1
