@@ -84,9 +84,8 @@ def _stats_text(cfg: McvConfig, seq) -> str:
 
 
 def cmd_segment(args: argparse.Namespace) -> int:
-    data = Path(args.input).read_bytes()
-    image = load_pnm(data)
     cfg = _config_for(args)
+    image = load_pnm(Path(args.input).read_bytes())
 
     t0 = time.perf_counter()
     seq = run_mcv(image, cfg)

@@ -285,6 +285,8 @@ def load_permutation(text: str, lat: Lattice) -> np.ndarray:
             values.append(int(s))
         except ValueError:
             raise ValueError(f"permutation file line {ln}: not an integer: {s!r}")
+        if not 0 <= values[-1] < lat.size:
+            raise ValueError(f"permutation file line {ln}: {s} is not a pixel index")
     return _check_perm(_pixel_pairs(np.array(values, dtype=np.int64), lat), lat)
 
 

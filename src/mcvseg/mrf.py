@@ -4,11 +4,13 @@ The energy of a patch is the summed squared deviation of each pixel from
 the mean of its in-region neighbors; a patch is acceptable when the
 per-pixel energy falls below the model threshold. The neighbor sums and
 counts come from ``_neighbor_sums``, the one kernel that also builds
-every ``pyramid.downsample`` layer. ``evaluate_batch`` gives many
-windows ``evaluate``'s verdicts at once, so only this module adds up a
-window's terms. The Boltzmann distribution this energy induces is
-enumerable for tiny state spaces, which gives an exact oracle for the
-threshold equivalence and a target for the Metropolis calibration.
+every ``pyramid.downsample`` layer. ``_ordered_sum`` is the one function
+that adds a window's terms, one at a time in row-major order, and a
+term's bands are added in order too, so ``energy``, ``evaluate_batch``
+and the Gibbs and Metropolis tables compute bitwise the same energy of a
+window. The Boltzmann distribution this energy induces is enumerable for
+tiny state spaces, which gives an exact oracle for the threshold
+equivalence and a target for the Metropolis calibration.
 """
 
 from __future__ import annotations
@@ -100,22 +102,25 @@ def _neighbor_sums(vals: np.ndarray, mask: np.ndarray, offsets: Iterable[Offset]
     return sums, counts
 
 
-def _site_terms(vals: np.ndarray, region: np.ndarray, model: MrfModel):
+def _ordered_sum(x: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, adding one element at a time from the
+    first: an accumulation is sequential by definition, unlike ``np.sum``,
+    whose order depends on the array's length and layout."""
+    return x[..., 0] if x.shape[-1] == 1 else np.add.accumulate(x, axis=-1)[..., -1]
+
+
+def _site_terms(vals: np.ndarray, region: np.ndarray, model: MrfModel) -> np.ndarray:
     """Per-pixel energy terms as a dense map, zero at every pixel outside
-    the region or without an in-region neighbor, and the boolean map of
-    the pixels that have a term. Leading batch axes carry through."""
+    the region or without an in-region neighbor. Leading batch axes carry
+    through. The zeros leave a window's ordered sum unchanged, since
+    ``x + 0.0 == x``."""
     sums, counts = _neighbor_sums(vals, region, model.neighbor_offsets(), region.shape[-2:])
     has = region & (counts > 0)
     pred = np.divide(sums, counts[..., None], out=np.zeros(sums.shape), where=has[..., None])
     diff = pred - vals
     if model.metric == "euclidean":
-        return np.sum(diff * diff, axis=-1) * has, has
-    return np.sum(np.abs(diff), axis=-1) ** 2 * has, has
-
-
-def _compact_sum(terms: np.ndarray, has: np.ndarray) -> float:
-    """One window's energy: its terms added in row-major order."""
-    return float(np.sum(terms[has]))
+        return _ordered_sum(diff * diff) * has
+    return np.square(_ordered_sum(np.abs(diff))) * has
 
 
 def energy(values: np.ndarray, model: MrfModel, mask: np.ndarray | None = None) -> float:
@@ -132,7 +137,7 @@ def energy(values: np.ndarray, model: MrfModel, mask: np.ndarray | None = None) 
         raise ValueError(f"mask shape {region.shape} != patch shape {(h, w)}")
     if not region.any():
         raise ValueError("region is empty")
-    return _compact_sum(*_site_terms(vals, region, model))
+    return float(_ordered_sum(_site_terms(vals, region, model).ravel()))
 
 
 def evaluate(values: np.ndarray, model: MrfModel, mask: np.ndarray | None = None) -> int:
@@ -145,22 +150,12 @@ def evaluate(values: np.ndarray, model: MrfModel, mask: np.ndarray | None = None
 def evaluate_batch(vals: np.ndarray, mask: np.ndarray, model: MrfModel) -> np.ndarray:
     """``evaluate`` of n windows at once, as an (n,) bool array: ``vals``
     is (n, h, w, bands), ``mask`` (n, h, w) with at least one pixel each.
-
-    The terms are ``energy``'s, but a row sum of the dense term map adds
-    them in another order. They are non-negative, so for k terms the
-    per-pixel energies q of the two orders differ by at most about
-    k eps q; a window within 2 h w eps q of ``rho`` is re-summed in
-    ``energy``'s order. A zero q is exact in any order and is never
-    re-summed.
-    """
-    n, h, w = mask.shape
-    terms, has = _site_terms(vals, mask, model)
+    Each window's terms are added in ``energy``'s order, so every energy,
+    and with it every verdict, is bitwise ``evaluate``'s."""
+    n = mask.shape[0]
+    terms = _site_terms(vals, mask, model).reshape(n, -1)
     size = np.count_nonzero(mask.reshape(n, -1), axis=1)
-    q = terms.reshape(n, -1).sum(axis=1) / size
-    near = np.abs(q - model.rho) < 2 * h * w * np.finfo(np.float64).eps * q
-    for i in np.flatnonzero(near):
-        q[i] = _compact_sum(terms[i], has[i]) / size[i]
-    return q <= model.rho
+    return _ordered_sum(terms) / size <= model.rho
 
 
 # --- exact enumeration over tiny state spaces ------------------------------
@@ -174,11 +169,6 @@ def _neighbor_table(pixels: Sequence[Pixel], model: MrfModel) -> list[list[int]]
     offsets = model.neighbor_offsets()
     return [[index[q] for q in ((c + dx, r + dy) for dx, dy in offsets) if q in index]
             for c, r in pixels]
-
-
-def _state_energy(state: Sequence, table, metric: str) -> float:
-    """Energy of one assignment; values are scalars or same-length tuples."""
-    return sum(_site_term(state, i, table, metric) for i in range(len(table)))
 
 
 def _boltzmann(energies: np.ndarray, temperature: float):
@@ -218,7 +208,9 @@ def gibbs_distribution(region: Iterable[Pixel], values: Sequence, model: MrfMode
         raise ValueError(f"state space {len(values)}^{k} exceeds {MAX_STATES}")
     table = _neighbor_table(pixels, model)
     states = list(itertools.product(values, repeat=k))
-    energies = np.array([_state_energy(s, table, model.metric) for s in states])
+    terms = np.fromiter((_site_term(s, i, table, model.metric) for s in states for i in range(k)),
+                        dtype=np.float64, count=n_states * k)
+    energies = _ordered_sum(terms.reshape(n_states, k))
     return GibbsTable(pixels, states, energies, _boltzmann(energies, model.temperature))
 
 
@@ -286,12 +278,14 @@ def calibrate_rho(patch_shape: tuple[int, int], values: Sequence, model: MrfMode
                 terms[i] = term
         else:
             state[site] = old_value
-        total += sum(terms)
+        total += float(_ordered_sum(np.array(terms)))
     return total / samples / k
 
 
 def _site_term(state: Sequence, i: int, table, metric: str) -> float:
-    """Energy contribution of the single site ``i`` for the current state."""
+    """Energy contribution of the single site ``i`` for the current state,
+    with ``_site_terms``' float operations: neighbors and bands are added
+    in order, one at a time."""
     nbrs = table[i]
     if not nbrs:
         return 0.0
@@ -300,16 +294,18 @@ def _site_term(state: Sequence, i: int, table, metric: str) -> float:
     if isinstance(vi, (tuple, list)):
         pred = [0.0] * len(vi)
         for j in nbrs:
-            vj = state[j]
-            for b in range(len(pred)):
-                pred[b] += vj[b]
-        if metric == "euclidean":
-            return sum((pb / n - vb) ** 2 for pb, vb in zip(pred, vi))
-        return sum(abs(pb / n - vb) for pb, vb in zip(pred, vi)) ** 2
+            for b, vb in enumerate(state[j]):
+                pred[b] += vb
+        term = 0.0
+        for pb, vb in zip(pred, vi):
+            d = pb / n - vb
+            term += d * d if metric == "euclidean" else abs(d)
+        return term if metric == "euclidean" else term * term
     pred = 0.0
     for j in nbrs:
         pred += state[j]
-    return (pred / n - vi) ** 2
+    d = pred / n - vi
+    return d * d
 
 
 def neighborhood_squared(g: Window) -> Window:

@@ -107,7 +107,8 @@ def verdict_map(samples: np.ndarray, levels, model: MrfModel) -> np.ndarray:
     of the pixel's window, which is ``evaluate`` on the clipped window
     when ``levels`` holds one window. The layers work element-wise, so a
     chunk's downsampled arrays are bitwise the ones ``pyramid_evaluate``
-    would score, and ``evaluate_batch`` decides them as ``evaluate`` does.
+    would score, and ``evaluate_batch`` sums their terms in ``evaluate``'s
+    order.
     """
     levels = check_chain(levels)
     vals = _as_bands(samples)

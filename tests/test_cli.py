@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from mcvseg.cli import main
 from mcvseg.geometry import Lattice
@@ -127,6 +128,33 @@ def test_segment_permutation_file(tmp_path):
     assert rc == 0
     stats = parse_stats((outdir / "stats.txt").read_bytes())
     assert stats["permutation"] == "file"
+
+
+def test_segment_permutation_index_beyond_int64(tmp_path, capsys):
+    src = tmp_path / "img.pgm"
+    write_pgm(src, np.zeros((2, 2)))
+    perm = tmp_path / "order.txt"
+    perm.write_text("0\n1\n99999999999999999999\n3\n")
+    outdir = tmp_path / "out"
+    rc = main(["segment", str(src), str(outdir), "--perm", f"file:{perm}"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "line 3" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("raster", [None, b"P2\n100000 100000\n255\n1 2 3\n"],
+                         ids=["missing", "huge-header"])
+def test_segment_checks_config_before_reading_input(tmp_path, capsys, raster):
+    src = tmp_path / "img.pgm"
+    if raster is not None:
+        src.write_bytes(raster)
+    rc = main(["segment", str(src), str(tmp_path / "out"), "--levels", "0"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "max_level" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_segment_bad_perm_flag(tmp_path, capsys):

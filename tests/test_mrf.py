@@ -165,6 +165,22 @@ def test_gibbs_vector_values():
     assert table.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(2, 4), (3, 3)], ids=["2x4", "3x3"])
+@pytest.mark.parametrize("values", [[0.0, 0.3, 1.7], [(0.3, 1.7, 0.0), (1.7, 0.0, 0.3)]],
+                         ids=["gray", "rgb"])
+@pytest.mark.parametrize("metric", ["euclidean", "per_band_abs"])
+def test_gibbs_energies_are_energy_bitwise(shape, values, metric):
+    """Every enumerated state's energy is bitwise ``energy`` of that state,
+    so the Gibbs table thresholds the energies ``evaluate`` thresholds."""
+    h, w = shape
+    model = MrfModel(metric=metric)
+    region = [(c, r) for r in range(1, h + 1) for c in range(1, w + 1)]
+    table = gibbs_distribution(region, values, model)
+    mask = np.ones(shape, dtype=bool)
+    got = np.array([energy(np.reshape(s, (h, w, -1)), model, mask) for s in table.states])
+    assert np.count_nonzero(got != table.energies) == 0
+
+
 def test_tau_rho_consistency_cases():
     model_lo = MrfModel(rho=0.5)
     model_hi = MrfModel(rho=2.0, temperature=0.8)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcvseg import mrf, pyramid
+from mcvseg import pyramid
 from mcvseg.driver import ConfigError, McvConfig
 from mcvseg.geometry import (FIVE_NEIGHBORHOOD, NINE_NEIGHBORHOOD, Window,
                              WindowGeom, dilate, square_window)
@@ -334,20 +334,3 @@ def test_verdict_map_chunks_agree(chunk, monkeypatch):
     assert 0 < want.sum() < want.size
     monkeypatch.setattr(pyramid, "CHUNK_SAMPLES", chunk)
     assert np.array_equal(verdict_map(samples, levels, model), want)
-
-
-def test_verdict_map_rechecks_only_near_ties(monkeypatch):
-    """A zero energy is exact in any summation order, so a constant image
-    at rho = 0 needs no window re-summed in the reference order; an exact
-    tie does."""
-    levels = (square_window(2), square_window(1))
-    samples = np.arange(30.0).reshape(5, 6) % 4
-    rho = per_pixel_energy(samples[:, :, None], levels, MrfModel(), 2, 3)
-    calls = []
-    compact_sum = mrf._compact_sum
-    monkeypatch.setattr(mrf, "_compact_sum",
-                        lambda terms, has: calls.append(has) or compact_sum(terms, has))
-    assert verdict_map(np.full((5, 6), 7.0), levels, MrfModel(rho=0.0)).all()
-    assert calls == []
-    assert verdict_map(samples, levels, MrfModel(rho=rho))[2, 3]
-    assert len(calls) >= 1
