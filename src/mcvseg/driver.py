@@ -354,6 +354,12 @@ def _merge_level(labels: np.ndarray, verdict: np.ndarray, perm: np.ndarray,
     return evaluations, accepted
 
 
+def _check_label_room(lat: Lattice) -> None:
+    """A level's labels stay below 2N on N pixels; reject N > 2**30."""
+    if 2 * lat.size - 1 > np.iinfo(np.int32).max:
+        raise ValueError(f"{lat.width}x{lat.height} lattice too large for int32 labels")
+
+
 def _run_level_inplace(labels: np.ndarray, omega: ImageBuffer, level: int,
                        cfg: McvConfig, perm: np.ndarray) -> LevelStats:
     t0 = time.perf_counter()
@@ -368,6 +374,7 @@ def run_level(p: Partition, omega: ImageBuffer, i: int, cfg: McvConfig,
               perm: np.ndarray) -> tuple[Partition, LevelStats]:
     """Execute one level over a copy of ``p`` and return the result, in
     canonical form, with stats."""
+    _check_label_room(p.lattice)
     if p.lattice != omega.lattice:
         raise ValueError("partition and image live on different lattices")
     if not p.is_total:
@@ -392,6 +399,7 @@ def run_mcv(omega: ImageBuffer, cfg: McvConfig = McvConfig()) -> PartitionSequen
     """
     cfg.validate()
     lat = omega.lattice
+    _check_label_room(lat)
     if cfg.permutation == "file":
         base = load_permutation(Path(cfg.perm_file).read_text(), lat)
     else:

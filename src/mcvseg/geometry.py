@@ -34,6 +34,12 @@ class Lattice:
         c, r = pixel
         return 1 <= c <= self.width and 1 <= r <= self.height
 
+    def index(self, pixel: Pixel) -> tuple[int, int]:
+        """The 0-based (row, col) array index of a pixel on the lattice."""
+        if pixel not in self:
+            raise ValueError(f"pixel {pixel} outside {self.width}x{self.height} lattice")
+        return pixel[1] - 1, pixel[0] - 1
+
     @property
     def size(self) -> int:
         return self.width * self.height
@@ -155,8 +161,7 @@ def clip(w: Window, x: Pixel, lat: Lattice) -> set[Pixel]:
 
     The result always contains ``x`` because the window contains the origin.
     """
-    if x not in lat:
-        raise ValueError(f"pixel {x} outside {lat.width}x{lat.height} lattice")
+    lat.index(x)  # raises off the lattice
     c, r = x
     return {
         (c + dx, r + dy)

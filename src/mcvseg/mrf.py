@@ -2,12 +2,11 @@
 
 The energy of a patch is the summed squared deviation of each pixel from
 the mean of its in-region neighbors; a patch is acceptable when the
-per-pixel energy falls below the model threshold. The neighbor sums and
-counts come from ``_neighbor_sums``, the one kernel that also builds
-every ``pyramid.downsample`` layer. ``_ordered_sum`` is the one function
-that adds a window's terms, one at a time in row-major order, and a
-term's bands are added in order too, so ``energy``, ``evaluate_batch``
-and the Gibbs and Metropolis tables compute bitwise the same energy of a
+per-pixel energy falls below the model threshold. ``_neighbor_sums``
+adds the neighbors, for the energy and every pyramid layer alike.
+``_ordered_sum`` adds a window's terms one at a time in row-major order,
+and a term's bands in order, so ``energy``, the Gibbs and Metropolis
+tables and ``pyramid.verdict_map`` give bitwise the same energy of a
 window. The Boltzmann distribution this energy induces is enumerable for
 tiny state spaces, which gives an exact oracle for the threshold
 equivalence and a target for the Metropolis calibration.
@@ -69,36 +68,29 @@ def _as_bands(values: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _neighbor_sums(vals: np.ndarray, mask: np.ndarray, offsets: Iterable[Offset],
-                   shape: tuple[int, int], dy0: int = 0,
-                   dx0: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Sums and counts of in-mask neighbors on a ``shape`` grid.
-
-    Grid position (i, j) sits at source position (i + dy0, j + dx0). Each
-    (dx, dy) offset adds ``vals`` from source position
-    (i + dy0 + dy, j + dx0 + dx) where that position is inside the source
-    and ``mask``. ``vals`` is (..., hs, ws, bands) and ``mask``
-    (..., hs, ws); leading batch axes carry through. Returns the per-band
-    sums, (..., *shape, bands), and the neighbor counts as floats,
-    (..., *shape).
-    """
+def _neighbor_sums(sources: Sequence[tuple[np.ndarray, np.ndarray]],
+                   reads: Iterable[tuple[Offset, int]], shape: tuple[int, int],
+                   dy0: int = 0, dx0: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Per-band sums (..., *shape, bands) and float counts (..., *shape)
+    of in-mask reads on a ``shape`` grid, whose position (i, j) sits at
+    source position (i + dy0, j + dx0). ``sources`` holds (values, mask)
+    pairs of one shape, (..., hs, ws, bands) values zero off the
+    (..., hs, ws) mask. Each ((dx, dy), k) read, in order, adds source
+    k at (i + dy0 + dy, j + dx0 + dx), or nothing off the source."""
     h, w = shape
+    values, mask = sources[0]
     *lead, hs, ws = mask.shape
-    # Masked once up front, each offset only adds slices: the same
-    # products as masking per offset, without a multiply per offset.
-    counted = mask.astype(np.float64)
-    masked = vals * counted[..., None]
-    sums = np.zeros((*lead, h, w, vals.shape[-1]))
+    sums = np.zeros((*lead, h, w, values.shape[-1]))
     counts = np.zeros((*lead, h, w))
-    for dx, dy in offsets:
+    for (dx, dy), k in reads:
         ry, rx = dy0 + dy, dx0 + dx
         i0, i1 = max(0, -ry), min(h, hs - ry)
         j0, j1 = max(0, -rx), min(w, ws - rx)
         if i0 >= i1 or j0 >= j1:
             continue
         rows, cols = slice(i0 + ry, i1 + ry), slice(j0 + rx, j1 + rx)
-        sums[..., i0:i1, j0:j1, :] += masked[..., rows, cols, :]
-        counts[..., i0:i1, j0:j1] += counted[..., rows, cols]
+        sums[..., i0:i1, j0:j1, :] += sources[k][0][..., rows, cols, :]
+        counts[..., i0:i1, j0:j1] += sources[k][1][..., rows, cols]
     return sums, counts
 
 
@@ -109,12 +101,12 @@ def _ordered_sum(x: np.ndarray) -> np.ndarray:
     return x[..., 0] if x.shape[-1] == 1 else np.add.accumulate(x, axis=-1)[..., -1]
 
 
-def _site_terms(vals: np.ndarray, region: np.ndarray, model: MrfModel) -> np.ndarray:
-    """Per-pixel energy terms as a dense map, zero at every pixel outside
-    the region or without an in-region neighbor. Leading batch axes carry
-    through. The zeros leave a window's ordered sum unchanged, since
-    ``x + 0.0 == x``."""
-    sums, counts = _neighbor_sums(vals, region, model.neighbor_offsets(), region.shape[-2:])
+def _site_terms(vals: np.ndarray, region: np.ndarray, sums: np.ndarray,
+                counts: np.ndarray, model: MrfModel) -> np.ndarray:
+    """Per-pixel energy terms as a dense map, from the in-region neighbor
+    ``sums`` and ``counts`` (``_neighbor_sums``): zero at every pixel
+    outside the region or without an in-region neighbor. The zeros leave
+    a window's ordered sum unchanged, since ``x + 0.0 == x``."""
     has = region & (counts > 0)
     pred = np.divide(sums, counts[..., None], out=np.zeros(sums.shape), where=has[..., None])
     diff = pred - vals
@@ -137,7 +129,9 @@ def energy(values: np.ndarray, model: MrfModel, mask: np.ndarray | None = None) 
         raise ValueError(f"mask shape {region.shape} != patch shape {(h, w)}")
     if not region.any():
         raise ValueError("region is empty")
-    return float(_ordered_sum(_site_terms(vals, region, model).ravel()))
+    sums, counts = _neighbor_sums([(vals * region[..., None], region)],
+                                  [(o, 0) for o in model.neighbor_offsets()], (h, w))
+    return float(_ordered_sum(_site_terms(vals, region, sums, counts, model).ravel()))
 
 
 def evaluate(values: np.ndarray, model: MrfModel, mask: np.ndarray | None = None) -> int:
@@ -145,17 +139,6 @@ def evaluate(values: np.ndarray, model: MrfModel, mask: np.ndarray | None = None
     vals = _as_bands(values)
     size = vals.shape[0] * vals.shape[1] if mask is None else int(np.count_nonzero(mask))
     return 1 if energy(vals, model, mask) / size <= model.rho else 0
-
-
-def evaluate_batch(vals: np.ndarray, mask: np.ndarray, model: MrfModel) -> np.ndarray:
-    """``evaluate`` of n windows at once, as an (n,) bool array: ``vals``
-    is (n, h, w, bands), ``mask`` (n, h, w) with at least one pixel each.
-    Each window's terms are added in ``energy``'s order, so every energy,
-    and with it every verdict, is bitwise ``evaluate``'s."""
-    n = mask.shape[0]
-    terms = _site_terms(vals, mask, model).reshape(n, -1)
-    size = np.count_nonzero(mask.reshape(n, -1), axis=1)
-    return _ordered_sum(terms) / size <= model.rho
 
 
 # --- exact enumeration over tiny state spaces ------------------------------

@@ -54,8 +54,7 @@ class Partition:
         return bool(np.all(self.labels != ABSENT))
 
     def label_at(self, x: Pixel) -> int:
-        c, r = x
-        return int(self.labels[r - 1, c - 1])
+        return int(self.labels[self.lattice.index(x)])
 
     def block_count(self) -> int:
         present = self.labels[self.labels != ABSENT]
@@ -101,10 +100,8 @@ def singletons(S: Iterable[Pixel], lat: Lattice) -> Partition:
     """Partition of S into single-pixel blocks, labeled in raster order."""
     labels = np.full((lat.height, lat.width), ABSENT, dtype=np.int32)
     ordered = sorted(set(S), key=lambda p: (p[1], p[0]))
-    for i, (c, r) in enumerate(ordered):
-        if (c, r) not in lat:
-            raise ValueError(f"pixel {(c, r)} outside {lat.width}x{lat.height} lattice")
-        labels[r - 1, c - 1] = i
+    for i, x in enumerate(ordered):
+        labels[lat.index(x)] = i
     return Partition(lat, labels)
 
 
@@ -209,8 +206,7 @@ def merge_step(x: Pixel, p: Partition, w0: Window, psi: Window) -> Partition:
     and empty residues vanish. Regions can split as well as merge, so the
     result need not be coarser than the input.
     """
-    if x not in p.lattice:
-        raise ValueError(f"pixel {x} outside {p.lattice.width}x{p.lattice.height} lattice")
+    p.lattice.index(x)  # raises off the lattice
     if not p.is_total:
         raise ValueError("merge_step requires a total partition")
     out = p.labels.copy()

@@ -51,8 +51,7 @@ class ImageBuffer:
             raise ValueError("samples must be finite")
 
     def value_at(self, pixel) -> np.ndarray:
-        c, r = pixel
-        return self.samples[r - 1, c - 1]
+        return self.samples[self.lattice.index(pixel)]
 
 
 _WHITESPACE = b" \t\r\n\v\f"

@@ -2,22 +2,19 @@
 
 A window is scored directly, or its resolution is lowered step by step
 down a coarse-ward window chain (``check_chain``) to the base
-neighborhood, where the energy is thresholded as ``mrf.evaluate`` does. Each
-step is one ``downsample`` layer of plain means over the model's
-neighborhood: nothing is learned, every weight is wired to one. A layer
-is one call of ``mrf._neighbor_sums``, the kernel behind the energy's
-prediction, and takes leading batch axes: ``verdict_map`` runs the net
-on every pixel's window of an image at once, ``pyramid_evaluate`` on one
-window.
+neighborhood, where the energy is thresholded as ``mrf.evaluate`` does.
+Each step is one ``_layer`` of plain means over the model's
+neighborhood (``mrf._neighbor_sums``): nothing is learned, every weight
+is wired to one. ``pyramid_evaluate`` runs the net on one window, and
+``verdict_map`` slides it over a whole image as a convolution.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .geometry import Window, dilate
-from .mrf import MrfModel, _as_bands, _neighbor_sums, evaluate, evaluate_batch
+from .geometry import Offset, Window, dilate
+from .mrf import MrfModel, _as_bands, _neighbor_sums, _site_terms, evaluate
 
 
 def check_chain(levels) -> tuple[Window, ...]:
@@ -34,13 +31,26 @@ def check_chain(levels) -> tuple[Window, ...]:
 
 def _on_window(values, mask, window: Window) -> tuple[np.ndarray, np.ndarray]:
     """The arrays, checked to cover ``window``'s bounding box, with the
-    mask (None for all of it) cut to the window."""
+    mask (None for all of it) cut to the window and the values zeroed
+    off it."""
     box = window.mask()
     mask = box if mask is None else np.asarray(mask, dtype=bool)
     values = np.asarray(values, dtype=np.float64)
     if mask.shape[-2:] != box.shape or values.shape[:-1] != mask.shape:
         raise ValueError(f"values {values.shape} and mask {mask.shape} miss window box {box.shape}")
-    return values, mask & box
+    mask = mask & box
+    return values * mask[..., None], mask
+
+
+def _layer(sources, reads, out_mask: np.ndarray, dy0: int = 0,
+           dx0: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The means of each ``out_mask`` position's ``_neighbor_sums`` reads,
+    and the mask, off where a position has none."""
+    sums, counts = _neighbor_sums(sources, reads, out_mask.shape[-2:], dy0, dx0)
+    present = out_mask & (counts > 0)
+    means = np.divide(sums, counts[..., None], out=np.zeros(sums.shape),
+                      where=present[..., None])
+    return means, present
 
 
 def downsample(values: np.ndarray, mask: np.ndarray, src_window: Window,
@@ -57,21 +67,8 @@ def downsample(values: np.ndarray, mask: np.ndarray, src_window: Window,
     values, mask = _on_window(values, mask, src_window)
     ox0, _, oy0, _ = out_window.bbox()
     sx0, _, sy0, _ = src_window.bbox()
-    out_mask = out_window.mask()
-    sums, counts = _neighbor_sums(values, mask, g.offsets, out_mask.shape,
-                                  oy0 - sy0, ox0 - sx0)
-    present = out_mask & (counts > 0)
-    means = np.divide(sums, counts[..., None], out=np.zeros(sums.shape),
-                      where=present[..., None])
-    return means, present
-
-
-def _layers(values: np.ndarray, mask: np.ndarray, levels: tuple[Window, ...],
-            g: Window) -> tuple[np.ndarray, np.ndarray]:
-    """The arrays over ``levels[0]``'s box, taken down the chain."""
-    for src, dst in zip(levels, levels[1:]):
-        values, mask = downsample(values, mask, src, dst, g)
-    return values, mask
+    return _layer([(values, mask)], [(d, 0) for d in g.offsets], out_window.mask(),
+                  oy0 - sy0, ox0 - sx0)
 
 
 def make_pyramid_evaluator(model: MrfModel, max_level: int) -> tuple[Window, ...]:
@@ -88,47 +85,55 @@ def pyramid_evaluate(values: np.ndarray, levels, model: MrfModel,
     ``mrf.evaluate`` on the window."""
     levels = check_chain(levels)
     values, mask = _on_window(_as_bands(values), mask, levels[0])
-    values, mask = _layers(values, mask, levels, model.neighborhood)
+    for src, dst in zip(levels, levels[1:]):
+        values, mask = downsample(values, mask, src, dst, model.neighborhood)
     return evaluate(values, model, mask)
 
 
-#: Upper bound on the window samples (pixels x bands of the top window's
-#: bounding box, summed over the windows) that ``verdict_map`` scores at
-#: once; it caps the scratch memory of a map, whatever the image size.
-CHUNK_SAMPLES = 16384
+def _reads(ids: dict, o: Offset, offsets) -> tuple[tuple[Offset, int], ...]:
+    """The (offset, map id) reads of window position ``o`` at ``offsets``,
+    in order, skipping the positions that ``ids`` holds no map for."""
+    return tuple((d, ids[q]) for d in offsets if (q := (o[0] + d[0], o[1] + d[1])) in ids)
 
 
 def verdict_map(samples: np.ndarray, levels, model: MrfModel) -> np.ndarray:
-    """The verdict of every pixel's window, as an (h, w) bool array.
+    """``pyramid_evaluate`` of every pixel's window of the (h, w[, bands])
+    image, as an (h, w) bool array; with one window in ``levels``, that
+    is ``evaluate`` on the clipped window.
 
-    ``samples`` is the (h, w[, bands]) image and ``levels`` a window
-    chain whose first window is placed on every pixel, with a sample at
-    each in-window lattice position. Each entry equals ``pyramid_evaluate``
-    of the pixel's window, which is ``evaluate`` on the clipped window
-    when ``levels`` holds one window. The layers work element-wise, so a
-    chunk's downsampled arrays are bitwise the ones ``pyramid_evaluate``
-    would score, and ``evaluate_batch`` sums their terms in ``evaluate``'s
-    order.
-    """
+    The net slides over the image padded by the first window's reach.
+    Map 0 is the image. Window positions that read alike, the same
+    (g offset, map id) of each g-neighbor inside the source window,
+    share one whole-image ``_layer`` map. Per base-window position, in
+    row-major box order, the energy adds a term map (``_site_terms``,
+    keyed alike) and the size a mask, shifted onto the pixels. Only
+    reads and terms of +0.0 are left out, so the verdicts are bitwise
+    ``pyramid_evaluate``'s."""
     levels = check_chain(levels)
     vals = _as_bands(samples)
-    h, w, bands = vals.shape
-    top = levels[0]
-    x0, _, y0, _ = top.bbox()
-    wmask = top.mask()
-    bh, bw = wmask.shape
-    # Pixel (r, c)'s window box is padded[r : r + bh, c : c + bw].
-    padded = np.zeros((h + bh - 1, w + bw - 1, bands))
-    padded[-y0 : h - y0, -x0 : w - x0] = vals
-    inside = np.zeros(padded.shape[:2], dtype=bool)
-    inside[-y0 : h - y0, -x0 : w - x0] = True
-    box_vals = sliding_window_view(padded, (bh, bw, bands))[:, :, 0]
-    box_in = sliding_window_view(inside, (bh, bw))
-    step = max(1, CHUNK_SAMPLES // (bh * bw * bands))
-    out = np.empty(h * w, dtype=bool)
-    for p0 in range(0, h * w, step):
-        rs, cs = np.divmod(np.arange(p0, min(h * w, p0 + step)), w)
-        cur, msk = _layers(box_vals[rs, cs], box_in[rs, cs] & wmask, levels,
-                           model.neighborhood)
-        out[p0 : p0 + len(rs)] = evaluate_batch(cur, msk, model)
-    return out.reshape(h, w)
+    h, w, _ = vals.shape
+    x0, x1, y0, y1 = levels[0].bbox()
+    reach = ((-y0, y1), (-x0, x1))
+    inside = np.pad(np.ones((h, w), dtype=bool), reach)
+    maps = [(np.pad(vals, reach + ((0, 0),)), inside)]
+    everywhere = np.ones_like(inside)
+    ids = dict.fromkeys(levels[0].offsets, 0)  # window position -> map id
+    g = model.neighborhood.offsets
+    for dst in levels[1:]:
+        keys = {o: _reads(ids, o, g) for o in dst.offsets}
+        distinct = {key: i for i, key in enumerate(dict.fromkeys(keys.values()))}
+        maps = [_layer(maps, key, everywhere) for key in distinct]
+        ids = {o: distinct[key] for o, key in keys.items()}
+    nbrs = model.neighbor_offsets()
+    terms: dict[tuple, np.ndarray] = {}
+    energy = np.zeros((h, w))
+    size = np.zeros((h, w))
+    for dx, dy in sorted(ids, key=lambda o: (o[1], o[0])):
+        key = (ids[dx, dy], _reads(ids, (dx, dy), nbrs))
+        center = maps[key[0]]
+        if key not in terms:
+            terms[key] = _site_terms(*center, *_neighbor_sums(maps, key[1], inside.shape), model)
+        rows, cols = slice(dy - y0, dy - y0 + h), slice(dx - x0, dx - x0 + w)
+        energy += terms[key][rows, cols]
+        size += center[1][rows, cols]
+    return energy / size <= model.rho

@@ -1,5 +1,6 @@
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -261,6 +262,18 @@ def test_run_level_validates_inputs():
         run_level(p, img, 1, cfg, perm[:-1])
     with pytest.raises(ValueError):
         run_level(singletons_full(Lattice(2, 2)), img, 1, cfg, perm)
+
+
+@pytest.mark.parametrize("lat", [Lattice(2**30 + 1, 1), Lattice(2**16, 2**16)],
+                         ids=["line", "square"])
+def test_lattices_beyond_int32_labels_rejected(lat):
+    """Over 2**30 pixels a level's fresh labels could pass int32, so both
+    entry points refuse before allocating anything for the lattice."""
+    huge = SimpleNamespace(lattice=lat)
+    with pytest.raises(ValueError, match="int32 labels"):
+        run_mcv(huge, McvConfig(max_level=1))
+    with pytest.raises(ValueError, match="int32 labels"):
+        run_level(huge, huge, 1, McvConfig(max_level=1), None)
 
 
 def test_run_level_accepts_any_total_labeling():

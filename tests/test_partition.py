@@ -31,6 +31,18 @@ def test_singletons_raster_labels():
     assert not p.is_total
 
 
+@pytest.mark.parametrize("x", [(0, 0), (4, 1), (1, 3)])
+def test_off_lattice_pixels_rejected(x):
+    """A pixel off the lattice has no label; it must not wrap around to
+    the last row or column."""
+    p = singletons_full(Lattice(3, 2))
+    with pytest.raises(ValueError, match="outside 3x2 lattice"):
+        p.label_at(x)
+    with pytest.raises(ValueError, match="outside 3x2 lattice"):
+        m_step(x, p, NINE_NEIGHBORHOOD)
+    assert p.is_total and p.block_count() == 6
+
+
 def test_singletons_full_is_total():
     p = singletons_full(Lattice(3, 2))
     assert p.is_total

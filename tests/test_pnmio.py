@@ -18,6 +18,13 @@ def test_load_p2_plain():
     assert img.value_at((1, 2))[0] == 30.0
 
 
+@pytest.mark.parametrize("x", [(0, 0), (4, 1), (1, 3)])
+def test_value_at_rejects_off_lattice_pixels(x):
+    img = ImageBuffer(Lattice(3, 2), 1, np.zeros((2, 3, 1)), 255)
+    with pytest.raises(ValueError, match="outside 3x2 lattice"):
+        img.value_at(x)
+
+
 def test_load_p5_raw():
     data = b"P5\n2 2\n255\n" + bytes([1, 2, 3, 4])
     img = load_pnm(data)

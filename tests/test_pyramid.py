@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcvseg import pyramid
 from mcvseg.driver import ConfigError, McvConfig
 from mcvseg.geometry import (FIVE_NEIGHBORHOOD, NINE_NEIGHBORHOOD, Window,
                              WindowGeom, dilate, square_window)
@@ -290,15 +289,40 @@ direct_windows = st.sets(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
                          max_size=12).map(lambda offs: Window(tuple(offs | {(0, 0)})))
 
 
+# Squares of radius 1-3 with holes: dense windows, so that a coarser
+# layer of a chain cut from one has many positions that read alike.
+holed_squares = st.integers(1, 3).map(square_window).flatmap(
+    lambda sq: st.sets(st.sampled_from([o for o in sq.offsets if o != (0, 0)])).map(
+        lambda holes: Window(tuple(set(sq.offsets) - holes))))
+
+
+def nested_chain(data):
+    """A custom chain of up to three windows: a ``holed_squares`` window,
+    then the window before with some offsets dropped, while any are left
+    to drop. Such chains may break the containment ``dst + g <= src`` of
+    the dilation chains, so positions of the coarsest layer can read
+    different maps at the same offsets."""
+    levels = (data.draw(holed_squares, label="window"),)
+    while len(levels) < 3 and len(levels[-1]) > 1:
+        inner = sorted(set(levels[-1].offsets) - {(0, 0)})
+        dropped = data.draw(st.sets(st.sampled_from(inner), min_size=1), label="dropped")
+        levels += (Window(tuple(set(levels[-1].offsets) - dropped)),)
+    return levels
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_verdict_map_matches_per_pixel_reference(data):
     g = data.draw(neighborhoods, label="g")
-    radii = sorted(data.draw(st.sets(st.integers(1, 3), min_size=1), label="radii"),
-                   reverse=True)
-    levels = tuple(dilate(g, i) for i in radii)
-    if len(levels) == 1 and data.draw(st.booleans(), label="any window"):
-        levels = (data.draw(direct_windows, label="window"),)
+    kind = data.draw(st.sampled_from(("dilations", "window", "chain")), label="kind")
+    if kind == "dilations":
+        radii = sorted(data.draw(st.sets(st.integers(1, 3), min_size=1), label="radii"),
+                       reverse=True)
+        levels = tuple(dilate(g, i) for i in radii)
+    elif kind == "window":
+        levels = (data.draw(direct_windows | holed_squares, label="window"),)
+    else:
+        levels = nested_chain(data)
     h = data.draw(st.integers(1, 12), label="h")
     w = data.draw(st.integers(1, 12), label="w")
     bands = data.draw(st.integers(1, 3), label="bands")
@@ -308,7 +332,8 @@ def test_verdict_map_matches_per_pixel_reference(data):
                          (h, w, bands)).astype(np.float64)
     metric = data.draw(st.sampled_from(("euclidean", "per_band_abs")), label="metric")
     # rho is one pixel's exact reference energy, so at least one window
-    # sits exactly on the threshold.
+    # sits exactly on the threshold, and fails it one ulp lower: any other
+    # energy for that window flips one of the two verdicts.
     r0 = data.draw(st.integers(0, h - 1), label="tie row")
     c0 = data.draw(st.integers(0, w - 1), label="tie col")
     rho = per_pixel_energy(samples, levels, MrfModel(g, metric=metric), r0, c0)
@@ -317,20 +342,22 @@ def test_verdict_map_matches_per_pixel_reference(data):
     assert got.dtype == bool and got.shape == (h, w)
     assert np.array_equal(got, per_pixel_verdicts(samples, levels, model))
     assert got[r0, c0]
+    if rho > 0:
+        below = MrfModel(g, metric=metric, rho=np.nextafter(rho, 0.0))
+        assert not verdict_map(samples, levels, below)[r0, c0]
 
 
-# Samples per chunk for 5x5 gray windows on a 7x10 image: one window,
-# four windows (the last chunk is short), the whole image.
-@pytest.mark.parametrize("chunk", [1, 4 * 25, 70 * 25])
-def test_verdict_map_chunks_agree(chunk, monkeypatch):
-    """Chunk boundaries change nothing, and an (h, w) gray image scores
-    like its one-band form."""
-    rng = np.random.default_rng(9)
+# Noise seeds: the whole image is scored in one pass, so the check is
+# repeated over a few noise draws.
+@pytest.mark.parametrize("seed", [1, 100, 1750])
+def test_verdict_map_chunks_agree(seed):
+    """The whole-image map of an (h, w) gray image agrees with the
+    per-pixel reference of its one-band form."""
+    rng = np.random.default_rng(seed)
     samples = np.repeat([[40.0, 160.0]], 7, axis=0).repeat(5, axis=1)
     samples = samples + rng.normal(0, 2, size=samples.shape)
     model = MrfModel(rho=50.0)
     levels = (square_window(2), square_window(1))
     want = per_pixel_verdicts(samples[:, :, None], levels, model)
     assert 0 < want.sum() < want.size
-    monkeypatch.setattr(pyramid, "CHUNK_SAMPLES", chunk)
     assert np.array_equal(verdict_map(samples, levels, model), want)
