@@ -12,11 +12,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
-from .driver import (METRIC_ALIASES, ConfigError, McvConfig, config_updates,
-                     run_mcv)
+from .driver import (EVAL_MODES, METRIC_ALIASES, ConfigError, McvConfig,
+                     config_updates, run_mcv)
 from .geometry import FIVE_NEIGHBORHOOD, NINE_NEIGHBORHOOD
 from .metrics import rand_index
 from .partition import Partition, canonicalize, components_by_class
@@ -35,24 +35,11 @@ def _config_for(args: argparse.Namespace) -> McvConfig:
     updates: dict = {}
     if args.config is not None:
         updates.update(config_updates(Path(args.config).read_text()))
-    if args.levels is not None:
-        updates["max_level"] = args.levels
-    if args.seed is not None:
-        updates["seed"] = args.seed
+    for field in fields(McvConfig):
+        if getattr(args, field.name, None) is not None:
+            updates[field.name] = getattr(args, field.name)
     if args.perm is not None:
         updates.update(_parse_perm_flag(args.perm))
-    if args.rho is not None:
-        updates["rho"] = args.rho
-    if args.temp is not None:
-        updates["temperature"] = args.temp
-    if args.metric is not None:
-        updates["metric"] = args.metric
-    if args.eval is not None:
-        updates["eval_mode"] = args.eval
-    if args.workers is not None:
-        updates["workers"] = args.workers
-    if args.neighborhood is not None:
-        updates["neighborhood"] = args.neighborhood
     cfg = replace(McvConfig(), **updates)
     cfg.validate()
     return cfg
@@ -142,14 +129,17 @@ def build_parser() -> argparse.ArgumentParser:
     seg.add_argument("input", help="input image (any PNM flavor)")
     seg.add_argument("outdir", help="output directory (created if missing)")
     seg.add_argument("--config", help="key=value config file; flags override it")
-    seg.add_argument("--levels", type=int, help="number of levels to run")
+    # Each flag but --perm stores straight into the McvConfig field it sets.
+    seg.add_argument("--levels", dest="max_level", metavar="LEVELS", type=int,
+                     help="number of levels to run")
     seg.add_argument("--seed", type=int, help="seed for the random permutation")
     seg.add_argument("--perm", help="pixel order: raster, random, or file:<path>")
     seg.add_argument("--rho", type=float, help="per-pixel energy acceptance threshold")
-    seg.add_argument("--temp", type=float, help="model temperature")
+    seg.add_argument("--temp", dest="temperature", metavar="TEMP", type=float,
+                     help="model temperature")
     seg.add_argument("--metric", choices=sorted(METRIC_ALIASES),
                      help="deviation metric (l2=euclidean, l1=per_band_abs)")
-    seg.add_argument("--eval", choices=("direct", "pyramid"),
+    seg.add_argument("--eval", dest="eval_mode", choices=EVAL_MODES,
                      help="window evaluation mode")
     seg.add_argument("--workers", type=int, help="recorded in stats.txt; does not change the run")
     seg.add_argument("--neighborhood", type=int, choices=(4, 8),

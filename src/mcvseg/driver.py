@@ -6,13 +6,15 @@ Levels run in order with growing evaluation and merge windows, which
 homogeneity test reads only the raw image, the pixel and the level,
 never the labels, so each level starts by scoring every pixel's
 evaluation window chain in one verdict map (``pyramid.verdict_map``).
-Then the pixels are visited in a fixed permutation: a pixel sitting on a
-label boundary counts as one evaluation and reads its verdict, and an
-accepted verdict merges the bordering blocks inside the level's merge
-window under a fresh label. A level ends by renumbering the labels to
-canonical form, so they stay below twice the pixel count at any level.
-The result is a multiresolution sequence of partitions, deterministic
-for a given configuration.
+Then the pixels are visited in a fixed permutation, an (N,) array of
+0-based row-major pixel indices all the way from the draw or the
+permutation file to the merge loop. A pixel sitting on a label boundary
+counts as one evaluation and reads its verdict, and an accepted verdict
+merges the bordering blocks inside the level's merge window under a
+fresh label. A level ends by renumbering the labels to canonical form,
+so they stay below twice the pixel count at any level. The result is a
+multiresolution sequence of partitions, deterministic for a given
+configuration.
 
 Each accepted merge reads the labels the previous one wrote, so merges
 run in visit order on one thread, but ``_merge_level`` tests a chunk of
@@ -32,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD, Window,
-                       WindowGeom, dilate, square_window)
+                       WindowGeom, dilate)
 from .mrf import MrfModel
 from .partition import Partition, _relabel, canonicalize, singletons_full
 from .pnmio import ImageBuffer
@@ -108,21 +110,14 @@ class McvConfig:
             return (self.eval_window(level),)
         return tuple(self.eval_window(i) for i in range(level, 0, -1))
 
-    def merge_window(self, level: int) -> Window:
-        """The level's merge window as an explicit Window. At high levels
-        the default square is huge; the run loop uses ``merge_geom``."""
+    def merge_geom(self, level: int) -> WindowGeom:
+        """The level's merge window as a ``WindowGeom`` to clip with; the
+        default square of radius 2^level is never materialized."""
         if not 1 <= level <= self.max_level:
             raise ValueError(f"level {level} outside 1..{self.max_level}")
         if self.merge_windows is not None:
-            return self.merge_windows[level - 1]
-        return square_window(2 ** level)
-
-    def merge_geom(self, level: int) -> WindowGeom:
-        """``merge_window(level)`` as a ``WindowGeom`` to clip with; the
-        default square is never materialized."""
-        if self.merge_windows is None and 1 <= level <= self.max_level:
-            return WindowGeom.square(2 ** level)
-        return WindowGeom.of(self.merge_window(level))
+            return WindowGeom.of(self.merge_windows[level - 1])
+        return WindowGeom.square(2 ** level)
 
     def validate(self) -> None:
         for name in ("max_level", "seed", "neighborhood", "workers"):
@@ -253,13 +248,9 @@ class PartitionSequence:
         return [s.region_count for s in self.stats]
 
 
-def _pixel_pairs(flat: np.ndarray, lat: Lattice) -> np.ndarray:
-    """(col, row) pairs of 0-based row-major pixel indices."""
-    return np.stack([flat % lat.width + 1, flat // lat.width + 1], axis=1)
-
-
 def permutation(kind: str, lat: Lattice, seed: int | Sequence[int] = 0) -> np.ndarray:
-    """Pixel visiting order as an (N, 2) array of (col, row) pairs.
+    """Pixel visiting order as an (N,) array of 0-based row-major pixel
+    indices, the permutation file's format.
 
     ``raster`` is row-major order; ``random`` shuffles it with
     numpy.random.default_rng(seed), i.e. a Fisher-Yates pass driven by the
@@ -268,8 +259,8 @@ def permutation(kind: str, lat: Lattice, seed: int | Sequence[int] = 0) -> np.nd
     if kind not in ("raster", "random"):
         raise ValueError(f"kind must be 'raster' or 'random', got {kind!r}")
     if kind == "raster":
-        return _pixel_pairs(np.arange(lat.size, dtype=np.int64), lat)
-    return _pixel_pairs(np.random.default_rng(seed).permutation(lat.size), lat)
+        return np.arange(lat.size, dtype=np.int64)
+    return np.random.default_rng(seed).permutation(lat.size)
 
 
 def load_permutation(text: str, lat: Lattice) -> np.ndarray:
@@ -287,19 +278,18 @@ def load_permutation(text: str, lat: Lattice) -> np.ndarray:
             raise ValueError(f"permutation file line {ln}: not an integer: {s!r}")
         if not 0 <= values[-1] < lat.size:
             raise ValueError(f"permutation file line {ln}: {s} is not a pixel index")
-    return _check_perm(_pixel_pairs(np.array(values, dtype=np.int64), lat), lat)
+    return _check_perm(np.array(values, dtype=np.int64), lat)
 
 
 def _check_perm(perm: np.ndarray, lat: Lattice) -> np.ndarray:
     perm = np.asarray(perm)
-    if perm.shape != (lat.size, 2):
-        raise ValueError(f"permutation must list {lat.size} (col, row) pairs, "
-                         f"got shape {perm.shape}")
-    flat = (perm[:, 1] - 1) * lat.width + (perm[:, 0] - 1)
-    if flat.min() < 0 or flat.max() >= lat.size:
+    if perm.shape != (lat.size,) or perm.dtype.kind not in "iu":
+        raise ValueError(f"permutation must list {lat.size} pixel indices, "
+                         f"got shape {perm.shape} of {perm.dtype}")
+    if perm.min() < 0 or perm.max() >= lat.size:
         raise ValueError("permutation contains out-of-lattice pixels")
     seen = np.zeros(lat.size, dtype=bool)
-    seen[flat] = True
+    seen[perm] = True
     if not seen.all():
         raise ValueError("pixel sequence is not a permutation of the lattice")
     return perm
@@ -311,10 +301,11 @@ MERGE_CHUNK = 16
 
 def _merge_level(labels: np.ndarray, verdict: np.ndarray, perm: np.ndarray,
                  w0: Window, psi: WindowGeom) -> tuple[int, int]:
-    """Visit the (col, row) pixels of ``perm`` in order on ``labels``, in
-    place. A visit whose w0-window holds another label is one evaluation;
-    if its bool ``verdict`` is set, the pixels of its psi-window whose label
-    is in its w0-window take a fresh label. Returns (evaluations, accepted).
+    """Visit the row-major pixel indices of ``perm`` in order on
+    ``labels``, in place. A visit whose w0-window holds another label is
+    one evaluation; if its bool ``verdict`` is set, the pixels of its
+    psi-window whose label is in its w0-window take a fresh label.
+    Returns (evaluations, accepted).
 
     Visits are tested ``MERGE_CHUNK`` at a time in one gather, an
     out-of-lattice neighbor reading as the center's own label, as if
@@ -329,12 +320,12 @@ def _merge_level(labels: np.ndarray, verdict: np.ndarray, perm: np.ndarray,
         raise ValueError("labels must be C-contiguous")
     h, w = labels.shape
     flat, offsets = labels.reshape(-1), w0.offset_array()
-    cols, rows = perm[:, 0] - 1, perm[:, 1] - 1
+    rows, cols = np.divmod(perm, w)
     nr, nc = rows[:, None] + offsets[:, 1], cols[:, None] + offsets[:, 0]
     inside = (nr >= 0) & (nr < h) & (nc >= 0) & (nc < w)
-    neighbors = np.where(inside, nr * w + nc, (rows * w + cols)[:, None])
+    neighbors = np.where(inside, nr * w + nc, perm[:, None])
     me = w0.offsets.index((0, 0))
-    hits = verdict.reshape(-1)[neighbors[:, me]]
+    hits = verdict.ravel()[perm]
     fresh = int(labels.max()) + 1
     table = np.zeros(fresh + len(perm), dtype=bool)
     evaluations = accepted = pos = 0
@@ -348,7 +339,7 @@ def _merge_level(labels: np.ndarray, verdict: np.ndarray, perm: np.ndarray,
         pos += j
         if j < len(block):
             table[block[j]] = True
-            _relabel(labels, *psi.clip(*divmod(int(neighbors[pos, me]), w), h, w), table, fresh)
+            _relabel(labels, *psi.clip(*divmod(int(perm[pos]), w), h, w), table, fresh)
             table[block[j]] = False
             accepted, fresh, pos = accepted + 1, fresh + 1, pos + 1
     return evaluations, accepted
@@ -372,8 +363,9 @@ def _run_level_inplace(labels: np.ndarray, omega: ImageBuffer, level: int,
 
 def run_level(p: Partition, omega: ImageBuffer, i: int, cfg: McvConfig,
               perm: np.ndarray) -> tuple[Partition, LevelStats]:
-    """Execute one level over a copy of ``p`` and return the result, in
-    canonical form, with stats."""
+    """Execute one level over a copy of ``p``, visiting the row-major
+    pixel indices of ``perm``, and return the result, in canonical form,
+    with stats."""
     _check_label_room(p.lattice)
     if p.lattice != omega.lattice:
         raise ValueError("partition and image live on different lattices")

@@ -2,14 +2,16 @@
 
 The energy of a patch is the summed squared deviation of each pixel from
 the mean of its in-region neighbors; a patch is acceptable when the
-per-pixel energy falls below the model threshold. ``_neighbor_sums``
-adds the neighbors, for the energy and every pyramid layer alike.
-``_ordered_sum`` adds a window's terms one at a time in row-major order,
-and a term's bands in order, so ``energy``, the Gibbs and Metropolis
-tables and ``pyramid.verdict_map`` give bitwise the same energy of a
-window. The Boltzmann distribution this energy induces is enumerable for
-tiny state spaces, which gives an exact oracle for the threshold
-equivalence and a target for the Metropolis calibration.
+per-pixel energy falls below the model threshold. The AR predictor is
+one layer of the net: ``_neighbor_means`` predicts each pixel for the
+energy and gives every pyramid layer alike. ``_ordered_sum`` adds a
+window's terms one at a time in row-major order, and a term's bands in
+order, so ``energy``, the Gibbs and Metropolis tables and
+``pyramid.verdict_map`` give bitwise the same energy of a window; the
+Metropolis chain adds its energy changes in one fixed order too. The
+Boltzmann distribution this energy induces is enumerable for tiny state
+spaces, which gives an exact oracle for the threshold equivalence and a
+target for the Metropolis calibration.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -68,16 +72,18 @@ def _as_bands(values: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _neighbor_sums(sources: Sequence[tuple[np.ndarray, np.ndarray]],
-                   reads: Iterable[tuple[Offset, int]], shape: tuple[int, int],
-                   dy0: int = 0, dx0: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Per-band sums (..., *shape, bands) and float counts (..., *shape)
-    of in-mask reads on a ``shape`` grid, whose position (i, j) sits at
+def _neighbor_means(sources: Sequence[tuple[np.ndarray, np.ndarray]],
+                    reads: Iterable[tuple[Offset, int]], out_mask: np.ndarray,
+                    dy0: int = 0, dx0: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """One layer of the net: per-band means (..., h, w, bands) of the
+    in-mask reads at each (..., h, w) ``out_mask`` position, and the
+    mask, off where a position has no read. Position (i, j) sits at
     source position (i + dy0, j + dx0). ``sources`` holds (values, mask)
     pairs of one shape, (..., hs, ws, bands) values zero off the
     (..., hs, ws) mask. Each ((dx, dy), k) read, in order, adds source
-    k at (i + dy0 + dy, j + dx0 + dx), or nothing off the source."""
-    h, w = shape
+    k at (i + dy0 + dy, j + dx0 + dx), or nothing off the source; the
+    sum is divided once."""
+    h, w = out_mask.shape[-2:]
     values, mask = sources[0]
     *lead, hs, ws = mask.shape
     sums = np.zeros((*lead, h, w, values.shape[-1]))
@@ -91,7 +97,10 @@ def _neighbor_sums(sources: Sequence[tuple[np.ndarray, np.ndarray]],
         rows, cols = slice(i0 + ry, i1 + ry), slice(j0 + rx, j1 + rx)
         sums[..., i0:i1, j0:j1, :] += sources[k][0][..., rows, cols, :]
         counts[..., i0:i1, j0:j1] += sources[k][1][..., rows, cols]
-    return sums, counts
+    present = out_mask & (counts > 0)
+    means = np.divide(sums, counts[..., None], out=np.zeros(sums.shape),
+                      where=present[..., None])
+    return means, present
 
 
 def _ordered_sum(x: np.ndarray) -> np.ndarray:
@@ -101,14 +110,13 @@ def _ordered_sum(x: np.ndarray) -> np.ndarray:
     return x[..., 0] if x.shape[-1] == 1 else np.add.accumulate(x, axis=-1)[..., -1]
 
 
-def _site_terms(vals: np.ndarray, region: np.ndarray, sums: np.ndarray,
-                counts: np.ndarray, model: MrfModel) -> np.ndarray:
-    """Per-pixel energy terms as a dense map, from the in-region neighbor
-    ``sums`` and ``counts`` (``_neighbor_sums``): zero at every pixel
-    outside the region or without an in-region neighbor. The zeros leave
-    a window's ordered sum unchanged, since ``x + 0.0 == x``."""
-    has = region & (counts > 0)
-    pred = np.divide(sums, counts[..., None], out=np.zeros(sums.shape), where=has[..., None])
+def _site_terms(vals: np.ndarray, pred: np.ndarray, has: np.ndarray,
+                model: MrfModel) -> np.ndarray:
+    """Per-pixel energy terms as a dense map, from the AR prediction
+    ``pred`` of ``vals`` and its mask ``has`` (``_neighbor_means`` over
+    the region): zero at every pixel outside the region or without an
+    in-region neighbor. The zeros leave a window's ordered sum
+    unchanged, since ``x + 0.0 == x``."""
     diff = pred - vals
     if model.metric == "euclidean":
         return _ordered_sum(diff * diff) * has
@@ -129,9 +137,9 @@ def energy(values: np.ndarray, model: MrfModel, mask: np.ndarray | None = None) 
         raise ValueError(f"mask shape {region.shape} != patch shape {(h, w)}")
     if not region.any():
         raise ValueError("region is empty")
-    sums, counts = _neighbor_sums([(vals * region[..., None], region)],
-                                  [(o, 0) for o in model.neighbor_offsets()], (h, w))
-    return float(_ordered_sum(_site_terms(vals, region, sums, counts, model).ravel()))
+    pred = _neighbor_means([(vals * region[..., None], region)],
+                           [(o, 0) for o in model.neighbor_offsets()], region)
+    return float(_ordered_sum(_site_terms(vals, *pred, model).ravel()))
 
 
 def evaluate(values: np.ndarray, model: MrfModel, mask: np.ndarray | None = None) -> int:
@@ -237,11 +245,7 @@ def calibrate_rho(patch_shape: tuple[int, int], values: Sequence, model: MrfMode
     k = len(pixels)
     table = _neighbor_table(pixels, model)
     # terms affected by a change at site j: j itself plus sites with j as neighbor
-    affected: list[list[int]] = [[j] for j in range(k)]
-    for i, nbrs in enumerate(table):
-        for j in nbrs:
-            if i not in affected[j]:
-                affected[j].append(i)
+    affected = [[j] + [i for i, nbrs in enumerate(table) if j in nbrs] for j in range(k)]
 
     rng = np.random.default_rng(seed)
     state = [values[int(i)] for i in rng.integers(0, len(values), size=k)]
@@ -255,7 +259,8 @@ def calibrate_rho(patch_shape: tuple[int, int], values: Sequence, model: MrfMode
         old_terms = [terms[i] for i in affected[site]]
         state[site] = proposal
         new_terms = [_site_term(state, i, table, model.metric) for i in affected[site]]
-        delta = sum(new_terms) - sum(old_terms)
+        # added in order: the builtin sum is compensated from Python 3.12
+        delta = reduce(add, new_terms, 0.0) - reduce(add, old_terms, 0.0)
         if delta <= 0 or rng.random() < math.exp(-delta * t_inv):
             for i, term in zip(affected[site], new_terms):
                 terms[i] = term

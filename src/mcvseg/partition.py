@@ -129,30 +129,21 @@ def m_step(x: Pixel, p: Partition, w0: Window) -> Partition:
     return Partition(p.lattice, out)
 
 
-def _fuse_at(labels: np.ndarray, blocks: list[list[int]], sizes: list[int],
-             window_labels: np.ndarray) -> None:
+def _fuse_at(labels: np.ndarray, blocks: list[list[int]], window_labels: np.ndarray) -> None:
     """In-place operator step on the list-backed label map: fuse every
     block with a pixel in the window into the largest of them.
     Relabeling smaller blocks into the largest keeps total relabel work
     O(N log N) over a full run."""
-    members = np.unique(window_labels[window_labels != ABSENT])
-    if members.size < 2:
+    members = np.unique(window_labels[window_labels != ABSENT]).tolist()
+    if len(members) < 2:
         return
-    target = int(members[0])
-    for lab in members[1:]:
-        if sizes[int(lab)] > sizes[target]:
-            target = int(lab)
+    target = max(members, key=lambda lab: len(blocks[lab]))
     view = labels.ravel()
     for lab in members:
-        lab = int(lab)
-        if lab == target:
-            continue
-        for f in blocks[lab]:
-            view[f] = target
-        blocks[target].extend(blocks[lab])
-        sizes[target] += sizes[lab]
-        blocks[lab] = []
-        sizes[lab] = 0
+        if lab != target:
+            view[blocks[lab]] = target
+            blocks[target].extend(blocks[lab])
+            blocks[lab] = []
 
 
 def connected_components(S: Iterable[Pixel], w0: Window,
@@ -166,17 +157,12 @@ def connected_components(S: Iterable[Pixel], w0: Window,
     pixel_set = set(S)
     if len(order) != len(pixel_set) or set(order) != pixel_set:
         raise ValueError("order must be a permutation of S")
-    p = singletons(pixel_set, lat)
-    labels = p.labels
-    width = lat.width
-    blocks: list[list[int]] = []
-    sizes: list[int] = []
-    for c, r in sorted(pixel_set, key=lambda q: (q[1], q[0])):
-        blocks.append([(r - 1) * width + (c - 1)])
-        sizes.append(1)
+    labels = singletons(pixel_set, lat).labels
+    # singletons labels in raster order, so block k holds the k-th pixel
+    blocks = [[f] for f in np.flatnonzero(labels != ABSENT).tolist()]
     geom = WindowGeom.of(w0)
     for x in order:
-        _fuse_at(labels, blocks, sizes, _window_labels(labels, x, geom))
+        _fuse_at(labels, blocks, _window_labels(labels, x, geom))
     return Partition(lat, labels)
 
 

@@ -3,10 +3,11 @@
 A window is scored directly, or its resolution is lowered step by step
 down a coarse-ward window chain (``check_chain``) to the base
 neighborhood, where the energy is thresholded as ``mrf.evaluate`` does.
-Each step is one ``_layer`` of plain means over the model's
-neighborhood (``mrf._neighbor_sums``): nothing is learned, every weight
-is wired to one. ``pyramid_evaluate`` runs the net on one window, and
-``verdict_map`` slides it over a whole image as a convolution.
+Each step is one layer of plain means over the model's neighborhood
+(``mrf._neighbor_means``, which is the AR predictor too): nothing is
+learned, every weight is wired to one. ``pyramid_evaluate`` runs the net
+on one window, and ``verdict_map`` slides it over a whole image as a
+convolution.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import Offset, Window, dilate
-from .mrf import MrfModel, _as_bands, _neighbor_sums, _site_terms, evaluate
+from .mrf import MrfModel, _as_bands, _neighbor_means, _site_terms, evaluate
 
 
 def check_chain(levels) -> tuple[Window, ...]:
@@ -42,17 +43,6 @@ def _on_window(values, mask, window: Window) -> tuple[np.ndarray, np.ndarray]:
     return values * mask[..., None], mask
 
 
-def _layer(sources, reads, out_mask: np.ndarray, dy0: int = 0,
-           dx0: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """The means of each ``out_mask`` position's ``_neighbor_sums`` reads,
-    and the mask, off where a position has none."""
-    sums, counts = _neighbor_sums(sources, reads, out_mask.shape[-2:], dy0, dx0)
-    present = out_mask & (counts > 0)
-    means = np.divide(sums, counts[..., None], out=np.zeros(sums.shape),
-                      where=present[..., None])
-    return means, present
-
-
 def downsample(values: np.ndarray, mask: np.ndarray, src_window: Window,
                out_window: Window, g: Window) -> tuple[np.ndarray, np.ndarray]:
     """One resolution-lowering step.
@@ -67,8 +57,8 @@ def downsample(values: np.ndarray, mask: np.ndarray, src_window: Window,
     values, mask = _on_window(values, mask, src_window)
     ox0, _, oy0, _ = out_window.bbox()
     sx0, _, sy0, _ = src_window.bbox()
-    return _layer([(values, mask)], [(d, 0) for d in g.offsets], out_window.mask(),
-                  oy0 - sy0, ox0 - sx0)
+    return _neighbor_means([(values, mask)], [(d, 0) for d in g.offsets],
+                           out_window.mask(), oy0 - sy0, ox0 - sx0)
 
 
 def make_pyramid_evaluator(model: MrfModel, max_level: int) -> tuple[Window, ...]:
@@ -104,11 +94,11 @@ def verdict_map(samples: np.ndarray, levels, model: MrfModel) -> np.ndarray:
     The net slides over the image padded by the first window's reach.
     Map 0 is the image. Window positions that read alike, the same
     (g offset, map id) of each g-neighbor inside the source window,
-    share one whole-image ``_layer`` map. Per base-window position, in
-    row-major box order, the energy adds a term map (``_site_terms``,
-    keyed alike) and the size a mask, shifted onto the pixels. Only
-    reads and terms of +0.0 are left out, so the verdicts are bitwise
-    ``pyramid_evaluate``'s."""
+    share one whole-image ``_neighbor_means`` map. Per base-window
+    position, in row-major box order, the energy adds a term map
+    (``_site_terms`` of the AR prediction, keyed alike) and the size a
+    mask, shifted onto the pixels. Only reads and terms of +0.0 are left
+    out, so the verdicts are bitwise ``pyramid_evaluate``'s."""
     levels = check_chain(levels)
     vals = _as_bands(samples)
     h, w, _ = vals.shape
@@ -122,7 +112,7 @@ def verdict_map(samples: np.ndarray, levels, model: MrfModel) -> np.ndarray:
     for dst in levels[1:]:
         keys = {o: _reads(ids, o, g) for o in dst.offsets}
         distinct = {key: i for i, key in enumerate(dict.fromkeys(keys.values()))}
-        maps = [_layer(maps, key, everywhere) for key in distinct]
+        maps = [_neighbor_means(maps, key, everywhere) for key in distinct]
         ids = {o: distinct[key] for o, key in keys.items()}
     nbrs = model.neighbor_offsets()
     terms: dict[tuple, np.ndarray] = {}
@@ -132,7 +122,7 @@ def verdict_map(samples: np.ndarray, levels, model: MrfModel) -> np.ndarray:
         key = (ids[dx, dy], _reads(ids, (dx, dy), nbrs))
         center = maps[key[0]]
         if key not in terms:
-            terms[key] = _site_terms(*center, *_neighbor_sums(maps, key[1], inside.shape), model)
+            terms[key] = _site_terms(center[0], *_neighbor_means(maps, key[1], center[1]), model)
         rows, cols = slice(dy - y0, dy - y0 + h), slice(dx - x0, dx - x0 + w)
         energy += terms[key][rows, cols]
         size += center[1][rows, cols]

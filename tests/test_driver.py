@@ -25,9 +25,14 @@ def gray(values, max_value=255):
     return ImageBuffer(lat, 1, arr[:, :, None], max_value)
 
 
+def _pixel_pairs(perm, width):
+    """The 1-based (col, row) pixels the oracles take, of row-major indices."""
+    return [(i % width + 1, i // width + 1) for i in perm.tolist()]
+
+
 def test_permutation_raster_two_by_two():
     lat = Lattice(2, 2)
-    assert permutation("raster", lat).tolist() == [[1, 1], [2, 1], [1, 2], [2, 2]]
+    assert permutation("raster", lat).tolist() == [0, 1, 2, 3]
 
 
 def test_permutation_random_deterministic():
@@ -42,7 +47,8 @@ def test_permutation_random_deterministic():
 def test_permutation_random_covers_lattice():
     lat = Lattice(3, 3)
     out = permutation("random", lat, seed=0)
-    assert sorted(map(tuple, out.tolist())) == sorted(lat.pixels())
+    assert out.shape == (9,)
+    assert sorted(out.tolist()) == list(range(9))
 
 
 def test_permutation_rejects_unknown_kind():
@@ -54,7 +60,7 @@ def test_load_permutation_good():
     lat = Lattice(2, 2)
     text = "# visiting order\n3\n2\n1\n0\n"
     out = load_permutation(text, lat)
-    assert out.tolist() == [[2, 2], [1, 2], [2, 1], [1, 1]]
+    assert out.tolist() == [3, 2, 1, 0]
 
 
 def test_load_permutation_errors():
@@ -129,13 +135,14 @@ def test_config_window_defaults():
     cfg = McvConfig(max_level=3)
     assert cfg.w0 == NINE_NEIGHBORHOOD
     assert cfg.eval_window(2) == dilate(NINE_NEIGHBORHOOD, 2)
-    assert cfg.merge_window(1) == square_window(2)
-    assert cfg.merge_window(3) == square_window(8)
+    assert cfg.merge_geom(1) == WindowGeom.of(square_window(2))
+    assert cfg.merge_geom(3) == WindowGeom.of(square_window(8))
     assert McvConfig(neighborhood=4).w0 == FIVE_NEIGHBORHOOD
     with pytest.raises(ValueError):
         cfg.eval_window(4)
-    with pytest.raises(ValueError):
-        cfg.merge_geom(0)
+    for level in (0, 4):
+        with pytest.raises(ValueError):
+            cfg.merge_geom(level)
     assert cfg.eval_chain(3) == (cfg.eval_window(3),)
     assert replace(cfg, eval_mode="pyramid").eval_chain(3) == tuple(
         dilate(NINE_NEIGHBORHOOD, i) for i in (3, 2, 1))
@@ -147,7 +154,7 @@ def test_config_window_defaults():
     diamonds = McvConfig(max_level=2, merge_windows=tuple(
         dilate(FIVE_NEIGHBORHOOD, 2 * i) for i in (1, 2)))
     for i in (1, 2):
-        geom, want = diamonds.merge_geom(i), WindowGeom.of(diamonds.merge_window(i))
+        geom, want = diamonds.merge_geom(i), WindowGeom.of(diamonds.merge_windows[i - 1])
         assert geom.mask is not None
         assert (geom.bx0, geom.bx1, geom.by0, geom.by1) == (want.bx0, want.bx1,
                                                              want.by0, want.by1)
@@ -258,8 +265,10 @@ def test_run_level_validates_inputs():
     perm = permutation("raster", img.lattice)
     with pytest.raises(ValueError):
         run_level(p, img, 2, cfg, perm)
-    with pytest.raises(ValueError):
-        run_level(p, img, 1, cfg, perm[:-1])
+    pairs = np.stack([perm % 3 + 1, perm // 3 + 1], axis=1)  # (col, row), not indices
+    for bad in (perm[:-1], perm.astype(float), pairs):
+        with pytest.raises(ValueError):
+            run_level(p, img, 1, cfg, bad)
     with pytest.raises(ValueError):
         run_level(singletons_full(Lattice(2, 2)), img, 1, cfg, perm)
 
@@ -468,8 +477,8 @@ def test_run_mcv_matches_set_reference(data):
             assume(abs(q - cfg.rho) > 1e-9 * max(1.0, q, cfg.rho))
 
     want = run_mcv_reference(values, width, height,
-                             [[tuple(int(v) for v in p) for p in perm] for perm in perms],
-                             w0, chains, [cfg.merge_window(i).offsets for i in levels],
+                             [_pixel_pairs(perm, width) for perm in perms],
+                             w0, chains, [square_window(2 ** i).offsets for i in levels],
                              cfg.rho, metric)
     got = run_mcv(ImageBuffer(lat, bands, samples, 255), cfg)
     for part, st_, (blocks, evaluations, accepted) in zip(got.levels, got.stats, want):
@@ -521,7 +530,7 @@ def test_merge_level_matches_sequential_reference(data):
         psi = w0
 
     want, evaluations, accepted = merge_level_reference(
-        labels, verdict, perm.tolist(), w0.offsets, psi.offsets)
+        labels, verdict, _pixel_pairs(perm, width), w0.offsets, psi.offsets)
     real = driver._relabel
 
     def bounded(*args):

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -170,6 +171,20 @@ def test_calibrate_rho_deterministic():
     c = calibrate_rho((2, 2), [0.0, 1.0], model, samples=500, seed=10)
     assert a == b
     assert a != c
+
+
+@pytest.mark.parametrize("values, metric", [
+    ([0.0, 0.3, 1.7], "euclidean"),
+    ([(0.0, 0.3, 1.7), (1.7, 0.0, 0.3), (0.3, 1.7, 0.0)], "per_band_abs"),
+], ids=["gray", "rgb"])
+def test_calibrate_rho_does_not_depend_on_builtin_sum(values, metric):
+    """The chain adds its energy changes in one fixed order, so a
+    compensated builtin ``sum`` (Python 3.12 and later) moves nothing."""
+    model = MrfModel(metric=metric)
+    want = calibrate_rho((3, 3), values, model, samples=2000, seed=0)
+    with mock.patch("builtins.sum", math.fsum):
+        got = calibrate_rho((3, 3), values, model, samples=2000, seed=0)
+    assert got == want
 
 
 def test_calibrate_rho_degenerate_cases():
