@@ -307,23 +307,24 @@ def _merge_level(labels: np.ndarray, verdict: np.ndarray, perm: np.ndarray,
     psi-window whose label is in its w0-window take a fresh label.
     Returns (evaluations, accepted).
 
-    Visits are tested ``MERGE_CHUNK`` at a time in one gather, an
-    out-of-lattice neighbor reading as the center's own label, as if
-    clipped. A chunk is cut at its first accept, whose merge runs before
-    the next chunk starts after it. This is the one-visit-at-a-time loop
-    exactly: no label changed between the gather and the cut, and no
-    test past the cut counts. A merge flags its targets in one bool
-    table over labels: below ``labels.max() + 1``, plus one fresh label
-    per visit at most, so 2N entries on a level that starts canonical.
+    Visits are tested ``MERGE_CHUNK`` at a time in one gather, each read
+    clipped to the lattice: w0 holds (dx, 0) and (0, dy) with each of its
+    offsets (dx, dy), all one step at most, so a clipped read stays in the
+    clipped w0-window. A chunk is cut at its first accept, whose merge
+    runs before the next chunk starts after it. This is the
+    one-visit-at-a-time loop exactly: no label changed between the gather
+    and the cut, and no test past the cut counts. A merge flags its
+    targets in one bool table over labels: below ``labels.max() + 1``,
+    plus one fresh label per visit at most, so 2N entries on a level that
+    starts canonical.
     """
     if not labels.flags.c_contiguous:
         raise ValueError("labels must be C-contiguous")
     h, w = labels.shape
     flat, offsets = labels.reshape(-1), w0.offset_array()
     rows, cols = np.divmod(perm, w)
-    nr, nc = rows[:, None] + offsets[:, 1], cols[:, None] + offsets[:, 0]
-    inside = (nr >= 0) & (nr < h) & (nc >= 0) & (nc < w)
-    neighbors = np.where(inside, nr * w + nc, perm[:, None])
+    neighbors = np.clip(rows[:, None] + offsets[:, 1], 0, h - 1) * w
+    neighbors += np.clip(cols[:, None] + offsets[:, 0], 0, w - 1)
     me = w0.offsets.index((0, 0))
     hits = verdict.ravel()[perm]
     fresh = int(labels.max()) + 1
@@ -366,6 +367,7 @@ def run_level(p: Partition, omega: ImageBuffer, i: int, cfg: McvConfig,
     """Execute one level over a copy of ``p``, visiting the row-major
     pixel indices of ``perm``, and return the result, in canonical form,
     with stats."""
+    cfg.validate()
     _check_label_room(p.lattice)
     if p.lattice != omega.lattice:
         raise ValueError("partition and image live on different lattices")

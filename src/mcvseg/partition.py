@@ -30,7 +30,7 @@ class Partition:
 
     ``labels[row, col]`` is the 0-based storage for the 1-based (col, row)
     lattice; ABSENT marks pixels outside the partition's domain. Labels
-    are int32; a label outside that range raises ValueError, not wraps.
+    are int32; a fractional or out-of-range label raises ValueError.
     """
 
     lattice: Lattice
@@ -38,6 +38,8 @@ class Partition:
 
     def __post_init__(self):
         labels, lim = np.asarray(self.labels), np.iinfo(np.int32)
+        if labels.dtype.kind == "f" and (labels != np.trunc(labels)).any():
+            raise ValueError("labels must be whole numbers")
         if labels.dtype != lim.dtype and not (
                 lim.min <= labels.min(initial=0) <= labels.max(initial=0) <= lim.max):
             raise ValueError(f"labels must lie in {lim.min}..{lim.max}")

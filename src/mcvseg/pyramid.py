@@ -7,7 +7,7 @@ Each step is one layer of plain means over the model's neighborhood
 (``mrf._neighbor_means``, which is the AR predictor too): nothing is
 learned, every weight is wired to one. ``pyramid_evaluate`` runs the net
 on one window, and ``verdict_map`` slides it over a whole image as a
-convolution.
+convolution, whose last mean layer is the energy per pixel.
 """
 
 from __future__ import annotations
@@ -94,10 +94,10 @@ def verdict_map(samples: np.ndarray, levels, model: MrfModel) -> np.ndarray:
     The net slides over the image padded by the first window's reach.
     Map 0 is the image. Window positions that read alike, the same
     (g offset, map id) of each g-neighbor inside the source window,
-    share one whole-image ``_neighbor_means`` map. Per base-window
-    position, in row-major box order, the energy adds a term map
-    (``_site_terms`` of the AR prediction, keyed alike) and the size a
-    mask, shifted onto the pixels. Only reads and terms of +0.0 are left
+    share one whole-image ``_neighbor_means`` map. So does the energy
+    per pixel: that last mean layer reads, per base-window position in
+    row-major box order, a ``_site_terms`` map keyed by its center map
+    and its neighbors' reads. Only reads and terms of +0.0 are left
     out, so the verdicts are bitwise ``pyramid_evaluate``'s."""
     levels = check_chain(levels)
     vals = _as_bands(samples)
@@ -115,15 +115,10 @@ def verdict_map(samples: np.ndarray, levels, model: MrfModel) -> np.ndarray:
         maps = [_neighbor_means(maps, key, everywhere) for key in distinct]
         ids = {o: distinct[key] for o, key in keys.items()}
     nbrs = model.neighbor_offsets()
-    terms: dict[tuple, np.ndarray] = {}
-    energy = np.zeros((h, w))
-    size = np.zeros((h, w))
-    for dx, dy in sorted(ids, key=lambda o: (o[1], o[0])):
-        key = (ids[dx, dy], _reads(ids, (dx, dy), nbrs))
-        center = maps[key[0]]
-        if key not in terms:
-            terms[key] = _site_terms(center[0], *_neighbor_means(maps, key[1], center[1]), model)
-        rows, cols = slice(dy - y0, dy - y0 + h), slice(dx - x0, dx - x0 + w)
-        energy += terms[key][rows, cols]
-        size += center[1][rows, cols]
-    return energy / size <= model.rho
+    keys = {o: (ids[o], _reads(ids, o, nbrs)) for o in sorted(ids, key=lambda o: (o[1], o[0]))}
+    distinct = {key: i for i, key in enumerate(dict.fromkeys(keys.values()))}
+    terms = [(_site_terms(maps[k][0], *_neighbor_means(maps, reads, maps[k][1]), model)[..., None],
+              maps[k][1]) for k, reads in distinct]
+    energy, _ = _neighbor_means(terms, [(o, distinct[key]) for o, key in keys.items()],
+                                np.ones((h, w), dtype=bool), -y0, -x0)
+    return energy[..., 0] <= model.rho

@@ -271,6 +271,16 @@ def test_run_level_validates_inputs():
             run_level(p, img, 1, cfg, bad)
     with pytest.raises(ValueError):
         run_level(singletons_full(Lattice(2, 2)), img, 1, cfg, perm)
+    # A malformed config is refused as run_mcv refuses it, not run with a
+    # fallback or left to fail inside the level.
+    img = gray(np.arange(16.0).reshape(4, 4))
+    p, perm = singletons_full(img.lattice), permutation("raster", img.lattice)
+    for bad in (McvConfig(max_level=1, neighborhood=6),
+                McvConfig(max_level=1, eval_mode="pyramidd"),
+                McvConfig(max_level=1, metric="bogus"),
+                McvConfig(max_level=2, eval_windows=(NINE_NEIGHBORHOOD,))):
+        with pytest.raises(ConfigError):
+            run_level(p, img, bad.max_level, bad, perm)
 
 
 @pytest.mark.parametrize("lat", [Lattice(2**30 + 1, 1), Lattice(2**16, 2**16)],
@@ -493,6 +503,18 @@ def test_run_mcv_matches_set_reference(data):
 def _diamond(r):
     return Window(tuple((dx, dy) for dx in range(-r, r + 1) for dy in range(-r, r + 1)
                         if abs(dx) + abs(dy) <= r))
+
+
+@pytest.mark.parametrize("neighborhood", [4, 8])
+def test_w0_closed_under_clipping(neighborhood):
+    """``_merge_level`` clips its boundary reads to the lattice, which
+    is exact only while a clipped read stays in the clipped w0-window:
+    every offset is one step at most, and zeroing either coordinate of
+    an offset gives an offset of the window."""
+    offsets = set(McvConfig(neighborhood=neighborhood).w0.offsets)
+    for dx, dy in offsets:
+        assert max(abs(dx), abs(dy)) <= 1
+        assert (0, dy) in offsets and (dx, 0) in offsets
 
 
 @settings(max_examples=300, deadline=None)

@@ -179,6 +179,17 @@ def test_partition_rejects_labels_outside_int32():
     assert Partition(lat, exact).labels is exact
 
 
+def test_partition_rejects_fractional_labels():
+    """A fractional label would be cut by the int32 cast, fusing 0.5 and
+    0.7 into one block; whole-number floats keep their blocks."""
+    lat = Lattice(2, 1)
+    for bad in ([[0.5, 0.7]], [[0.0, 1.5]], [[np.nan, 1.0]]):
+        with pytest.raises(ValueError, match="whole numbers"):
+            Partition(lat, np.array(bad))
+    whole = Partition(lat, np.array([[0.0, -1.0]]))
+    assert whole.labels.dtype == np.int32 and whole.labels.tolist() == [[0, -1]]
+
+
 def test_merges_take_negative_and_large_labels():
     """The per-call label tables cover negative and large labels: the
     merges treat them like any other labels."""
