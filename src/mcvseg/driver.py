@@ -18,9 +18,10 @@ configuration.
 
 Each accepted merge reads the labels the previous one wrote, so merges
 run in visit order on one thread, but ``_merge_level`` tests a chunk of
-visits at once and cuts it at its first accept. Every merge goes through
-``partition._relabel`` and a bool table over labels, and every merge
-window is clipped by ``WindowGeom.clip``.
+visits at once and applies every accept of it up to the first visit
+whose test an earlier accept's merge could have made stale. Every merge
+goes through ``partition._relabel`` and a bool table over labels, and
+every merge window is clipped by ``WindowGeom.clip``.
 """
 
 from __future__ import annotations
@@ -295,8 +296,9 @@ def _check_perm(perm: np.ndarray, lat: Lattice) -> np.ndarray:
     return perm
 
 
-#: Visits per boundary-test gather; a chunk is cut at its first accept.
-MERGE_CHUNK = 16
+#: Visits per boundary-test gather; a chunk runs up to its first visit
+#: whose w0 read meets the merge box of an earlier accept in it.
+MERGE_CHUNK = 32
 
 
 def _merge_level(labels: np.ndarray, verdict: np.ndarray, perm: np.ndarray,
@@ -310,39 +312,57 @@ def _merge_level(labels: np.ndarray, verdict: np.ndarray, perm: np.ndarray,
     Visits are tested ``MERGE_CHUNK`` at a time in one gather, each read
     clipped to the lattice: w0 holds (dx, 0) and (0, dy) with each of its
     offsets (dx, dy), all one step at most, so a clipped read stays in the
-    clipped w0-window. A chunk is cut at its first accept, whose merge
-    runs before the next chunk starts after it. This is the
-    one-visit-at-a-time loop exactly: no label changed between the gather
-    and the cut, and no test past the cut counts. A merge flags its
-    targets in one bool table over labels: below ``labels.max() + 1``,
-    plus one fresh label per visit at most, so 2N entries on a level that
-    starts canonical.
+    clipped w0-window, inside its unclipped box. The chunk is cut at its
+    first visit whose w0 box meets the merge box of an earlier accept in
+    the chunk: psi's bounding box dilated by w0's, looked up in a bool
+    table over (row, column) offsets between visits. Every accept before
+    the cut merges, in visit order, with the next fresh label, and the
+    next chunk starts at the cut. This is the one-visit-at-a-time loop
+    exactly: a merge changes no label outside its psi box, so every test
+    before the cut, and every accept's targets, read the labels that
+    loop reads; a masked psi only cuts earlier. A merge flags its targets
+    in one bool table over labels: below ``labels.max() + 1``, plus one
+    fresh label per visit at most, so 2N entries on a level that starts
+    canonical. The loop runs on a C-ordered intp copy of ``labels``,
+    written back at the end, because NumPy indexes faster with intp.
     """
-    if not labels.flags.c_contiguous:
-        raise ValueError("labels must be C-contiguous")
     h, w = labels.shape
-    flat, offsets = labels.reshape(-1), w0.offset_array()
+    work = labels.astype(np.intp, order="C")
+    flat, offsets = work.reshape(-1), w0.offset_array()
     rows, cols = np.divmod(perm, w)
     neighbors = np.clip(rows[:, None] + offsets[:, 1], 0, h - 1) * w
     neighbors += np.clip(cols[:, None] + offsets[:, 0], 0, w - 1)
     me = w0.offsets.index((0, 0))
     hits = verdict.ravel()[perm]
-    fresh = int(labels.max()) + 1
+    # near[key_j - key_a + center]: visit j reads inside accept a's merge box.
+    x0, x1, y0, y1 = w0.bbox()
+    near = np.zeros((2 * h - 1, 2 * w - 1), dtype=bool)
+    near[max(psi.by0 - y1 + h - 1, 0) : max(psi.by1 - y0 + h, 0),
+         max(psi.bx0 - x1 + w - 1, 0) : max(psi.bx1 - x0 + w, 0)] = True
+    near, center = near.reshape(-1), (h - 1) * (2 * w - 1) + w - 1
+    keys = rows * (2 * w - 1) + cols
+    later = np.triu(np.ones((MERGE_CHUNK, MERGE_CHUNK), dtype=bool), 1)
+    fresh = int(work.max()) + 1
     table = np.zeros(fresh + len(perm), dtype=bool)
     evaluations = accepted = pos = 0
     while pos < len(perm):
         block = flat[neighbors[pos : pos + MERGE_CHUNK]]
         boundary = (block != block[:, me : me + 1]).any(axis=1)
-        accept = boundary & hits[pos : pos + MERGE_CHUNK]
-        j = int(accept.argmax())
-        j = j if accept[j] else len(block)
-        evaluations += int(np.count_nonzero(boundary[: j + 1]))
-        pos += j
-        if j < len(block):
-            table[block[j]] = True
-            _relabel(labels, *psi.clip(*divmod(int(perm[pos]), w), h, w), table, fresh)
-            table[block[j]] = False
-            accepted, fresh, pos = accepted + 1, fresh + 1, pos + 1
+        acc = np.flatnonzero(boundary & hits[pos : pos + MERGE_CHUNK])
+        cut = len(block)
+        if len(acc):
+            key = keys[pos : pos + cut]
+            stale = (near[center + key - key[acc, None]] & later[acc, :cut]).any(axis=0)
+            first = int(stale.argmax())
+            cut = first if stale[first] else cut
+        evaluations += int(np.count_nonzero(boundary[:cut]))
+        for a in acc[acc < cut].tolist():
+            table[block[a]] = True
+            _relabel(work, *psi.clip(*divmod(int(perm[pos + a]), w), h, w), table, fresh)
+            table[block[a]] = False
+            accepted, fresh = accepted + 1, fresh + 1
+        pos += cut
+    labels[...] = work
     return evaluations, accepted
 
 

@@ -551,8 +551,15 @@ def test_merge_level_matches_sequential_reference(data):
     else:
         psi = w0
 
+    _check_merge_level(labels, verdict, perm, w0, psi)
+
+
+def _check_merge_level(labels, verdict, perm, w0, psi):
+    """``_merge_level`` on ``labels``, in place, against
+    ``merge_level_reference``: equal labels and counts, and one
+    ``_relabel`` call per accepted visit."""
     want, evaluations, accepted = merge_level_reference(
-        labels, verdict, _pixel_pairs(perm, width), w0.offsets, psi.offsets)
+        labels, verdict, _pixel_pairs(perm, labels.shape[1]), w0.offsets, psi.offsets)
     real = driver._relabel
 
     def bounded(*args):
@@ -564,3 +571,30 @@ def test_merge_level_matches_sequential_reference(data):
     assert np.array_equal(labels, want)
     assert got == (evaluations, accepted)
     assert spy.call_count == accepted
+
+
+@pytest.mark.parametrize("w0", [NINE_NEIGHBORHOOD, FIVE_NEIGHBORHOOD], ids=["8n", "4n"])
+@pytest.mark.parametrize("psi", [square_window(2), square_window(4), _diamond(3)],
+                         ids=["square2", "square4", "diamond3"])
+def test_merge_level_applies_several_accepts_per_chunk(w0, psi):
+    """On a 48x48 lattice most merge boxes are far apart, so a chunk
+    applies several accepts before its cut, unlike on the small grids
+    of the Hypothesis test, where most merge boxes cover the lattice."""
+    rng = np.random.default_rng(48)
+    labels = rng.integers(0, 4, size=(48, 48)).astype(np.int32)
+    verdict = rng.random((48, 48)) < 0.6
+    perm = permutation("random", Lattice(48, 48), 7)
+    _check_merge_level(labels, verdict, perm, w0, psi)
+
+
+@pytest.mark.parametrize("layout", ["fortran", "transposed"])
+def test_merge_level_takes_any_label_layout(layout):
+    """``_merge_level`` works on a C-ordered copy and writes it back, so
+    a Fortran-ordered array or a transposed view merges like a C one."""
+    rng = np.random.default_rng(5)
+    base = rng.integers(0, 3, size=(9, 7)).astype(np.int32)
+    labels = np.asfortranarray(base) if layout == "fortran" else base.T.copy().T
+    assert not labels.flags.c_contiguous
+    verdict = rng.random((9, 7)) < 0.6
+    perm = permutation("random", Lattice(7, 9), 3)
+    _check_merge_level(labels, verdict, perm, NINE_NEIGHBORHOOD, square_window(2))
