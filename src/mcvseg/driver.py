@@ -3,16 +3,17 @@ evaluation, and windowed merging together.
 
 Levels run in order with growing evaluation and merge windows, which
 ``McvConfig.eval_chain`` and ``McvConfig.merge_geom`` alone decide. The
-homogeneity test reads only the raw image, the pixel and the level,
-never the labels, so each level starts by scoring every pixel's
-evaluation window chain in one verdict map (``pyramid.verdict_map``).
-Then the pixels are visited in a fixed permutation, an (N,) array of
-0-based row-major pixel indices all the way from the draw or the
-permutation file to the merge loop. A pixel sitting on a label boundary
-counts as one evaluation and reads its verdict, and an accepted verdict
-merges the bordering blocks inside the level's merge window under a
-fresh label. A level ends by renumbering the labels to canonical form,
-so they stay below twice the pixel count at any level. The result is a
+homogeneity test reads only the raw image, the pixel and the level's
+evaluation window chain, never the labels, so one verdict map
+(``pyramid.verdict_map``) scores every pixel through a chain at once,
+and consecutive levels with the same chain share it. Then the pixels
+are visited in a fixed permutation, an (N,) array of 0-based row-major
+pixel indices all the way from the draw or the permutation file to the
+merge loop. A pixel sitting on a label boundary counts as one
+evaluation and reads its verdict, and an accepted verdict merges the
+bordering blocks inside the level's merge window under a fresh label.
+A level ends by renumbering the labels to canonical form, so they stay
+below twice the pixel count at any level. The result is a
 multiresolution sequence of partitions, deterministic for a given
 configuration.
 
@@ -21,7 +22,8 @@ run in visit order on one thread, but ``_merge_level`` tests a chunk of
 visits at once and applies every accept of it up to the first visit
 whose test an earlier accept's merge could have made stale. Every merge
 goes through ``partition._relabel`` and a bool table over labels, and
-every merge window is clipped by ``WindowGeom.clip``.
+every merge window is clipped by ``WindowGeom.clip_bounds``, the array
+form of ``WindowGeom.clip``, for all of a level's visits at once.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ class McvConfig:
     def validate(self) -> None:
         for name in ("max_level", "seed", "neighborhood", "workers"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.max_level < 1:
             raise ConfigError(f"max_level must be >= 1, got {self.max_level}")
@@ -225,7 +227,9 @@ def config_updates(text: str) -> dict:
 
 @dataclass
 class LevelStats:
-    """Counters for one executed level (level 0 is the initial state)."""
+    """Counters for one executed level (level 0 is the initial state).
+    ``elapsed`` covers the level's merge loop and canonicalization, not
+    the verdict map, which consecutive levels may share."""
 
     level: int
     evaluations: int
@@ -296,71 +300,95 @@ def _check_perm(perm: np.ndarray, lat: Lattice) -> np.ndarray:
     return perm
 
 
-#: Visits per boundary-test gather; a chunk runs up to its first visit
-#: whose w0 read meets the merge box of an earlier accept in it.
+#: Visits in a merge chunk's boundary-test gather. A chunk runs up to its
+#: first visit whose w0 read meets the merge box of an earlier accept in
+#: it; one that runs to its end doubles the next chunk, up to
+#: MERGE_CHUNK_MAX, and a cut resets it to MERGE_CHUNK.
 MERGE_CHUNK = 32
+MERGE_CHUNK_MAX = 256
+
+
+def _w0_reads(w0: Window, h: int, w: int) -> np.ndarray:
+    """Every pixel's w0 reads clipped to the h x w lattice: an (N, |w0|)
+    int32 table of row-major indices, row p for pixel p, the pixel itself
+    first; ``_check_label_room`` keeps N below 2**30."""
+    offsets = np.array([(0, 0)] + [o for o in w0.offsets if o != (0, 0)], dtype=np.int32)
+    rows = np.clip(np.arange(h, dtype=np.int32)[:, None] + offsets[:, 1], 0, h - 1) * w
+    cols = np.clip(np.arange(w, dtype=np.int32)[:, None] + offsets[:, 0], 0, w - 1)
+    return (rows[:, None] + cols).reshape(h * w, len(offsets))
 
 
 def _merge_level(labels: np.ndarray, verdict: np.ndarray, perm: np.ndarray,
-                 w0: Window, psi: WindowGeom) -> tuple[int, int]:
+                 w0: Window, psi: WindowGeom, reads: np.ndarray) -> tuple[int, int]:
     """Visit the row-major pixel indices of ``perm`` in order on
     ``labels``, in place. A visit whose w0-window holds another label is
     one evaluation; if its bool ``verdict`` is set, the pixels of its
     psi-window whose label is in its w0-window take a fresh label.
-    Returns (evaluations, accepted).
+    ``reads`` is ``_w0_reads(w0, h, w)``. Returns (evaluations, accepted).
 
-    Visits are tested ``MERGE_CHUNK`` at a time in one gather, each read
-    clipped to the lattice: w0 holds (dx, 0) and (0, dy) with each of its
-    offsets (dx, dy), all one step at most, so a clipped read stays in the
-    clipped w0-window, inside its unclipped box. The chunk is cut at its
-    first visit whose w0 box meets the merge box of an earlier accept in
-    the chunk: psi's bounding box dilated by w0's, looked up in a bool
-    table over (row, column) offsets between visits. Every accept before
-    the cut merges, in visit order, with the next fresh label, and the
-    next chunk starts at the cut. This is the one-visit-at-a-time loop
-    exactly: a merge changes no label outside its psi box, so every test
-    before the cut, and every accept's targets, read the labels that
-    loop reads; a masked psi only cuts earlier. A merge flags its targets
-    in one bool table over labels: below ``labels.max() + 1``, plus one
-    fresh label per visit at most, so 2N entries on a level that starts
+    Visits are tested a chunk at a time in one gather of their ``reads``
+    rows, each read clipped to the lattice: w0 holds (dx, 0) and (0, dy)
+    with each of its offsets (dx, dy), all one step at most, so a clipped
+    read stays in the clipped w0-window, inside its unclipped box. The
+    chunk is cut at its first visit whose w0 box meets the merge box of an
+    earlier accept in the chunk: psi's bounding box dilated by w0's,
+    looked up in a bool table over (row, column) offsets between visits.
+    Every accept before the cut merges, in visit order, with the next
+    fresh label, inside its psi box clipped by ``WindowGeom.clip_bounds``
+    for the whole level, and the next chunk starts at the cut. This is the
+    one-visit-at-a-time loop exactly: a merge changes no label outside its
+    psi box, so every test before the cut, and every accept's targets,
+    read the labels that loop reads; a masked psi only cuts earlier. The
+    cut is exact at any chunk length, so the length follows the cuts: a
+    chunk that runs to its end doubles the next one, up to
+    ``MERGE_CHUNK_MAX``, where accepts are rare, and a cut resets it to
+    ``MERGE_CHUNK``, where they are dense. A merge flags its targets in
+    one bool table over labels: below ``labels.max() + 1``, plus one fresh
+    label per visit at most, so 2N entries on a level that starts
     canonical. The loop runs on a C-ordered intp copy of ``labels``,
-    written back at the end, because NumPy indexes faster with intp.
+    written back at the end, and on intp read rows, because NumPy
+    indexes faster with intp.
     """
     h, w = labels.shape
     work = labels.astype(np.intp, order="C")
-    flat, offsets = work.reshape(-1), w0.offset_array()
+    flat, neighbors, hits = work.reshape(-1), reads[perm].astype(np.intp), verdict.ravel()[perm]
     rows, cols = np.divmod(perm, w)
-    neighbors = np.clip(rows[:, None] + offsets[:, 1], 0, h - 1) * w
-    neighbors += np.clip(cols[:, None] + offsets[:, 0], 0, w - 1)
-    me = w0.offsets.index((0, 0))
-    hits = verdict.ravel()[perm]
-    # near[key_j - key_a + center]: visit j reads inside accept a's merge box.
+    bounds, mask = psi.clip_bounds(rows, cols, h, w), psi.mask
+    # near[key_j - key_a]: visit j reads inside accept a's merge box; the
+    # table is rolled so that a negative offset indexes it from the end.
     x0, x1, y0, y1 = w0.bbox()
     near = np.zeros((2 * h - 1, 2 * w - 1), dtype=bool)
     near[max(psi.by0 - y1 + h - 1, 0) : max(psi.by1 - y0 + h, 0),
          max(psi.bx0 - x1 + w - 1, 0) : max(psi.bx1 - x0 + w, 0)] = True
-    near, center = near.reshape(-1), (h - 1) * (2 * w - 1) + w - 1
+    near = np.roll(near.reshape(-1), -((h - 1) * (2 * w - 1) + w - 1))
     keys = rows * (2 * w - 1) + cols
-    later = np.triu(np.ones((MERGE_CHUNK, MERGE_CHUNK), dtype=bool), 1)
+    index = np.arange(MERGE_CHUNK_MAX)
     fresh = int(work.max()) + 1
     table = np.zeros(fresh + len(perm), dtype=bool)
     evaluations = accepted = pos = 0
+    size = MERGE_CHUNK
     while pos < len(perm):
-        block = flat[neighbors[pos : pos + MERGE_CHUNK]]
-        boundary = (block != block[:, me : me + 1]).any(axis=1)
-        acc = np.flatnonzero(boundary & hits[pos : pos + MERGE_CHUNK])
+        block = flat[neighbors[pos : pos + size]]
+        boundary = np.logical_or.reduce(block != block[:, :1], axis=1)
+        acc = (boundary & hits[pos : pos + size]).nonzero()[0]
         cut = len(block)
         if len(acc):
             key = keys[pos : pos + cut]
-            stale = (near[center + key - key[acc, None]] & later[acc, :cut]).any(axis=0)
+            later = index[:cut] > acc[:, None]
+            stale = np.logical_or.reduce(near[key - key[acc][:, None]] & later)
             first = int(stale.argmax())
-            cut = first if stale[first] else cut
+            if stale[first]:
+                cut = first
+                acc = acc[acc < cut]
+            for targets, (a0, a1, b0, b1, *at) in zip(block[acc], bounds[pos + acc].tolist()):
+                sub = None if mask is None else mask[at[0] : at[0] + a1 - a0, at[1] : at[1] + b1 - b0]
+                table[targets] = True
+                _relabel(work, slice(a0, a1), slice(b0, b1), sub, table, fresh)
+                table[targets] = False
+                fresh += 1
+            accepted += len(acc)
         evaluations += int(np.count_nonzero(boundary[:cut]))
-        for a in acc[acc < cut].tolist():
-            table[block[a]] = True
-            _relabel(work, *psi.clip(*divmod(int(perm[pos + a]), w), h, w), table, fresh)
-            table[block[a]] = False
-            accepted, fresh = accepted + 1, fresh + 1
+        size = MERGE_CHUNK if cut < len(block) else min(2 * size, MERGE_CHUNK_MAX)
         pos += cut
     labels[...] = work
     return evaluations, accepted
@@ -373,10 +401,11 @@ def _check_label_room(lat: Lattice) -> None:
 
 
 def _run_level_inplace(labels: np.ndarray, omega: ImageBuffer, level: int,
-                       cfg: McvConfig, perm: np.ndarray) -> LevelStats:
+                       cfg: McvConfig, perm: np.ndarray, verdict: np.ndarray,
+                       reads: np.ndarray) -> LevelStats:
     t0 = time.perf_counter()
-    verdict = verdict_map(omega.samples, cfg.eval_chain(level), cfg.model())
-    evaluations, accepted = _merge_level(labels, verdict, perm, cfg.w0, cfg.merge_geom(level))
+    evaluations, accepted = _merge_level(labels, verdict, perm, cfg.w0,
+                                         cfg.merge_geom(level), reads)
     labels[...] = canonicalize(Partition(omega.lattice, labels)).labels
     return LevelStats(level, evaluations, accepted, int(labels.max()) + 1,
                       time.perf_counter() - t0)
@@ -397,7 +426,9 @@ def run_level(p: Partition, omega: ImageBuffer, i: int, cfg: McvConfig,
         raise ValueError(f"level {i} outside 1..{cfg.max_level}")
     perm = _check_perm(perm, p.lattice)
     labels = canonicalize(p).labels
-    stats = _run_level_inplace(labels, omega, i, cfg, perm)
+    verdict = verdict_map(omega.samples, cfg.eval_chain(i), cfg.model())
+    reads = _w0_reads(cfg.w0, *labels.shape)
+    stats = _run_level_inplace(labels, omega, i, cfg, perm, verdict, reads)
     return Partition(p.lattice, labels), stats
 
 
@@ -421,12 +452,17 @@ def run_mcv(omega: ImageBuffer, cfg: McvConfig = McvConfig()) -> PartitionSequen
     labels = singletons_full(lat).labels
     snapshots = [Partition(lat, labels.copy())]
     stats = [LevelStats(0, 0, 0, lat.size)]
+    reads = _w0_reads(cfg.w0, lat.height, lat.width)
+    model, chain = cfg.model(), None
     for i in range(1, cfg.max_level + 1):
         if cfg.reshuffle_per_level:
             order = permutation("random", lat, [cfg.seed, i])
         else:
             order = base
-        st = _run_level_inplace(labels, omega, i, cfg, order)
+        if cfg.eval_chain(i) != chain:
+            chain = cfg.eval_chain(i)
+            verdict = verdict_map(omega.samples, chain, model)
+        st = _run_level_inplace(labels, omega, i, cfg, order, verdict, reads)
         snapshots.append(Partition(lat, labels.copy()))
         stats.append(st)
     return PartitionSequence(cfg, snapshots, stats)

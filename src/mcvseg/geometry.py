@@ -141,6 +141,25 @@ class WindowGeom:
             sub = self.mask[a0 - rlo : a1 - rlo, b0 - clo : b1 - clo]
         return slice(a0, a1), slice(b0, b1), sub
 
+    def clip_bounds(self, r0: np.ndarray, c0: np.ndarray, h: int, w: int) -> np.ndarray:
+        """Array form of ``clip`` at the positions (r0[i], c0[i]): an
+        (n, 4) int32 array of rows (a0, a1, b0, b1), the row slice a0:a1
+        and column slice b0:b1, plus the row and column where the cut of
+        the mask starts when the window has one, (n, 6) then. The extents
+        are clamped to the array first, which moves no clipped bound, so a
+        window of any size clips in int64 arithmetic."""
+        by0, by1 = max(self.by0, -h), min(self.by1, h)
+        bx0, bx1 = max(self.bx0, -w), min(self.bx1, w)
+        out = np.empty((len(r0), 4 if self.mask is None else 6), dtype=np.int32)
+        np.maximum(r0 + by0, 0, out=out[:, 0])
+        np.minimum(r0 + (by1 + 1), h, out=out[:, 1])
+        np.maximum(c0 + bx0, 0, out=out[:, 2])
+        np.minimum(c0 + (bx1 + 1), w, out=out[:, 3])
+        if self.mask is not None:
+            out[:, 4] = out[:, 0] - r0 - self.by0
+            out[:, 5] = out[:, 2] - c0 - self.bx0
+        return out
+
 
 def square_window(r: int) -> Window:
     """Square window of side 2r + 1 centered at the origin."""

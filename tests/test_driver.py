@@ -104,7 +104,8 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         McvConfig(temperature=None).validate()
     for field, value in (("max_level", 1.5), ("seed", 1.5), ("neighborhood", 8.0),
-                         ("workers", 2.5), ("max_level", "2")):
+                         ("workers", 2.5), ("max_level", "2"), ("max_level", True),
+                         ("seed", False), ("neighborhood", True), ("workers", True)):
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             McvConfig(**{field: value}).validate()
     McvConfig(max_level=np.int64(2), seed=np.uint8(3), workers=np.int32(2)).validate()
@@ -362,6 +363,30 @@ def test_run_mcv_max_level_30_on_a_line():
     assert WindowGeom.square(2 ** 30).clip(0, 2, 1, 6) == (slice(0, 1), slice(0, 6), None)
 
 
+def test_run_mcv_max_level_70_on_a_line():
+    # merge windows of radius 2**64 and more: ``clip_bounds`` clamps them
+    # to the lattice before any int64 arithmetic
+    img = gray([[10.0, 10.0, 11.0, 200.0, 201.0, 200.0]])
+    seq = run_mcv(img, McvConfig(max_level=70, rho=5.0,
+                                 eval_windows=(NINE_NEIGHBORHOOD,) * 70))
+    assert seq.region_counts()[-1] == 2
+    assert all(np.array_equal(lm.labels, seq.levels[30].labels) for lm in seq.levels[30:])
+
+
+@pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "default"])
+def test_run_mcv_scores_one_verdict_map_per_distinct_chain(pinned):
+    """Pinned eval windows give every level the same chain, so one map
+    serves the run; default windows grow every level, one map each."""
+    rng = np.random.default_rng(3)
+    img = gray(rng.integers(0, 4, size=(12, 12)).astype(np.float64) * 60)
+    cfg = McvConfig(max_level=4, rho=50.0)
+    if pinned:
+        cfg = replace(cfg, eval_windows=(cfg.w0,) * 4)
+    with mock.patch.object(driver, "verdict_map", side_effect=driver.verdict_map) as spy:
+        run_mcv(img, cfg)
+    assert spy.call_count == (1 if pinned else 4)
+
+
 def test_run_mcv_region_count_nonincreasing_with_default_windows():
     # every default level satisfies merge window >= eval window + base
     # window, which forbids net splits across a level
@@ -567,7 +592,8 @@ def _check_merge_level(labels, verdict, perm, w0, psi):
         real(*args)
 
     with mock.patch.object(driver, "_relabel", side_effect=bounded) as spy:
-        got = driver._merge_level(labels, verdict, perm, w0, WindowGeom.of(psi))
+        got = driver._merge_level(labels, verdict, perm, w0, WindowGeom.of(psi),
+                                  driver._w0_reads(w0, *labels.shape))
     assert np.array_equal(labels, want)
     assert got == (evaluations, accepted)
     assert spy.call_count == accepted
@@ -584,6 +610,23 @@ def test_merge_level_applies_several_accepts_per_chunk(w0, psi):
     labels = rng.integers(0, 4, size=(48, 48)).astype(np.int32)
     verdict = rng.random((48, 48)) < 0.6
     perm = permutation("random", Lattice(48, 48), 7)
+    _check_merge_level(labels, verdict, perm, w0, psi)
+
+
+@pytest.mark.parametrize("w0", [NINE_NEIGHBORHOOD, FIVE_NEIGHBORHOOD], ids=["8n", "4n"])
+@pytest.mark.parametrize("psi", [square_window(2), _diamond(3), square_window(48)],
+                         ids=["square2", "diamond3", "covering"])
+def test_merge_level_grows_chunks_where_accepts_are_rare(w0, psi):
+    """At accept rate 0.02 on a 48x48 lattice, chunks grow past
+    ``MERGE_CHUNK``: with square2 and diamond3, 21 rounds of more than
+    32 visits end in a cut and 11 run to their end; a psi that covers
+    the lattice cuts every chunk right after its first accept (26 and 7
+    such rounds). Nearly every pixel starts with its own label, so every
+    merge leaves boundaries behind."""
+    rng = np.random.default_rng(49)
+    labels = rng.integers(0, 2 * 48 * 48, size=(48, 48)).astype(np.int32)
+    verdict = rng.random((48, 48)) < 0.02
+    perm = permutation("random", Lattice(48, 48), 8)
     _check_merge_level(labels, verdict, perm, w0, psi)
 
 

@@ -148,6 +148,31 @@ def test_window_geom_square_matches_square_window(shape, pos, r):
     assert WindowGeom.square(r) == WindowGeom.of(square_window(r))
 
 
+def _diamond(r):
+    return Window(tuple((dx, dy) for dx in range(-r, r + 1) for dy in range(-r, r + 1)
+                        if abs(dx) + abs(dy) <= r))
+
+
+@pytest.mark.parametrize("height, width", [(1, 9), (9, 1), (5, 7)], ids=["1xN", "Nx1", "5x7"])
+@pytest.mark.parametrize("geom", [
+    WindowGeom.square(2), WindowGeom.of(_diamond(3)), WindowGeom.of(_diamond(8)),
+    WindowGeom.of(Window(((0, 0), (2, 0), (0, -1)))), WindowGeom.square(2 ** 70),
+], ids=["square2", "diamond3", "diamond8", "skewed", "square2**70"])
+def test_clip_bounds_matches_clip_at_every_pixel(geom, height, width):
+    """The array form of ``clip`` gives the same slices, and the same
+    cut of the mask, at every array position; the diamond of radius 8
+    and the square of radius 2**70 overhang every lattice here."""
+    rows, cols = np.divmod(np.arange(height * width), width)
+    bounds = geom.clip_bounds(rows, cols, height, width)
+    assert bounds.dtype == np.int32
+    assert bounds.shape == (height * width, 4 if geom.mask is None else 6)
+    for (a0, a1, b0, b1, *at), r, c in zip(bounds.tolist(), rows.tolist(), cols.tolist()):
+        rs, cs, sub = geom.clip(r, c, height, width)
+        assert (rs, cs) == (slice(a0, a1), slice(b0, b1))
+        if sub is not None:
+            assert np.array_equal(geom.mask[at[0] : at[0] + a1 - a0, at[1] : at[1] + b1 - b0], sub)
+
+
 @settings(max_examples=100, deadline=None)
 @given(win=windows)
 def test_window_mask_is_cached_read_only_grid(win):
