@@ -22,13 +22,14 @@ run in visit order on one thread, but ``_merge_level`` tests a chunk of
 visits at once and applies every accept of it up to the first visit
 whose test an earlier accept's merge could have made stale. Every merge
 goes through ``partition._relabel`` and a bool table over labels, and
-every merge window is clipped by ``WindowGeom.clip_bounds``, the array
-form of ``WindowGeom.clip``, for all of a level's visits at once.
+``WindowGeom.clip_bounds`` clips the merge windows of all of a level's
+visits at once; they lie on the lattice, as its clamped arithmetic needs.
 """
 
 from __future__ import annotations
 
 import numbers
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -79,7 +80,7 @@ class McvConfig:
     max_level: int = 9
     permutation: str = "random"
     seed: int = 0
-    perm_file: str | None = None
+    perm_file: str | os.PathLike | None = None
     neighborhood: int = 8
     rho: float = 100.0
     temperature: float = 1.0
@@ -136,8 +137,9 @@ class McvConfig:
         if self.permutation not in PERMUTATION_KINDS:
             raise ConfigError(f"permutation must be one of {PERMUTATION_KINDS}, "
                               f"got {self.permutation!r}")
-        if self.permutation == "file" and not self.perm_file:
-            raise ConfigError("permutation=file needs perm_file")
+        if self.permutation == "file" and not (
+                isinstance(self.perm_file, (str, os.PathLike)) and self.perm_file):
+            raise ConfigError(f"permutation=file needs perm_file, a path, got {self.perm_file!r}")
         if not isinstance(self.reshuffle_per_level, (bool, np.bool_)):
             raise ConfigError(f"reshuffle_per_level must be a bool, "
                               f"got {self.reshuffle_per_level!r}")
@@ -331,18 +333,18 @@ def _merge_level(labels: np.ndarray, verdict: np.ndarray, perm: np.ndarray,
     with each of its offsets (dx, dy), all one step at most, so a clipped
     read stays in the clipped w0-window, inside its unclipped box. The
     chunk is cut at its first visit whose w0 box meets the merge box of an
-    earlier accept in the chunk: psi's bounding box dilated by w0's,
-    looked up in a bool table over (row, column) offsets between visits.
-    Every accept before the cut merges, in visit order, with the next
-    fresh label, inside its psi box clipped by ``WindowGeom.clip_bounds``
-    for the whole level, and the next chunk starts at the cut. This is the
-    one-visit-at-a-time loop exactly: a merge changes no label outside its
-    psi box, so every test before the cut, and every accept's targets,
-    read the labels that loop reads; a masked psi only cuts earlier. The
-    cut is exact at any chunk length, so the length follows the cuts: a
-    chunk that runs to its end doubles the next one, up to
-    ``MERGE_CHUNK_MAX``, where accepts are rare, and a cut resets it to
-    ``MERGE_CHUNK``, where they are dense. A merge flags its targets in
+    earlier accept in the chunk: psi's bounding box dilated by w0's, set in
+    a bool table over (row, column) offsets between visits. Every accept
+    before the cut merges, in visit order, with the next fresh label,
+    inside its psi box, and the next chunk starts at the cut; both boxes
+    are clipped by ``WindowGeom.clip_bounds``, psi's for the whole level.
+    This is the one-visit-at-a-time loop exactly: a merge changes no
+    label outside its psi box, so every test before the cut, and every
+    accept's targets, read the labels that loop reads; a masked psi only
+    cuts earlier. The cut is exact at any chunk length, so the length
+    follows the cuts: a chunk that runs to its end doubles the next one,
+    up to ``MERGE_CHUNK_MAX``, where accepts are rare, and a cut resets it
+    to ``MERGE_CHUNK``, where they are dense. A merge flags its targets in
     one bool table over labels: below ``labels.max() + 1``, plus one fresh
     label per visit at most, so 2N entries on a level that starts
     canonical. The loop runs on a C-ordered intp copy of ``labels``,
@@ -353,13 +355,13 @@ def _merge_level(labels: np.ndarray, verdict: np.ndarray, perm: np.ndarray,
     work = labels.astype(np.intp, order="C")
     flat, neighbors, hits = work.reshape(-1), reads[perm].astype(np.intp), verdict.ravel()[perm]
     rows, cols = np.divmod(perm, w)
-    bounds, mask = psi.clip_bounds(rows, cols, h, w), psi.mask
+    bounds = psi.clip_bounds(rows, cols, h, w)
     # near[key_j - key_a]: visit j reads inside accept a's merge box; the
     # table is rolled so that a negative offset indexes it from the end.
     x0, x1, y0, y1 = w0.bbox()
     near = np.zeros((2 * h - 1, 2 * w - 1), dtype=bool)
-    near[max(psi.by0 - y1 + h - 1, 0) : max(psi.by1 - y0 + h, 0),
-         max(psi.bx0 - x1 + w - 1, 0) : max(psi.bx1 - x0 + w, 0)] = True
+    box = WindowGeom(psi.bx0 - x1, psi.bx1 - x0, psi.by0 - y1, psi.by1 - y0, None)
+    near[box.clip(h - 1, w - 1, 2 * h - 1, 2 * w - 1)[:2]] = True
     near = np.roll(near.reshape(-1), -((h - 1) * (2 * w - 1) + w - 1))
     keys = rows * (2 * w - 1) + cols
     index = np.arange(MERGE_CHUNK_MAX)
@@ -380,10 +382,10 @@ def _merge_level(labels: np.ndarray, verdict: np.ndarray, perm: np.ndarray,
             if stale[first]:
                 cut = first
                 acc = acc[acc < cut]
-            for targets, (a0, a1, b0, b1, *at) in zip(block[acc], bounds[pos + acc].tolist()):
-                sub = None if mask is None else mask[at[0] : at[0] + a1 - a0, at[1] : at[1] + b1 - b0]
+            for targets, row in zip(block[acc], bounds[pos + acc].tolist()):
                 table[targets] = True
-                _relabel(work, slice(a0, a1), slice(b0, b1), sub, table, fresh)
+                rs, cs, sub = psi.cut(row)
+                _relabel(work, rs, cs, sub, table, fresh)
                 table[targets] = False
                 fresh += 1
             accepted += len(acc)

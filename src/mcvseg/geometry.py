@@ -74,10 +74,6 @@ class Window:
     def __iter__(self):
         return iter(self.offsets)
 
-    def offset_array(self) -> np.ndarray:
-        """Offsets as an (k, 2) int array of (dx, dy) rows."""
-        return np.array(self.offsets, dtype=np.int64)
-
     @cached_property
     def _grid(self) -> tuple[tuple[int, int, int, int], np.ndarray]:
         dxs = [o[0] for o in self.offsets]
@@ -127,27 +123,17 @@ class WindowGeom:
         return cls(-r, r, -r, r, None)
 
     def clip(self, r0: int, c0: int, h: int, w: int):
-        """The window translated to array position (r0, c0) and clipped to
-        an h x w array: row slice, column slice, and the window mask cut
-        to the same region (None when the window has no mask)."""
-        rlo, rhi = r0 + self.by0, r0 + self.by1 + 1
-        clo, chi = c0 + self.bx0, c0 + self.bx1 + 1
-        a0 = rlo if rlo > 0 else 0
-        a1 = rhi if rhi < h else h
-        b0 = clo if clo > 0 else 0
-        b1 = chi if chi < w else w
-        sub = None
-        if self.mask is not None:
-            sub = self.mask[a0 - rlo : a1 - rlo, b0 - clo : b1 - clo]
-        return slice(a0, a1), slice(b0, b1), sub
+        """The window at array position (r0, c0), which must lie on the
+        array, clipped to an h x w array: ``cut`` of its ``clip_bounds`` row."""
+        return self.cut(self.clip_bounds(np.array([r0]), np.array([c0]), h, w)[0].tolist())
 
     def clip_bounds(self, r0: np.ndarray, c0: np.ndarray, h: int, w: int) -> np.ndarray:
-        """Array form of ``clip`` at the positions (r0[i], c0[i]): an
-        (n, 4) int32 array of rows (a0, a1, b0, b1), the row slice a0:a1
-        and column slice b0:b1, plus the row and column where the cut of
-        the mask starts when the window has one, (n, 6) then. The extents
-        are clamped to the array first, which moves no clipped bound, so a
-        window of any size clips in int64 arithmetic."""
+        """The window at each array position (r0[i], c0[i]), which must lie
+        on the array, clipped to an h x w array: an (n, 4) int32 array of
+        rows (a0, a1, b0, b1), the row slice a0:a1 and column slice b0:b1,
+        plus the row and column where the cut of the mask starts when the
+        window has one, (n, 6) then. The extents are clamped to the array
+        first, which moves no bound, so any window clips in int64."""
         by0, by1 = max(self.by0, -h), min(self.by1, h)
         bx0, bx1 = max(self.bx0, -w), min(self.bx1, w)
         out = np.empty((len(r0), 4 if self.mask is None else 6), dtype=np.int32)
@@ -159,6 +145,14 @@ class WindowGeom:
             out[:, 4] = out[:, 0] - r0 - self.by0
             out[:, 5] = out[:, 2] - c0 - self.bx0
         return out
+
+    def cut(self, bounds: list[int]) -> tuple[slice, slice, np.ndarray | None]:
+        """A ``clip_bounds`` row as a row slice, a column slice and the
+        window mask cut to them (None when the window has no mask)."""
+        a0, a1, b0, b1, *at = bounds
+        sub = None if self.mask is None else self.mask[at[0] : at[0] + a1 - a0,
+                                                       at[1] : at[1] + b1 - b0]
+        return slice(a0, a1), slice(b0, b1), sub
 
 
 def square_window(r: int) -> Window:

@@ -51,6 +51,9 @@ class MrfModel:
     def __post_init__(self):
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}, got {self.metric!r}")
+        for name in ("temperature", "rho"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise TypeError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not self.temperature > 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
         if not self.rho >= 0:

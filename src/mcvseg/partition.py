@@ -71,9 +71,8 @@ class Partition:
         return out
 
 
-def _window_labels(labels: np.ndarray, x: Pixel, geom: WindowGeom) -> np.ndarray:
-    """Labels under the window at ``x``, clipped to the lattice."""
-    rs, cs, sub = geom.clip(x[1] - 1, x[0] - 1, *labels.shape)
+def _window_labels(labels: np.ndarray, rs: slice, cs: slice, sub: np.ndarray | None) -> np.ndarray:
+    """Labels under a window cut out of the lattice by ``WindowGeom.cut``."""
     block = labels[rs, cs]
     return block if sub is None else block[sub]
 
@@ -124,7 +123,7 @@ def m_step(x: Pixel, p: Partition, w0: Window) -> Partition:
     target = p.label_at(x)
     if target == ABSENT:
         raise ValueError(f"pixel {x} is not in the partition domain")
-    members = _window_labels(p.labels, x, WindowGeom.of(w0))
+    members = _window_labels(p.labels, *WindowGeom.of(w0).clip(*p.lattice.index(x), *p.labels.shape))
     out = p.labels.copy()
     table = _label_table(out, members[members != ABSENT])
     _relabel(out, slice(None), slice(None), None, table, target)
@@ -163,8 +162,9 @@ def connected_components(S: Iterable[Pixel], w0: Window,
     # singletons labels in raster order, so block k holds the k-th pixel
     blocks = [[f] for f in np.flatnonzero(labels != ABSENT).tolist()]
     geom = WindowGeom.of(w0)
-    for x in order:
-        _fuse_at(labels, blocks, _window_labels(labels, x, geom))
+    cols, rows = np.array(order, dtype=np.int64).reshape(-1, 2).T - 1
+    for bounds in geom.clip_bounds(rows, cols, lat.height, lat.width).tolist():
+        _fuse_at(labels, blocks, _window_labels(labels, *geom.cut(bounds)))
     return Partition(lat, labels)
 
 
@@ -194,12 +194,12 @@ def merge_step(x: Pixel, p: Partition, w0: Window, psi: Window) -> Partition:
     and empty residues vanish. Regions can split as well as merge, so the
     result need not be coarser than the input.
     """
-    p.lattice.index(x)  # raises off the lattice
+    r, c = p.lattice.index(x)  # raises off the lattice
     if not p.is_total:
         raise ValueError("merge_step requires a total partition")
     out = p.labels.copy()
-    targets = _window_labels(out, x, WindowGeom.of(w0))
-    rs, cs, sub = WindowGeom.of(psi).clip(x[1] - 1, x[0] - 1, *out.shape)
+    targets = _window_labels(out, *WindowGeom.of(w0).clip(r, c, *out.shape))
+    rs, cs, sub = WindowGeom.of(psi).clip(r, c, *out.shape)
     _relabel(out, rs, cs, sub, _label_table(out, targets), int(out.max()) + 1)
     return Partition(p.lattice, out)
 

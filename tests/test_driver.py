@@ -1,5 +1,6 @@
 import time
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -85,6 +86,10 @@ def test_config_validation():
         McvConfig(permutation="sorted").validate()
     with pytest.raises(ConfigError):
         McvConfig(permutation="file").validate()
+    for value in (5, b"perm.txt", ""):
+        with pytest.raises(ConfigError, match="perm_file"):
+            McvConfig(permutation="file", perm_file=value).validate()
+    McvConfig(permutation="file", perm_file=Path("perm.txt")).validate()
     with pytest.raises(ConfigError):
         McvConfig(reshuffle_per_level=True, permutation="raster").validate()
     with pytest.raises(ConfigError):
@@ -107,6 +112,10 @@ def test_config_validation():
                          ("workers", 2.5), ("max_level", "2"), ("max_level", True),
                          ("seed", False), ("neighborhood", True), ("workers", True)):
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            McvConfig(**{field: value}).validate()
+    for field, value in (("rho", True), ("rho", np.True_), ("temperature", True),
+                         ("temperature", np.False_)):
+        with pytest.raises(ConfigError, match=f"{field} must be a number"):
             McvConfig(**{field: value}).validate()
     McvConfig(max_level=np.int64(2), seed=np.uint8(3), workers=np.int32(2)).validate()
     with pytest.raises(ConfigError):
@@ -294,6 +303,26 @@ def test_lattices_beyond_int32_labels_rejected(lat):
         run_mcv(huge, McvConfig(max_level=1))
     with pytest.raises(ValueError, match="int32 labels"):
         run_level(huge, huge, 1, McvConfig(max_level=1), None)
+
+
+@pytest.mark.parametrize("height, width", [(1, 9), (9, 1), (5, 7)], ids=["1xN", "Nx1", "5x7"])
+@pytest.mark.parametrize("merge", [None, Window(((0, 0),))], ids=["default", "origin"])
+def test_labels_stay_below_twice_the_pixel_count_inside_a_level(height, width, merge):
+    """With every verdict true, every fresh label of every level stays
+    below 2N on N pixels, and every level ends canonical. A merge window
+    of the origin alone is the worst case: each visit accepts and leaves
+    its pixel a boundary, so every level hands out every label up to
+    2N - 1."""
+    n, levels = height * width, 12
+    img = gray(np.random.default_rng(7).uniform(0, 255, (height, width)))
+    cfg = McvConfig(max_level=levels, rho=float("inf"),
+                    eval_windows=(NINE_NEIGHBORHOOD,) * levels,
+                    merge_windows=None if merge is None else (merge,) * levels)
+    with mock.patch.object(driver, "_relabel", side_effect=driver._relabel) as spy:
+        seq = run_mcv(img, cfg)
+    fresh = [call.args[5] for call in spy.call_args_list]
+    assert max(fresh) == 2 * n - 1 if merge is not None else max(fresh) < 2 * n
+    assert all(np.array_equal(p.labels, canonicalize(p).labels) for p in seq.levels)
 
 
 def test_run_level_accepts_any_total_labeling():

@@ -99,12 +99,17 @@ def test_clip_interior_and_corner():
         clip(NINE_NEIGHBORHOOD, (5, 1), lat)
 
 
-def geom_clip_as_set(geom, x, lat):
-    """The pixels WindowGeom.clip selects at ``x``, as a 1-based pixel set."""
-    rs, cs, sub = geom.clip(x[1] - 1, x[0] - 1, lat.height, lat.width)
+def cut_as_set(cut):
+    """The pixels a ``WindowGeom.cut`` selects, as a 1-based pixel set."""
+    rs, cs, sub = cut
     return {(c + 1, r + 1)
             for r in range(rs.start, rs.stop) for c in range(cs.start, cs.stop)
             if sub is None or sub[r - rs.start, c - cs.start]}
+
+
+def geom_clip_as_set(geom, x, lat):
+    """The pixels WindowGeom.clip selects at ``x``, as a 1-based pixel set."""
+    return cut_as_set(geom.clip(x[1] - 1, x[0] - 1, lat.height, lat.width))
 
 
 lattice_shapes = st.one_of(
@@ -154,29 +159,29 @@ def _diamond(r):
 
 
 @pytest.mark.parametrize("height, width", [(1, 9), (9, 1), (5, 7)], ids=["1xN", "Nx1", "5x7"])
-@pytest.mark.parametrize("geom", [
-    WindowGeom.square(2), WindowGeom.of(_diamond(3)), WindowGeom.of(_diamond(8)),
-    WindowGeom.of(Window(((0, 0), (2, 0), (0, -1)))), WindowGeom.square(2 ** 70),
+@pytest.mark.parametrize("win", [
+    square_window(2), _diamond(3), _diamond(8), Window(((0, 0), (2, 0), (0, -1))), None,
 ], ids=["square2", "diamond3", "diamond8", "skewed", "square2**70"])
-def test_clip_bounds_matches_clip_at_every_pixel(geom, height, width):
-    """The array form of ``clip`` gives the same slices, and the same
-    cut of the mask, at every array position; the diamond of radius 8
-    and the square of radius 2**70 overhang every lattice here."""
+def test_clip_bounds_matches_clip_at_every_pixel(win, height, width):
+    """Every row of ``clip_bounds`` cuts the pixel set that the set
+    ``clip`` selects at its position. The diamond of radius 8 and
+    ``WindowGeom.square(2**70)`` (``win`` None), which has no offset set
+    and covers the whole lattice, overhang every lattice here."""
+    lat = Lattice(width, height)
+    geom = WindowGeom.square(2 ** 70) if win is None else WindowGeom.of(win)
     rows, cols = np.divmod(np.arange(height * width), width)
     bounds = geom.clip_bounds(rows, cols, height, width)
     assert bounds.dtype == np.int32
     assert bounds.shape == (height * width, 4 if geom.mask is None else 6)
-    for (a0, a1, b0, b1, *at), r, c in zip(bounds.tolist(), rows.tolist(), cols.tolist()):
-        rs, cs, sub = geom.clip(r, c, height, width)
-        assert (rs, cs) == (slice(a0, a1), slice(b0, b1))
-        if sub is not None:
-            assert np.array_equal(geom.mask[at[0] : at[0] + a1 - a0, at[1] : at[1] + b1 - b0], sub)
+    for row, r, c in zip(bounds.tolist(), rows.tolist(), cols.tolist()):
+        expected = set(lat.pixels()) if win is None else clip(win, (c + 1, r + 1), lat)
+        assert cut_as_set(geom.cut(row)) == expected
 
 
 @settings(max_examples=100, deadline=None)
 @given(win=windows)
 def test_window_mask_is_cached_read_only_grid(win):
-    arr = win.offset_array()
+    arr = np.array(win.offsets)
     (x0, y0), (x1, y1) = arr.min(axis=0), arr.max(axis=0)
     fresh = np.zeros((y1 - y0 + 1, x1 - x0 + 1), dtype=bool)
     fresh[arr[:, 1] - y0, arr[:, 0] - x0] = True
@@ -201,9 +206,3 @@ def test_boundary_point_full_lattice_region():
     region = set(lat.pixels())
     assert not any(boundary_point(x, region, NINE_NEIGHBORHOOD, lat)
                    for x in lat.pixels())
-
-
-def test_window_offset_array_shape():
-    arr = NINE_NEIGHBORHOOD.offset_array()
-    assert arr.shape == (9, 2)
-    assert arr.dtype == np.int64

@@ -23,6 +23,10 @@ def test_model_validation():
         MrfModel(rho=-1.0)
     with pytest.raises(ValueError):
         MrfModel(rho=float("nan"))
+    for field, value in (("rho", True), ("rho", np.True_), ("temperature", True),
+                         ("temperature", np.True_)):
+        with pytest.raises(TypeError, match=f"{field} must be a number"):
+            MrfModel(**{field: value})
 
 
 def test_energy_constant_patch_zero():

@@ -250,8 +250,8 @@ def pixel_window(samples, top, r0, c0):
     geom = WindowGeom.of(top)
     rs, cs, sub = geom.clip(r0, c0, h, w)
     box = (geom.by1 - geom.by0 + 1, geom.bx1 - geom.bx0 + 1)
-    brs, bcs, _ = WindowGeom(0, w - 1, 0, h - 1, None).clip(
-        -r0 - geom.by0, -c0 - geom.bx0, *box)
+    dr, dc = -r0 - geom.by0, -c0 - geom.bx0  # image (r, c) sits at box (r + dr, c + dc)
+    brs, bcs = slice(rs.start + dr, rs.stop + dr), slice(cs.start + dc, cs.stop + dc)
     vals = np.zeros(box + (bands,))
     msk = np.zeros(box, dtype=bool)
     vals[brs, bcs] = samples[rs, cs]
