@@ -4,9 +4,12 @@ evaluation, and windowed merging together.
 Levels run in order with growing evaluation and merge windows, which
 ``McvConfig.eval_chain`` and ``McvConfig.merge_geom`` alone decide. The
 homogeneity test reads only the raw image, the pixel and the level's
-evaluation window chain, never the labels, so one verdict map
-(``pyramid.verdict_map``) scores every pixel through a chain at once,
-and consecutive levels with the same chain share it. Then the pixels
+evaluation window chain, never the labels, so one verdict map scores
+every pixel through a chain at once. ``run_mcv`` scores every level's
+map before the first merge, through one cache of net maps
+(``pyramid.verdict_maps``) that builds each layer and term map once
+for the run and is dropped before the merges; levels with the same
+chain share one verdict map. Then the pixels
 are visited in a fixed permutation, an (N,) array of 0-based row-major
 pixel indices all the way from the draw or the permutation file to the
 merge loop. A pixel sitting on a label boundary counts as one
@@ -42,7 +45,7 @@ from .geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD, Window,
 from .mrf import MrfModel
 from .partition import Partition, _relabel, canonicalize, singletons_full
 from .pnmio import ImageBuffer
-from .pyramid import check_chain, verdict_map
+from .pyramid import check_chain, verdict_map, verdict_maps
 
 
 class ConfigError(ValueError):
@@ -454,16 +457,14 @@ def run_mcv(omega: ImageBuffer, cfg: McvConfig = McvConfig()) -> PartitionSequen
     labels = singletons_full(lat).labels
     snapshots = [Partition(lat, labels.copy())]
     stats = [LevelStats(0, 0, 0, lat.size)]
+    verdicts = verdict_maps(omega.samples, [cfg.eval_chain(i) for i in range(1, cfg.max_level + 1)],
+                            cfg.model())
     reads = _w0_reads(cfg.w0, lat.height, lat.width)
-    model, chain = cfg.model(), None
-    for i in range(1, cfg.max_level + 1):
+    for i, verdict in enumerate(verdicts, 1):
         if cfg.reshuffle_per_level:
             order = permutation("random", lat, [cfg.seed, i])
         else:
             order = base
-        if cfg.eval_chain(i) != chain:
-            chain = cfg.eval_chain(i)
-            verdict = verdict_map(omega.samples, chain, model)
         st = _run_level_inplace(labels, omega, i, cfg, order, verdict, reads)
         snapshots.append(Partition(lat, labels.copy()))
         stats.append(st)

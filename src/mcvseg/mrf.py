@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -75,31 +75,44 @@ def _as_bands(values: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _neighbor_means(sources: Sequence[tuple[np.ndarray, np.ndarray]],
-                    reads: Iterable[tuple[Offset, int]], out_mask: np.ndarray,
+def _add_shifted(out: np.ndarray, sources, reads: Iterable[tuple[Offset, object]],
+                 dy0: int = 0, dx0: int = 0) -> np.ndarray:
+    """Add to ``out`` (..., h, w, bands), one read at a time in order,
+    each ((dx, dy), k) read: ``sources[k]`` (..., hs, ws, bands) at
+    (i + dy0 + dy, j + dx0 + dx) for each position (i, j), or nothing
+    where that is off the source. Returns ``out``. This is the only code
+    that adds shifted arrays: every mean layer of the net, the AR
+    predictor and the energy sum of ``pyramid.verdict_maps``."""
+    h, w = out.shape[-3:-1]
+    for (dx, dy), k in reads:
+        src = sources[k]
+        hs, ws = src.shape[-3:-1]
+        ry, rx = dy0 + dy, dx0 + dx
+        i0, i1 = max(0, -ry), min(h, hs - ry)
+        j0, j1 = max(0, -rx), min(w, ws - rx)
+        if i0 < i1 and j0 < j1:
+            out[..., i0:i1, j0:j1, :] += src[..., i0 + ry : i1 + ry, j0 + rx : j1 + rx, :]
+    return out
+
+
+def _neighbor_means(sources: Mapping[object, tuple[np.ndarray, np.ndarray]],
+                    reads: Iterable[tuple[Offset, object]], out_mask: np.ndarray,
                     dy0: int = 0, dx0: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """One layer of the net: per-band means (..., h, w, bands) of the
     in-mask reads at each (..., h, w) ``out_mask`` position, and the
     mask, off where a position has no read. Position (i, j) sits at
-    source position (i + dy0, j + dx0). ``sources`` holds (values, mask)
-    pairs of one shape, (..., hs, ws, bands) values zero off the
-    (..., hs, ws) mask. Each ((dx, dy), k) read, in order, adds source
-    k at (i + dy0 + dy, j + dx0 + dx), or nothing off the source; the
-    sum is divided once."""
-    h, w = out_mask.shape[-2:]
-    values, mask = sources[0]
-    *lead, hs, ws = mask.shape
-    sums = np.zeros((*lead, h, w, values.shape[-1]))
-    counts = np.zeros((*lead, h, w))
-    for (dx, dy), k in reads:
-        ry, rx = dy0 + dy, dx0 + dx
-        i0, i1 = max(0, -ry), min(h, hs - ry)
-        j0, j1 = max(0, -rx), min(w, ws - rx)
-        if i0 >= i1 or j0 >= j1:
-            continue
-        rows, cols = slice(i0 + ry, i1 + ry), slice(j0 + rx, j1 + rx)
-        sums[..., i0:i1, j0:j1, :] += sources[k][0][..., rows, cols, :]
-        counts[..., i0:i1, j0:j1] += sources[k][1][..., rows, cols]
+    source position (i + dy0, j + dx0). ``sources`` maps a key to a
+    (values, mask) pair, all of one shape, (..., hs, ws, bands) values
+    zero off the (..., hs, ws) mask. Each ((dx, dy), k) read, in order,
+    adds source k at (i + dy0 + dy, j + dx0 + dx), or nothing off the
+    source; the sum is divided once."""
+    reads = list(reads)
+    values, mask = next(iter(sources.values()))
+    out = (*mask.shape[:-2], *out_mask.shape[-2:])
+    sums = _add_shifted(np.zeros((*out, values.shape[-1])),
+                        {k: v for k, (v, _) in sources.items()}, reads, dy0, dx0)
+    counts = _add_shifted(np.zeros((*out, 1)), {k: m[..., None] for k, (_, m) in sources.items()},
+                          reads, dy0, dx0)[..., 0]
     present = out_mask & (counts > 0)
     means = np.divide(sums, counts[..., None], out=np.zeros(sums.shape),
                       where=present[..., None])
@@ -140,7 +153,7 @@ def energy(values: np.ndarray, model: MrfModel, mask: np.ndarray | None = None) 
         raise ValueError(f"mask shape {region.shape} != patch shape {(h, w)}")
     if not region.any():
         raise ValueError("region is empty")
-    pred = _neighbor_means([(vals * region[..., None], region)],
+    pred = _neighbor_means({0: (vals * region[..., None], region)},
                            [(o, 0) for o in model.neighbor_offsets()], region)
     return float(_ordered_sum(_site_terms(vals, *pred, model).ravel()))
 

@@ -9,6 +9,7 @@ as CSV (one line per lattice row, comma-separated, LF endings) otherwise.
 from __future__ import annotations
 
 import numbers
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,6 +197,11 @@ def save_labels(lm: Partition, format: str = "pgm16") -> bytes:
     raise ValueError(f"unknown label format {format!r}")
 
 
+#: A label CSV cell: ASCII decimal digits, which ``int`` alone would not
+#: insist on (it also takes "1_0" and other scripts' digits).
+_CSV_INT = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
 def load_labels(data: bytes) -> Partition:
     """Load a label map from 16-bit/8-bit PGM bytes or CSV bytes."""
     if data[:2] in (b"P2", b"P5"):
@@ -203,14 +209,22 @@ def load_labels(data: bytes) -> Partition:
         return Partition(img.lattice, img.samples[:, :, 0])
     if data[:2] in (b"P3", b"P6"):
         raise ValueError("label maps must be single-band (PGM), got PPM")
-    text = data.decode("utf-8")
-    rows = [line.split(",") for line in text.splitlines() if line.strip()]
-    if not rows:
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"label CSV is not UTF-8 text: "
+                         f"byte {e.start} is {data[e.start]:#04x}") from None
+    lines = [(ln, line.split(",")) for ln, line in enumerate(text.splitlines(), 1) if line.strip()]
+    if not lines:
         raise ValueError("empty label CSV")
-    widths = {len(r) for r in rows}
+    widths = {len(cells) for _, cells in lines}
     if len(widths) != 1:
         raise ValueError(f"ragged label CSV: row lengths {sorted(widths)}")
-    labels = np.array([[int(v) for v in row] for row in rows])
+    for ln, cells in lines:
+        for col, cell in enumerate(cells, 1):
+            if not _CSV_INT.fullmatch(cell):
+                raise ValueError(f"label CSV row {ln}, column {col}: not an integer: {cell!r}")
+    labels = np.array([[int(cell) for cell in cells] for _, cells in lines])
     _check_nonnegative(labels)
     return Partition(Lattice(labels.shape[1], labels.shape[0]), labels)
 

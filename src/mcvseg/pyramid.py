@@ -6,16 +6,19 @@ neighborhood, where the energy is thresholded as ``mrf.evaluate`` does.
 Each step is one layer of plain means over the model's neighborhood
 (``mrf._neighbor_means``, which is the AR predictor too): nothing is
 learned, every weight is wired to one. ``pyramid_evaluate`` runs the net
-on one window, and ``verdict_map`` slides it over a whole image as a
-convolution, whose last mean layer is the energy per pixel.
+on one window, the reference the fast path is tested against, and
+``verdict_maps`` slides it over a whole image as a convolution, for
+every chain of a run at once (``verdict_map`` for one), through the
+run's cache of whole-image maps (``netmaps``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Offset, Window, dilate
-from .mrf import MrfModel, _as_bands, _neighbor_means, _site_terms, evaluate
+from .geometry import Window, dilate
+from .mrf import MrfModel, _as_bands, _neighbor_means, evaluate
+from .netmaps import _NetMaps
 
 
 def check_chain(levels) -> tuple[Window, ...]:
@@ -57,7 +60,7 @@ def downsample(values: np.ndarray, mask: np.ndarray, src_window: Window,
     values, mask = _on_window(values, mask, src_window)
     ox0, _, oy0, _ = out_window.bbox()
     sx0, _, sy0, _ = src_window.bbox()
-    return _neighbor_means([(values, mask)], [(d, 0) for d in g.offsets],
+    return _neighbor_means({0: (values, mask)}, [(d, 0) for d in g.offsets],
                            out_window.mask(), oy0 - sy0, ox0 - sx0)
 
 
@@ -80,45 +83,20 @@ def pyramid_evaluate(values: np.ndarray, levels, model: MrfModel,
     return evaluate(values, model, mask)
 
 
-def _reads(ids: dict, o: Offset, offsets) -> tuple[tuple[Offset, int], ...]:
-    """The (offset, map id) reads of window position ``o`` at ``offsets``,
-    in order, skipping the positions that ``ids`` holds no map for."""
-    return tuple((d, ids[q]) for d in offsets if (q := (o[0] + d[0], o[1] + d[1])) in ids)
-
-
 def verdict_map(samples: np.ndarray, levels, model: MrfModel) -> np.ndarray:
     """``pyramid_evaluate`` of every pixel's window of the (h, w[, bands])
     image, as an (h, w) bool array; with one window in ``levels``, that
-    is ``evaluate`` on the clipped window.
+    is ``evaluate`` on the clipped window. This is ``verdict_maps`` of
+    the one chain."""
+    return verdict_maps(samples, [levels], model)[0]
 
-    The net slides over the image padded by the first window's reach.
-    Map 0 is the image. Window positions that read alike, the same
-    (g offset, map id) of each g-neighbor inside the source window,
-    share one whole-image ``_neighbor_means`` map. So does the energy
-    per pixel: that last mean layer reads, per base-window position in
-    row-major box order, a ``_site_terms`` map keyed by its center map
-    and its neighbors' reads. Only reads and terms of +0.0 are left
-    out, so the verdicts are bitwise ``pyramid_evaluate``'s."""
-    levels = check_chain(levels)
-    vals = _as_bands(samples)
-    h, w, _ = vals.shape
-    x0, x1, y0, y1 = levels[0].bbox()
-    reach = ((-y0, y1), (-x0, x1))
-    inside = np.pad(np.ones((h, w), dtype=bool), reach)
-    maps = [(np.pad(vals, reach + ((0, 0),)), inside)]
-    everywhere = np.ones_like(inside)
-    ids = dict.fromkeys(levels[0].offsets, 0)  # window position -> map id
-    g = model.neighborhood.offsets
-    for dst in levels[1:]:
-        keys = {o: _reads(ids, o, g) for o in dst.offsets}
-        distinct = {key: i for i, key in enumerate(dict.fromkeys(keys.values()))}
-        maps = [_neighbor_means(maps, key, everywhere) for key in distinct]
-        ids = {o: distinct[key] for o, key in keys.items()}
-    nbrs = model.neighbor_offsets()
-    keys = {o: (ids[o], _reads(ids, o, nbrs)) for o in sorted(ids, key=lambda o: (o[1], o[0]))}
-    distinct = {key: i for i, key in enumerate(dict.fromkeys(keys.values()))}
-    terms = [(_site_terms(maps[k][0], *_neighbor_means(maps, reads, maps[k][1]), model)[..., None],
-              maps[k][1]) for k, reads in distinct]
-    energy, _ = _neighbor_means(terms, [(o, distinct[key]) for o, key in keys.items()],
-                                np.ones((h, w), dtype=bool), -y0, -x0)
-    return energy[..., 0] <= model.rho
+
+def verdict_maps(samples: np.ndarray, chains, model: MrfModel) -> list[np.ndarray]:
+    """``verdict_map`` of each chain of ``chains``, in order, all from one
+    ``_NetMaps`` cache, which is dropped on return. A chain that repeats
+    gets the same array."""
+    chains = [check_chain(levels) for levels in chains]
+    if not chains:
+        return []
+    verdicts = _NetMaps(_as_bands(samples), chains, model).verdicts()
+    return [verdicts[levels] for levels in chains]

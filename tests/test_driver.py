@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mcvseg import driver
+from mcvseg import driver, netmaps, pyramid
 from mcvseg.driver import (ConfigError, McvConfig, config_updates,
                            load_permutation, permutation, run_level, run_mcv)
 from mcvseg.geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD,
@@ -404,16 +404,84 @@ def test_run_mcv_max_level_70_on_a_line():
 
 @pytest.mark.parametrize("pinned", [True, False], ids=["pinned", "default"])
 def test_run_mcv_scores_one_verdict_map_per_distinct_chain(pinned):
-    """Pinned eval windows give every level the same chain, so one map
-    serves the run; default windows grow every level, one map each."""
+    """Pinned eval windows give every level the same chain, so one energy
+    map serves the run; default windows grow every level, one map each."""
     rng = np.random.default_rng(3)
     img = gray(rng.integers(0, 4, size=(12, 12)).astype(np.float64) * 60)
     cfg = McvConfig(max_level=4, rho=50.0)
     if pinned:
         cfg = replace(cfg, eval_windows=(cfg.w0,) * 4)
-    with mock.patch.object(driver, "verdict_map", side_effect=driver.verdict_map) as spy:
+    with mock.patch.object(netmaps._NetMaps, "_energy", autospec=True,
+                           side_effect=netmaps._NetMaps._energy) as spy:
         run_mcv(img, cfg)
     assert spy.call_count == (1 if pinned else 4)
+
+
+@pytest.mark.parametrize("mode, layers, terms", [("direct", 0, 9), ("pyramid", 6, 63)])
+def test_run_mcv_builds_each_net_map_once(mode, layers, terms):
+    """A default 7-level direct run reads the same 9 term maps (the
+    window's interior, 4 edges and 4 corners) at every level: 9 builds,
+    not 63. A pyramid run's layer d is the d-fold g-mean at every level:
+    6 layer builds, not 21, while its 9 term maps per level read a new
+    layer each."""
+    rng = np.random.default_rng(5)
+    img = gray(rng.integers(0, 4, size=(10, 10)).astype(np.float64) * 60)
+    cfg = McvConfig(max_level=7, rho=50.0, eval_mode=mode)
+    with mock.patch.object(netmaps, "_site_terms", side_effect=netmaps._site_terms) as site, \
+            mock.patch.object(netmaps, "_neighbor_means",
+                              side_effect=netmaps._neighbor_means) as means:
+        run_mcv(img, cfg)
+    assert site.call_count == terms
+    assert means.call_count == layers + terms
+
+
+def _fresh_verdict_maps(samples, chains, model):
+    """``verdict_maps`` without a run cache: one fresh map per level."""
+    return [pyramid.verdict_map(samples, levels, model) for levels in chains]
+
+
+def _holed(radius, holes):
+    return Window(tuple(set(square_window(radius).offsets) - set(holes)))
+
+
+# Nested holed windows, fine-ward: each holds the one before, and each
+# hole makes window positions of the next layer down read different maps.
+HOLED = (_holed(1, [(1, 1)]),
+         _holed(2, [(1, 1), (2, 2), (-2, 0), (0, 2)]),
+         _holed(3, [(1, 1), (3, 3), (-3, 1), (0, 2), (2, -3)]))
+
+
+@pytest.mark.parametrize("cfg", [
+    McvConfig(max_level=3, rho=30.0, eval_mode="pyramid", eval_windows=HOLED),
+    McvConfig(max_level=3, rho=30.0, eval_mode="pyramid", eval_windows=HOLED, metric="l1",
+              neighborhood=4, reshuffle_per_level=True),
+    McvConfig(max_level=3, rho=30.0, eval_windows=HOLED),
+    McvConfig(max_level=5, rho=30.0, eval_windows=(HOLED[0],) * 2 + (HOLED[2],) * 3),
+    McvConfig(max_level=4, rho=30.0, neighborhood=4, eval_windows=(FIVE_NEIGHBORHOOD,) * 4),
+    McvConfig(max_level=5, rho=30.0),
+    McvConfig(max_level=5, rho=30.0, eval_mode="pyramid"),
+], ids=["holed-pyramid", "holed-pyramid-l1-4n", "holed-direct", "holed-direct-repeats",
+        "pinned", "default-direct", "default-pyramid"])
+def test_run_mcv_cache_matches_fresh_verdict_maps(cfg):
+    """The run cache shares maps across levels and pads once; its
+    verdicts, partitions and level counts are those of fresh per-level
+    maps."""
+    rng = np.random.default_rng(11)
+    tones = rng.integers(0, 3, size=(3, 3, 2)).repeat(4, axis=0).repeat(4, axis=1)[:11, :10]
+    samples = tones * 60.0 + rng.normal(0.0, 3.0, size=tones.shape)
+    img = ImageBuffer(Lattice(10, 11), 2, samples, 255)
+    chains = [cfg.eval_chain(i) for i in range(1, cfg.max_level + 1)]
+    cached = pyramid.verdict_maps(samples, chains, cfg.model())
+    fresh = _fresh_verdict_maps(samples, chains, cfg.model())
+    assert all(np.array_equal(a, b) for a, b in zip(cached, fresh))
+    assert 0 < sum(v.sum() for v in fresh) < sum(v.size for v in fresh)
+    seq = run_mcv(img, cfg)
+    with mock.patch.object(driver, "verdict_maps", _fresh_verdict_maps):
+        ref = run_mcv(img, cfg)
+    assert all(np.array_equal(a.labels, b.labels) for a, b in zip(seq.levels, ref.levels))
+    counts = [(st.level, st.evaluations, st.accepted, st.region_count) for st in seq.stats]
+    assert counts == [(st.level, st.evaluations, st.accepted, st.region_count)
+                      for st in ref.stats]
 
 
 def test_run_mcv_region_count_nonincreasing_with_default_windows():

@@ -149,6 +149,21 @@ def test_load_labels_rejects_ragged_csv():
         load_labels(b"1,2\n3\n")
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"1,2\n3,a\n", "row 2, column 2: not an integer: 'a'"),
+    (b"\n0,1\n2.5,3\n", "row 3, column 1: not an integer: '2.5'"),
+    (b"0,,1\n", "row 1, column 2: not an integer: ''"),
+    (b"0,1_0\n", "row 1, column 2: not an integer: '1_0'"),
+    ("0,\u0663\n".encode(), "row 1, column 2: not an integer: '\u0663'"),
+    (b"0,\xff\n", "not UTF-8 text: byte 2 is 0xff"),
+], ids=["letter", "fraction-after-blank-line", "empty-cell", "underscore", "arabic-digit",
+        "not-utf8"])
+def test_load_labels_names_the_bad_csv_cell(data, message):
+    with pytest.raises(ValueError) as exc:
+        load_labels(data)
+    assert message in str(exc.value)
+
+
 def test_colorize_distinct_and_deterministic():
     labels = np.arange(12, dtype=np.int32).reshape(3, 4)
     lm = Partition(Lattice(4, 3), labels)

@@ -350,7 +350,7 @@ def test_verdict_map_matches_per_pixel_reference(data):
 # Noise seeds: the whole image is scored in one pass, so the check is
 # repeated over a few noise draws.
 @pytest.mark.parametrize("seed", [1, 100, 1750])
-def test_verdict_map_chunks_agree(seed):
+def test_gray_verdict_map_matches_per_pixel_reference(seed):
     """The whole-image map of an (h, w) gray image agrees with the
     per-pixel reference of its one-band form."""
     rng = np.random.default_rng(seed)
