@@ -23,7 +23,7 @@ configuration.
 Each accepted merge reads the labels the previous one wrote, so merges
 run in visit order on one thread, but ``_merge_level`` tests a chunk of
 visits at once and applies every accept of it up to the first visit
-whose test an earlier accept's merge could have made stale. Every merge
+whose reads an earlier accept's merge has changed. Every merge
 goes through ``partition._relabel`` and a bool table over labels, and
 ``WindowGeom.clip_bounds`` clips the merge windows of all of a level's
 visits at once; they lie on the lattice, as its clamped arithmetic needs.
@@ -44,7 +44,7 @@ from .geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD, Window,
                        WindowGeom, dilate)
 from .mrf import MrfModel
 from .partition import Partition, _relabel, canonicalize, singletons_full
-from .pnmio import ImageBuffer
+from .pnmio import _CSV_INT, ImageBuffer
 from .pyramid import check_chain, verdict_map, verdict_maps
 
 
@@ -275,17 +275,17 @@ def permutation(kind: str, lat: Lattice, seed: int | Sequence[int] = 0) -> np.nd
 
 def load_permutation(text: str, lat: Lattice) -> np.ndarray:
     """Parse an offline visiting order: one 0-based row-major pixel index
-    per line; blank lines and ``#`` comments are skipped. The indices must
-    form a permutation of the whole lattice."""
+    per line, in ASCII digits as in a label CSV cell; blank lines and
+    ``#`` comments are skipped. The indices must form a permutation of the
+    whole lattice."""
     values = []
     for ln, line in enumerate(text.splitlines(), 1):
         s = line.split("#", 1)[0].strip()
         if not s:
             continue
-        try:
-            values.append(int(s))
-        except ValueError:
+        if not _CSV_INT.fullmatch(s):
             raise ValueError(f"permutation file line {ln}: not an integer: {s!r}")
+        values.append(int(s))
         if not 0 <= values[-1] < lat.size:
             raise ValueError(f"permutation file line {ln}: {s} is not a pixel index")
     return _check_perm(np.array(values, dtype=np.int64), lat)
@@ -306,9 +306,9 @@ def _check_perm(perm: np.ndarray, lat: Lattice) -> np.ndarray:
 
 
 #: Visits in a merge chunk's boundary-test gather. A chunk runs up to its
-#: first visit whose w0 read meets the merge box of an earlier accept in
-#: it; one that runs to its end doubles the next chunk, up to
-#: MERGE_CHUNK_MAX, and a cut resets it to MERGE_CHUNK.
+#: first visit whose w0 reads an earlier accept in it changed; one that
+#: runs to its end doubles the next chunk, up to MERGE_CHUNK_MAX, and a
+#: cut resets it to MERGE_CHUNK.
 MERGE_CHUNK = 32
 MERGE_CHUNK_MAX = 256
 
@@ -334,25 +334,31 @@ def _merge_level(labels: np.ndarray, verdict: np.ndarray, perm: np.ndarray,
     Visits are tested a chunk at a time in one gather of their ``reads``
     rows, each read clipped to the lattice: w0 holds (dx, 0) and (0, dy)
     with each of its offsets (dx, dy), all one step at most, so a clipped
-    read stays in the clipped w0-window, inside its unclipped box. The
-    chunk is cut at its first visit whose w0 box meets the merge box of an
-    earlier accept in the chunk: psi's bounding box dilated by w0's, set in
-    a bool table over (row, column) offsets between visits. Every accept
-    before the cut merges, in visit order, with the next fresh label,
-    inside its psi box, and the next chunk starts at the cut; both boxes
-    are clipped by ``WindowGeom.clip_bounds``, psi's for the whole level.
-    This is the one-visit-at-a-time loop exactly: a merge changes no
-    label outside its psi box, so every test before the cut, and every
-    accept's targets, read the labels that loop reads; a masked psi only
-    cuts earlier. The cut is exact at any chunk length, so the length
-    follows the cuts: a chunk that runs to its end doubles the next one,
-    up to ``MERGE_CHUNK_MAX``, where accepts are rare, and a cut resets it
-    to ``MERGE_CHUNK``, where they are dense. A merge flags its targets in
-    one bool table over labels: below ``labels.max() + 1``, plus one fresh
-    label per visit at most, so 2N entries on a level that starts
-    canonical. The loop runs on a C-ordered intp copy of ``labels``,
-    written back at the end, and on intp read rows, because NumPy
-    indexes faster with intp.
+    read stays in the clipped w0-window, inside its unclipped box. A visit
+    may be stale when its w0 box meets the merge box of an earlier accept
+    in the chunk: psi's bounding box dilated by w0's, set in a bool table
+    over (row, column) offsets between visits. The accepts merge in visit
+    order, each with the next fresh label inside its psi box, which
+    ``WindowGeom.clip_bounds`` clips for the whole level. Once every
+    accept before a possibly stale visit has merged, its reads are
+    gathered again, and the chunk is cut there if they differ from the
+    chunk's gather; the next chunk starts at the cut. If they do not, as
+    when the merges near it took only labels it does not read, its test
+    stands and the chunk goes on. This is the one-visit-at-a-time loop
+    exactly: a merge changes no label outside its psi box, so a visit
+    that is not stale reads the labels that loop reads, and a stale one
+    is checked against them; so every test before the cut, and every
+    accept's targets, are that loop's, and each accept makes one
+    ``_relabel`` call, as there. The cut is exact at any chunk length, so
+    the length follows the cuts: a chunk that runs to its end doubles the
+    next one, up to ``MERGE_CHUNK_MAX``, where accepts are rare, and a cut
+    resets it to ``MERGE_CHUNK``, where they are dense. A merge flags its
+    targets in one bool table over labels: below ``labels.max() + 1``,
+    plus one fresh label per visit at most, so 2N entries on a level that
+    starts canonical. The loop runs on a C-ordered intp copy of
+    ``labels``, written back at the end, and on intp read rows, because
+    NumPy indexes faster with intp; a re-gathered read row is compared
+    with the chunk's as a list, which costs fewer NumPy calls.
     """
     h, w = labels.shape
     work = labels.astype(np.intp, order="C")
@@ -381,17 +387,22 @@ def _merge_level(labels: np.ndarray, verdict: np.ndarray, perm: np.ndarray,
             key = keys[pos : pos + cut]
             later = index[:cut] > acc[:, None]
             stale = np.logical_or.reduce(near[key - key[acc][:, None]] & later)
-            first = int(stale.argmax())
-            if stale[first]:
-                cut = first
-                acc = acc[acc < cut]
-            for targets, row in zip(block[acc], bounds[pos + acc].tolist()):
-                table[targets] = True
-                rs, cs, sub = psi.cut(row)
-                _relabel(work, rs, cs, sub, table, fresh)
-                table[targets] = False
-                fresh += 1
-            accepted += len(acc)
+            # order ends in cut, past every j, so the merges stop there
+            order, targets = [*acc.tolist(), cut], block[acc]
+            merge_rows = bounds[pos + acc].tolist()
+            done = 0
+            for j in (*stale.nonzero()[0].tolist(), cut):
+                while order[done] < j:
+                    table[targets[done]] = True
+                    rs, cs, sub = psi.cut(merge_rows[done])
+                    _relabel(work, rs, cs, sub, table, fresh)
+                    table[targets[done]] = False
+                    fresh += 1
+                    done += 1
+                if j < cut and flat[neighbors[pos + j]].tolist() != block[j].tolist():
+                    cut = j
+                    break
+            accepted += done
         evaluations += int(np.count_nonzero(boundary[:cut]))
         size = MERGE_CHUNK if cut < len(block) else min(2 * size, MERGE_CHUNK_MAX)
         pos += cut

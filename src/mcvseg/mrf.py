@@ -121,9 +121,18 @@ def _neighbor_means(sources: Mapping[object, tuple[np.ndarray, np.ndarray]],
 
 def _ordered_sum(x: np.ndarray) -> np.ndarray:
     """Sums over the last axis, adding one element at a time from the
-    first: an accumulation is sequential by definition, unlike ``np.sum``,
-    whose order depends on the array's length and layout."""
-    return x[..., 0] if x.shape[-1] == 1 else np.add.accumulate(x, axis=-1)[..., -1]
+    first, unlike ``np.sum``, whose order depends on the array's length
+    and layout. A 1-D array goes through ``np.add.accumulate``, which is
+    sequential by definition. A wider one, a map of band values, adds its
+    bands in a loop: the same correctly rounded adds in the same order,
+    so bitwise the same sums, at a fraction of the cost of accumulating
+    along a short strided axis."""
+    if x.ndim == 1:
+        return np.add.accumulate(x)[-1]
+    total = x[..., 0]
+    for i in range(1, x.shape[-1]):
+        total = total + x[..., i]
+    return total
 
 
 def _site_terms(vals: np.ndarray, pred: np.ndarray, has: np.ndarray,

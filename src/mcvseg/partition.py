@@ -209,15 +209,30 @@ def canonicalize(p: Partition) -> Partition:
 
     Two partitions are equivalent labelings iff their canonical forms have
     identical label arrays. Idempotent; absent pixels stay absent.
+
+    No sort is needed where the labels span at most 2N values on N
+    pixels, as every level's labels do: ``np.minimum.at`` writes each
+    label's first raster index into a table over the span, one gather
+    through it gives every pixel that index, and a label's rank is the
+    count of pixels up to it that are the first of their label. A wider
+    span is first compressed by ``np.unique``, which keeps the labels'
+    order and so their first occurrences.
     """
     flat = p.labels.ravel()
     mask = flat != ABSENT
     out = np.full_like(flat, ABSENT)
-    if mask.any():
-        uniq, first_idx, inverse = np.unique(flat[mask], return_index=True, return_inverse=True)
-        rank = np.empty(uniq.size, dtype=np.int32)
-        rank[np.argsort(first_idx, kind="stable")] = np.arange(uniq.size, dtype=np.int32)
-        out[mask] = rank[inverse]
+    present = flat[mask].astype(np.intp)
+    if present.size:
+        lo = int(present.min())
+        if int(present.max()) - lo >= 2 * flat.size:
+            present = np.unique(present, return_inverse=True)[1]
+            lo = 0
+        present -= lo
+        index = np.arange(present.size)
+        first = np.full(int(present.max()) + 1, present.size, dtype=np.intp)
+        np.minimum.at(first, present, index)
+        first = first[present]
+        out[mask] = (np.cumsum(first == index, dtype=np.int32) - 1)[first]
     return Partition(p.lattice, out.reshape(p.labels.shape))
 
 

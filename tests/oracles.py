@@ -247,3 +247,15 @@ def merge_level_reference(labels, verdict, order, w0_offsets, psi_offsets):
         fresh += 1
         accepted += 1
     return labels, evaluations, accepted
+
+
+def first_occurrence_reference(rows, absent):
+    """Renumber a grid of labels 0, 1, 2, ... in the order they first
+    appear, reading each row left to right, top row first. ``rows`` is a
+    list of lists of ints; cells equal to ``absent`` stay as they are.
+    Returns a new list of lists."""
+    rank = {}
+    out = []
+    for row in rows:
+        out.append([lab if lab == absent else rank.setdefault(lab, len(rank)) for lab in row])
+    return out

@@ -76,6 +76,19 @@ def test_load_permutation_errors():
         load_permutation("0\nx\n", lat)  # not an integer
 
 
+@pytest.mark.parametrize("spelling", ["1_1", "\u0661\u0661", "+1_1", " 1 1"],
+                         ids=["underscore", "arabic-indic", "signed-underscore", "split"])
+def test_load_permutation_reads_ascii_digits_only(spelling):
+    """``int`` reads "1_1" and Arabic-Indic "11" as 11, a pixel of this
+    lattice; the file takes ASCII digits only, as a label CSV cell does,
+    and the error names the line."""
+    lat = Lattice(4, 3)
+    lines = [str(i) for i in range(11)] + [spelling]
+    assert load_permutation("\n".join(lines[:11] + ["11"]), lat).tolist() == list(range(12))
+    with pytest.raises(ValueError, match=r"line 12: not an integer"):
+        load_permutation("# order\n" + "\n".join(lines[1:]) + "\n0\n", lat)
+
+
 def test_config_validation():
     McvConfig().validate()
     with pytest.raises(ConfigError):
@@ -724,6 +737,25 @@ def test_merge_level_grows_chunks_where_accepts_are_rare(w0, psi):
     labels = rng.integers(0, 2 * 48 * 48, size=(48, 48)).astype(np.int32)
     verdict = rng.random((48, 48)) < 0.02
     perm = permutation("random", Lattice(48, 48), 8)
+    _check_merge_level(labels, verdict, perm, w0, psi)
+
+
+@pytest.mark.parametrize("w0, psi", [(FIVE_NEIGHBORHOOD, _diamond(4)),
+                                     (FIVE_NEIGHBORHOOD, _diamond(6)),
+                                     (NINE_NEIGHBORHOOD, _diamond(6))],
+                         ids=["4n-diamond4", "4n-diamond6", "8n-diamond6"])
+def test_merge_level_goes_on_past_stale_visits_that_keep_their_reads(w0, psi):
+    """On a 48x48 lattice of 12x12 uniform blocks at accept rate 0.2, a
+    merge takes only the few labels around its visit, inside a diamond
+    whose bounding box also covers pixels of other labels. So many visits
+    in reach of an earlier merge's box read nothing it changed, and their
+    chunk goes on: 97, 148 and 114 such checks against 62, 77 and 113
+    that found a change and cut the chunk."""
+    rng = np.random.default_rng(2)
+    rows, cols = np.mgrid[:48, :48]
+    labels = ((rows // 12) * 4 + cols // 12).astype(np.int32)
+    verdict = rng.random((48, 48)) < 0.2
+    perm = permutation("random", Lattice(48, 48), 2)
     _check_merge_level(labels, verdict, perm, w0, psi)
 
 

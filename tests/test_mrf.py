@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mcvseg.geometry import FIVE_NEIGHBORHOOD, NINE_NEIGHBORHOOD, dilate
-from mcvseg.mrf import (MrfModel, calibrate_rho, energy, evaluate,
+from mcvseg.mrf import (MrfModel, _ordered_sum, calibrate_rho, energy, evaluate,
                         gibbs_distribution, neighborhood_squared,
                         tau_rho_consistency)
 
@@ -156,6 +156,35 @@ def test_gibbs_energies_are_energy_bitwise(shape, values, metric):
     mask = np.ones(shape, dtype=bool)
     got = np.array([energy(np.reshape(s, (h, w, -1)), model, mask) for s in table.states])
     assert np.count_nonzero(got != table.energies) == 0
+
+
+def _left_to_right(values):
+    total = values[0]
+    for v in values[1:]:
+        total += v
+    return total
+
+
+@pytest.mark.parametrize("bands", [1, 2, 3, 4, 5])
+def test_ordered_sum_adds_left_to_right(bands):
+    """``_ordered_sum`` over 1 to 5 bands, and over a 1-D array, is bit for
+    bit a Python sum from the first element on, on values where the order
+    of the adds moves the result: 1 + 1e16 - 1e16 is 0 that way, but 1
+    from the right."""
+    rng = np.random.default_rng(bands)
+    pool = [1e16, 1.0, -1e16, 0.1, -0.0, 3.0, 2.0**-40]
+    x = rng.choice(pool, size=(6, 7, bands))
+    x[0, 0, :3] = [1.0, 1e16, -1e16][:bands]
+    want = np.array([[_left_to_right(px.tolist()) for px in row] for row in x])
+    got = _ordered_sum(x)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    flat = x.reshape(-1)
+    assert np.float64(_ordered_sum(flat)).view(np.int64) == \
+        np.float64(_left_to_right(flat.tolist())).view(np.int64)
+    if bands >= 3:
+        first = x[0, 0].tolist()
+        assert got[0, 0] == _left_to_right(first) != _left_to_right(first[::-1])
 
 
 def test_tau_rho_consistency_cases():

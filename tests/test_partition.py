@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcvseg.geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD,
                              Window)
@@ -9,7 +13,7 @@ from mcvseg.partition import (ABSENT, Partition, canonicalize,
                               singletons_full)
 from mcvseg.pnmio import load_labels, save_labels
 
-from oracles import bfs_components, merge_sets
+from oracles import bfs_components, first_occurrence_reference, merge_sets
 
 LINE3 = Window(((0, 0), (-1, 0), (1, 0)))
 
@@ -233,6 +237,47 @@ def test_canonicalize_keeps_absent():
     p = Partition(lat, np.array([[ABSENT, 5, 5]], dtype=np.int32))
     out = canonicalize(p)
     assert out.labels.tolist() == [[ABSENT, 0, 0]]
+
+
+INT32 = np.iinfo(np.int32)
+
+
+@st.composite
+def label_maps(draw):
+    """A 1xN, Nx1 or square label map. Its labels come from a span of at
+    most 2N values starting at -3..0, where ``canonicalize`` renumbers
+    through a table, or anywhere in int32, edges included, where it
+    compresses the labels first; both kinds hold ABSENT."""
+    n = draw(st.integers(1, 9))
+    h, w = draw(st.sampled_from([(1, n), (n, 1), (n, n)]))
+    low = draw(st.integers(-3, 0))
+    narrow = st.integers(low, low + 2 * h * w - 1)
+    wide = st.one_of(st.sampled_from([INT32.min, INT32.min + 1, INT32.max - 1, INT32.max,
+                                      -2, 2 * h * w]),
+                     st.integers(INT32.min, INT32.max))
+    labels = st.one_of(st.just(ABSENT), draw(st.sampled_from([narrow, wide])))
+    cells = draw(st.lists(labels, min_size=h * w, max_size=h * w))
+    return np.array(cells, dtype=np.int32).reshape(h, w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(label_maps())
+def test_canonicalize_matches_first_occurrence_reference(labels):
+    h, w = labels.shape
+    out = canonicalize(Partition(Lattice(w, h), labels)).labels
+    assert out.dtype == np.int32
+    assert out.tolist() == first_occurrence_reference(labels.tolist(), ABSENT)
+
+
+@pytest.mark.parametrize("span, compressed", [(8, False), (9, True)])
+def test_canonicalize_compresses_only_spans_over_twice_the_pixels(span, compressed):
+    """Four pixels whose labels span 8 values renumber through a table;
+    a span of 9 is compressed by ``np.unique`` first."""
+    labels = np.array([[5, 5 + span - 1], [ABSENT, 5]], dtype=np.int32)
+    with mock.patch.object(np, "unique", wraps=np.unique) as spy:
+        out = canonicalize(Partition(Lattice(2, 2), labels)).labels
+    assert out.tolist() == [[0, 1], [ABSENT, 0]]
+    assert spy.called == compressed
 
 
 def test_same_partition_relabel_invariance():
