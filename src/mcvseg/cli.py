@@ -17,7 +17,6 @@ from pathlib import Path
 
 from .driver import (EVAL_MODES, METRIC_ALIASES, ConfigError, McvConfig,
                      config_updates, run_mcv)
-from .geometry import FIVE_NEIGHBORHOOD, NINE_NEIGHBORHOOD
 from .metrics import rand_index
 from .partition import Partition, canonicalize, components_by_class
 from .pnmio import colorize, load_labels, load_pnm, save_labels, save_pnm
@@ -102,7 +101,7 @@ def cmd_components(args: argparse.Namespace) -> int:
     if image.bands != 1:
         raise ConfigError("class map must be a single-band PGM")
     classmap = Partition(image.lattice, image.samples[:, :, 0])
-    w0 = NINE_NEIGHBORHOOD if args.neighborhood == 8 else FIVE_NEIGHBORHOOD
+    w0 = McvConfig(neighborhood=args.neighborhood).w0
     part = canonicalize(components_by_class(classmap, w0))
     fmt = "csv" if args.output.endswith(".csv") else "pgm16"
     blob = save_labels(part, fmt)

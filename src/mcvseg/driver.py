@@ -393,10 +393,11 @@ def _merge_level(labels: np.ndarray, verdict: np.ndarray, perm: np.ndarray,
             done = 0
             for j in (*stale.nonzero()[0].tolist(), cut):
                 while order[done] < j:
-                    table[targets[done]] = True
+                    target = targets[done]
+                    table[target] = True
                     rs, cs, sub = psi.cut(merge_rows[done])
                     _relabel(work, rs, cs, sub, table, fresh)
-                    table[targets[done]] = False
+                    table[target] = False
                     fresh += 1
                     done += 1
                 if j < cut and flat[neighbors[pos + j]].tolist() != block[j].tolist():

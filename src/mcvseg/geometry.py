@@ -7,9 +7,9 @@ structuring elements for dilation.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -25,7 +25,7 @@ class Lattice:
     height: int
 
     def __post_init__(self):
-        if not all(isinstance(v, numbers.Integral) for v in (self.width, self.height)):
+        if not all(isinstance(v, Integral) for v in (self.width, self.height)):
             raise ValueError(f"lattice sides must be integers, got {self.width!r}x{self.height!r}")
         if self.width < 1 or self.height < 1:
             raise ValueError(f"lattice dimensions must be positive, got {self.width}x{self.height}")
@@ -58,7 +58,7 @@ class Window:
     offsets: tuple[Offset, ...]
 
     def __post_init__(self):
-        if not all(isinstance(v, numbers.Integral) for offset in self.offsets for v in offset):
+        if not all(type(v) is int or isinstance(v, Integral) for o in self.offsets for v in o):
             raise ValueError(f"window offsets must be integers, got {self.offsets!r}")
         cleaned = tuple(sorted({(int(dx), int(dy)) for dx, dy in self.offsets}))
         if (0, 0) not in cleaned:
@@ -148,11 +148,11 @@ class WindowGeom:
 
     def cut(self, bounds: list[int]) -> tuple[slice, slice, np.ndarray | None]:
         """A ``clip_bounds`` row as a row slice, a column slice and the
-        window mask cut to them (None when the window has no mask)."""
-        a0, a1, b0, b1, *at = bounds
-        sub = None if self.mask is None else self.mask[at[0] : at[0] + a1 - a0,
-                                                       at[1] : at[1] + b1 - b0]
-        return slice(a0, a1), slice(b0, b1), sub
+        window mask cut to them, or None for a maskless row of four bounds."""
+        if self.mask is None:
+            return slice(bounds[0], bounds[1]), slice(bounds[2], bounds[3]), None
+        a0, a1, b0, b1, r, c = bounds
+        return slice(a0, a1), slice(b0, b1), self.mask[r : r + a1 - a0, c : c + b1 - b0]
 
 
 def square_window(r: int) -> Window:

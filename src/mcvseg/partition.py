@@ -81,9 +81,12 @@ def _relabel(labels: np.ndarray, rs: slice, cs: slice, sub: np.ndarray | None,
              table: np.ndarray, fresh: int) -> None:
     """In place, give the label ``fresh`` to every pixel of
     ``labels[rs, cs]`` (under ``sub`` when given) whose entry in ``table``,
-    a bool array indexed by label, is set."""
+    a bool array indexed by label, is set. The flags are gathered through a
+    C-contiguous copy of the region, NumPy's fast path (a contiguous region
+    is not copied): it holds the region's labels, so the flags are the same
+    values, and ``fresh`` is still written through the view, into ``labels``."""
     region = labels[rs, cs]
-    sel = table[region]
+    sel = table[np.ascontiguousarray(region)]
     if sub is not None:
         sel &= sub
     region[sel] = fresh

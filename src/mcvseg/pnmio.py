@@ -153,12 +153,8 @@ def save_pnm(img: ImageBuffer, plain: bool = False) -> bytes:
         raise ValueError(f"PNM supports 1 or 3 bands, got {img.bands}")
     values = np.clip(np.rint(img.samples), 0, img.max_value).astype(np.uint32)
     flat = values.reshape(-1)
-    header = "{magic}\n{w} {h}\n{mv}\n".format(
-        magic=("P2" if img.bands == 1 else "P3") if plain else ("P5" if img.bands == 1 else "P6"),
-        w=img.lattice.width,
-        h=img.lattice.height,
-        mv=img.max_value,
-    ).encode("ascii")
+    magic = ("P2" if img.bands == 1 else "P3") if plain else ("P5" if img.bands == 1 else "P6")
+    header = f"{magic}\n{img.lattice.width} {img.lattice.height}\n{img.max_value}\n".encode("ascii")
     if plain:
         rows = values.reshape(img.lattice.height, -1)
         body = "\n".join(" ".join(str(v) for v in row) for row in rows) + "\n"

@@ -259,3 +259,15 @@ def first_occurrence_reference(rows, absent):
     for row in rows:
         out.append([lab if lab == absent else rank.setdefault(lab, len(rank)) for lab in row])
     return out
+
+
+def relabel_reference(rows, x, offsets, targets, fresh):
+    """The windowed relabel, one pixel at a time: every pixel of the
+    clipped translate of ``offsets`` to the 1-based (col, row) pixel
+    ``x`` whose label is in ``targets`` takes the label ``fresh``.
+    ``rows`` is a list of lists of ints; returns a new list of lists."""
+    out = [list(row) for row in rows]
+    for c, r in window_at(x, offsets, len(rows[0]), len(rows)):
+        if out[r - 1][c - 1] in targets:
+            out[r - 1][c - 1] = fresh
+    return out

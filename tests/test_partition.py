@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcvseg.geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD,
-                             Window)
-from mcvseg.partition import (ABSENT, Partition, canonicalize,
-                              components_by_class, connected_components,
-                              m_step, merge_step, same_partition, singletons,
-                              singletons_full)
+                             Window, WindowGeom, dilate, square_window)
+from mcvseg.partition import (ABSENT, Partition, _label_table, _relabel,
+                              canonicalize, components_by_class,
+                              connected_components, m_step, merge_step,
+                              same_partition, singletons, singletons_full)
 from mcvseg.pnmio import load_labels, save_labels
 
-from oracles import bfs_components, first_occurrence_reference, merge_sets
+from oracles import (bfs_components, first_occurrence_reference, merge_sets,
+                     relabel_reference)
 
 LINE3 = Window(((0, 0), (-1, 0), (1, 0)))
 
@@ -214,6 +215,53 @@ def test_merges_take_negative_and_large_labels():
         got = m_step(x, Partition(lat, holes), w0)
         assert same_partition(got, m_step(x, Partition(lat, compact), w0))
         assert np.array_equal(got.labels == ABSENT, holes == ABSENT)
+
+
+RELABEL_WINDOWS = [square_window(0), square_window(1), square_window(2), square_window(9),
+                   dilate(FIVE_NEIGHBORHOOD, 2), dilate(FIVE_NEIGHBORHOOD, 4), LINE3]
+
+
+@st.composite
+def relabel_cases(draw):
+    """A label map with ABSENT pixels, a window (a square, a holed
+    diamond, a line, or a square that covers the whole lattice from any
+    pixel) at a pixel, and a target set drawn from another pixel's 3x3
+    window: its labels without ABSENT, as ``m_step`` takes them, or with
+    it."""
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    cells = st.one_of(st.just(ABSENT), st.integers(0, 2 * h * w - 1))
+    labels = np.array(draw(st.lists(cells, min_size=h * w, max_size=h * w)),
+                      dtype=np.int32).reshape(h, w)
+    window = draw(st.sampled_from(RELABEL_WINDOWS))
+    r0, c0, tr, tc = (draw(st.integers(0, n - 1)) for n in (h, w, h, w))
+    targets = labels[max(tr - 1, 0) : tr + 2, max(tc - 1, 0) : tc + 2].ravel()
+    if draw(st.booleans()):
+        targets = targets[targets != ABSENT]
+    return labels, window, r0, c0, targets
+
+
+@settings(max_examples=200, deadline=None)
+@given(relabel_cases(), st.sampled_from([(np.int32, "C"), (np.intp, "C"), (np.intp, "F")]))
+def test_relabel_matches_per_pixel_reference(case, layout):
+    """``_relabel`` on the ``WindowGeom.cut`` of a ``clip_bounds`` row, at
+    interior, edge and corner pixels and over the whole lattice, gives
+    the per-pixel loop's labels, in any array layout, and leaves the
+    labels outside the window and its table as they were."""
+    labels, window, r0, c0, targets = case
+    h, w = labels.shape
+    geom = WindowGeom.of(window)
+    rs, cs, sub = geom.cut(geom.clip_bounds(np.array([r0]), np.array([c0]), h, w)[0].tolist())
+    table = _label_table(labels, targets)
+    before, fresh = table.copy(), int(labels.max()) + 1
+    work = np.array(labels, dtype=layout[0], order=layout[1])
+    _relabel(work, rs, cs, sub, table, fresh)
+    expected = relabel_reference(labels.tolist(), (c0 + 1, r0 + 1), window.offsets,
+                                 set(targets.tolist()), fresh)
+    assert work.tolist() == expected
+    outside = np.ones((h, w), dtype=bool)
+    outside[rs, cs] = False
+    assert np.array_equal(work[outside], labels[outside])
+    assert np.array_equal(table, before)
 
 
 def test_merge_step_requires_total():
