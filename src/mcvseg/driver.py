@@ -302,7 +302,9 @@ def _check_perm(perm: np.ndarray, lat: Lattice) -> np.ndarray:
     seen[perm] = True
     if not seen.all():
         raise ValueError("pixel sequence is not a permutation of the lattice")
-    return perm
+    # intp: the merge loop's window and key arithmetic goes below zero and
+    # past N, which an unsigned or narrow order would wrap or refuse.
+    return perm.astype(np.intp)
 
 
 #: Visits in a merge chunk's boundary-test gather. A chunk runs up to its
@@ -358,7 +360,12 @@ def _merge_level(labels: np.ndarray, verdict: np.ndarray, perm: np.ndarray,
     starts canonical. The loop runs on a C-ordered intp copy of
     ``labels``, written back at the end, and on intp read rows, because
     NumPy indexes faster with intp; a re-gathered read row is compared
-    with the chunk's as a list, which costs fewer NumPy calls.
+    with the chunk's as a list, which costs fewer NumPy calls. A round
+    gathers its accepts' read rows, their clipped merge windows and their
+    rows of a per-level triangle (``later``: visit j after visit a) with
+    ``take`` along axis 0. That picks whole rows, as fancy indexing does,
+    so the targets, windows and stale tests are the same values, at
+    about half the cost of fancy indexing and a broadcast compare.
     """
     h, w = labels.shape
     work = labels.astype(np.intp, order="C")
@@ -373,7 +380,9 @@ def _merge_level(labels: np.ndarray, verdict: np.ndarray, perm: np.ndarray,
     near[box.clip(h - 1, w - 1, 2 * h - 1, 2 * w - 1)[:2]] = True
     near = np.roll(near.reshape(-1), -((h - 1) * (2 * w - 1) + w - 1))
     keys = rows * (2 * w - 1) + cols
+    # later[a, j]: visit j comes after visit a of the chunk
     index = np.arange(MERGE_CHUNK_MAX)
+    later = index > index[:, None]
     fresh = int(work.max()) + 1
     table = np.zeros(fresh + len(perm), dtype=bool)
     evaluations = accepted = pos = 0
@@ -385,11 +394,11 @@ def _merge_level(labels: np.ndarray, verdict: np.ndarray, perm: np.ndarray,
         cut = len(block)
         if len(acc):
             key = keys[pos : pos + cut]
-            later = index[:cut] > acc[:, None]
-            stale = np.logical_or.reduce(near[key - key[acc][:, None]] & later)
+            stale = np.logical_or.reduce(near[key - key[acc][:, None]]
+                                         & later.take(acc, 0)[:, :cut])
             # order ends in cut, past every j, so the merges stop there
-            order, targets = [*acc.tolist(), cut], block[acc]
-            merge_rows = bounds[pos + acc].tolist()
+            order, targets = [*acc.tolist(), cut], block.take(acc, 0)
+            merge_rows = bounds.take(pos + acc, 0).tolist()
             done = 0
             for j in (*stale.nonzero()[0].tolist(), cut):
                 while order[done] < j:
@@ -464,7 +473,7 @@ def run_mcv(omega: ImageBuffer, cfg: McvConfig = McvConfig()) -> PartitionSequen
     _check_label_room(lat)
     if cfg.permutation == "file":
         base = load_permutation(Path(cfg.perm_file).read_text(), lat)
-    else:
+    elif not cfg.reshuffle_per_level:  # a reshuffled run draws each level's order
         base = permutation(cfg.permutation, lat, cfg.seed)
     labels = singletons_full(lat).labels
     snapshots = [Partition(lat, labels.copy())]

@@ -105,17 +105,29 @@ def _neighbor_means(sources: Mapping[object, tuple[np.ndarray, np.ndarray]],
     (values, mask) pair, all of one shape, (..., hs, ws, bands) values
     zero off the (..., hs, ws) mask. Each ((dx, dy), k) read, in order,
     adds source k at (i + dy0 + dy, j + dx0 + dx), or nothing off the
-    source; the sum is divided once."""
+    source; the sum is divided once. Every zero mean is +0.0.
+
+    Why exact: the reads are counted in the smallest unsigned dtype that
+    holds their number, so no count wraps, and a count converts to float
+    exactly. Off the mask the sum is divided by +inf, which gives a zero
+    of the sum's sign for any finite sum; the one ``+= 0.0`` pass makes
+    every -0.0 +0.0 and leaves every other value as it is. On the mask
+    the quotient is the sum divided once by its count; it is -0.0 only
+    when a negative sum underflows, and no caller tells that from +0.0:
+    a mean is only added to a sum that starts at +0.0 or put in a
+    difference whose square or absolute value is taken. This form skips
+    NumPy's masked divide and float counts, its slow paths."""
     reads = list(reads)
     values, mask = next(iter(sources.values()))
     out = (*mask.shape[:-2], *out_mask.shape[-2:])
     sums = _add_shifted(np.zeros((*out, values.shape[-1])),
                         {k: v for k, (v, _) in sources.items()}, reads, dy0, dx0)
-    counts = _add_shifted(np.zeros((*out, 1)), {k: m[..., None] for k, (_, m) in sources.items()},
+    counts = _add_shifted(np.zeros((*out, 1), dtype=np.min_scalar_type(len(reads))),
+                          {k: m[..., None] for k, (_, m) in sources.items()},
                           reads, dy0, dx0)[..., 0]
     present = out_mask & (counts > 0)
-    means = np.divide(sums, counts[..., None], out=np.zeros(sums.shape),
-                      where=present[..., None])
+    means = sums / np.where(present, counts, np.inf)[..., None]
+    means += 0.0
     return means, present
 
 

@@ -115,22 +115,22 @@ class _NetMaps:
         Returns its energy's plan: the (offset, term map id) reads in
         row-major order, and per center map id, the boxes of offsets
         whose term maps are on that center."""
-        g = self.model.neighborhood.offsets
+        g = np.array(self.model.neighborhood.offsets)
+        d = np.array([(0, 0), *self.model.neighbor_offsets()])  # a term's center, then its reads
         x0, x1, y0, y1 = levels[0].bbox()
-        r = max(max(abs(dx), abs(dy)) for dx, dy in g)
+        r = int(np.abs(g).max())
         gy, gx = r - y0, r - x0  # the grid cell of window position (0, 0)
         grid = np.full((y1 + gy + r + 1, x1 + gx + r + 1), -1)  # window position -> map id
         for i, win in enumerate(levels):
             rows, cols = np.nonzero(win.mask())
             rows, cols = rows + win.bbox()[2] + gy, cols + win.bbox()[0] + gx
             ids = 0 if i == 0 else self._intern(
-                "layer", np.stack([grid[rows + dy, cols + dx] for dx, dy in g], axis=-1), n)
+                "layer", grid[rows[:, None] + g[:, 1], cols[:, None] + g[:, 0]], n)
             grid = np.full_like(grid, -1)
             grid[rows, cols] = ids
-        centers = grid[rows, cols]
-        terms = self._intern("terms", np.stack(
-            [centers] + [grid[rows + dy, cols + dx] for dx, dy in self.model.neighbor_offsets()],
-            axis=-1), n)
+        reads = grid[rows[:, None] + d[:, 1], cols[:, None] + d[:, 0]]
+        centers = reads[:, 0]
+        terms = self._intern("terms", reads, n)
         base = levels[-1].bbox()
         for t in set(terms.tolist()):
             e = self.extent.get(t, base)

@@ -271,3 +271,39 @@ def relabel_reference(rows, x, offsets, targets, fresh):
         if out[r - 1][c - 1] in targets:
             out[r - 1][c - 1] = fresh
     return out
+
+
+def neighbor_means_reference(sources, reads, out_mask, dy0=0, dx0=0):
+    """One mean layer, one position at a time: at each position (i, j) of
+    the (h, w) bool ``out_mask`` that is set, and for each index ``b`` of
+    the leading batch axes, add in order the band values of every
+    ``((dx, dy), k)`` read whose source position (i + dy0 + dy,
+    j + dx0 + dx) lies on source k's mask, and divide each band sum once
+    by the number of such reads. ``sources`` maps k to (values, mask)
+    arrays of shapes (..., hs, ws, bands) and (..., hs, ws). A position
+    with no read, or off ``out_mask``, is 0.0 and off the returned mask,
+    and a mean of zero is +0.0. Returns (means, mask) as arrays."""
+    values, mask = next(iter(sources.values()))
+    batch, (hs, ws), bands = mask.shape[:-2], mask.shape[-2:], values.shape[-1]
+    h, w = out_mask.shape
+    means = np.zeros((*batch, h, w, bands))
+    present = np.zeros((*batch, h, w), dtype=bool)
+    for b in np.ndindex(*batch):
+        for i in range(h):
+            for j in range(w):
+                if not out_mask[i, j]:
+                    continue
+                sums, count = [0.0] * bands, 0
+                for (dx, dy), k in reads:
+                    y, x = i + dy0 + dy, j + dx0 + dx
+                    vals, m = sources[k]
+                    if 0 <= y < hs and 0 <= x < ws and m[b + (y, x)]:
+                        for band in range(bands):
+                            sums[band] += float(vals[b + (y, x, band)])
+                        count += 1
+                if count:
+                    present[b + (i, j)] = True
+                    for band in range(bands):
+                        mean = sums[band] / count
+                        means[b + (i, j, band)] = 0.0 if mean == 0 else mean
+    return means, present

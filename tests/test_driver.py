@@ -543,11 +543,37 @@ def test_run_mcv_pyramid_matches_direct_at_level_one():
     assert np.array_equal(direct.final().labels, pyramid.final().labels)
 
 
+def test_run_level_takes_any_integer_order_that_indexes_the_lattice():
+    """A visiting order of any integer dtype that holds every pixel index
+    runs a level as its int64 copy does: same labels and counts. On a
+    100x200 lattice the merge loop's stale-test keys reach
+    99 * 399 + 199 = 39700, past int16, and the merge windows' bounds go
+    below zero, which an unsigned order cannot hold."""
+    rng = np.random.default_rng(5)
+    tones = rng.integers(0, 4, size=(10, 20)) * 40.0
+    img = gray(np.kron(tones, np.ones((10, 10))) + rng.integers(0, 2, size=(100, 200)))
+    cfg = McvConfig(max_level=2, rho=1.0)
+    p = singletons_full(img.lattice)
+    perm = permutation("random", img.lattice, seed=3)
+    want, want_stats = run_level(p, img, 2, cfg, perm)
+    assert want_stats.accepted > 0
+    dtypes = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+    fits = [dt for dt in dtypes if np.iinfo(dt).max >= perm.size - 1]
+    assert len(fits) == 6
+    for dt in fits:
+        got, stats = run_level(p, img, 2, cfg, perm.astype(dt))
+        assert np.array_equal(got.labels, want.labels), dt
+        assert replace(stats, elapsed=0.0) == replace(want_stats, elapsed=0.0), dt
+
+
 def test_run_mcv_reshuffle_flag():
     img = gray(np.full((8, 8), 5.0))
     cfg = McvConfig(max_level=2, rho=1.0, reshuffle_per_level=True, seed=6)
     seq1 = run_mcv(img, cfg)
-    seq2 = run_mcv(img, cfg)
+    # each level draws its own order, and no level-free order is drawn
+    with mock.patch.object(driver, "permutation", wraps=driver.permutation) as draws:
+        seq2 = run_mcv(img, cfg)
+    assert [c.args[2] for c in draws.call_args_list] == [[6, 1], [6, 2]]
     for a, b in zip(seq1.levels, seq2.levels):
         assert np.array_equal(a.labels, b.labels)
 

@@ -3,13 +3,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from mcvseg.geometry import FIVE_NEIGHBORHOOD, NINE_NEIGHBORHOOD, dilate
-from mcvseg.mrf import (MrfModel, _ordered_sum, calibrate_rho, energy, evaluate,
-                        gibbs_distribution, neighborhood_squared,
+from mcvseg.geometry import FIVE_NEIGHBORHOOD, NINE_NEIGHBORHOOD, dilate, square_window
+from mcvseg.mrf import (MrfModel, _neighbor_means, _ordered_sum, calibrate_rho, energy,
+                        evaluate, gibbs_distribution, neighborhood_squared,
                         tau_rho_consistency)
 
-from oracles import energy_reference
+from oracles import energy_reference, neighbor_means_reference
 
 MODEL = MrfModel()
 
@@ -185,6 +187,74 @@ def test_ordered_sum_adds_left_to_right(bands):
     if bands >= 3:
         first = x[0, 0].tolist()
         assert got[0, 0] == _left_to_right(first) != _left_to_right(first[::-1])
+
+
+#: Read windows of a mean layer: the two base neighborhoods, with their
+#: origin, and square_window(8) without it, whose 288 reads overflow a
+#: uint8 count.
+MEAN_READS = {"nine": NINE_NEIGHBORHOOD.offsets, "five": FIVE_NEIGHBORHOOD.offsets,
+              "square 8": tuple(o for o in square_window(8).offsets if o != (0, 0))}
+#: Band values: signed zeros, the smallest subnormals, whose means
+#: underflow, and finite floats small enough that no sum overflows.
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -1.0, 3.0, 1e16]
+
+
+@st.composite
+def mean_layer_cases(draw):
+    """Arguments of one ``_neighbor_means`` call: one or two sources, with
+    or without a leading batch axis, masks random or full, values drawn
+    from a small pool, reads in window order or shuffled, and an output
+    mask with positions that are off or have no read."""
+    offsets = list(MEAN_READS[draw(st.sampled_from(sorted(MEAN_READS)))])
+    if draw(st.booleans()):
+        offsets = draw(st.permutations(offsets))
+    reach = max(max(abs(dx), abs(dy)) for dx, dy in offsets)
+    keys = draw(st.integers(1, 2))
+    reads = list(zip(offsets, draw(st.lists(st.integers(0, keys - 1), min_size=len(offsets),
+                                            max_size=len(offsets)))))
+    batch = draw(st.sampled_from([(), (2,)]))
+    hs, ws = draw(st.integers(1, 2 * reach + 2)), draw(st.integers(1, 2 * reach + 2))
+    bands = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(-1e300, 1e300),
+                         min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sources = {}
+    for k in range(keys):
+        mask = np.ones((*batch, hs, ws), dtype=bool)
+        if draw(st.booleans()):
+            mask = rng.random(mask.shape) < draw(st.sampled_from([0.2, 0.5, 0.9]))
+        sources[k] = (rng.choice(pool, size=(*batch, hs, ws, bands)) * mask[..., None], mask)
+    h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    out_mask = rng.random((h, w)) < draw(st.sampled_from([0.5, 1.0]))
+    dy0, dx0 = draw(st.integers(-reach, hs - 1)), draw(st.integers(-reach, ws - 1))
+    return sources, reads, out_mask, dy0, dx0
+
+
+def _one_source(values, reads, out_mask, dy0=0, dx0=0):
+    """A case with one single-band source, on the mask everywhere."""
+    values = np.array(values, dtype=np.float64)[..., None]
+    mask = np.ones(values.shape[:-1], dtype=bool)
+    return {0: (values, mask)}, reads, np.array(out_mask), dy0, dx0
+
+
+@settings(max_examples=150, deadline=None)
+@given(mean_layer_cases())
+# 288 reads, all on the mask at the one position
+@example(_one_source(np.arange(17.0 * 17).reshape(17, 17),
+                     [(o, 0) for o in MEAN_READS["square 8"]], [[True]], 8, 8))
+# a negative sum off the output mask; a negative mean that underflows
+@example(_one_source([[-1.0]], [((0, 0), 0)], [[False]]))
+@example(_one_source([[-5e-324, 0.0]], [((0, 0), 0), ((1, 0), 0)], [[True]]))
+def test_neighbor_means_matches_per_position_reference(case):
+    """``_neighbor_means`` is bit for bit a loop that adds, per position,
+    the in-mask reads in order and divides once: same values, every zero
+    +0.0, and the same mask."""
+    sources, reads, out_mask, dy0, dx0 = case
+    got, has = _neighbor_means(sources, reads, out_mask, dy0, dx0)
+    want, want_has = neighbor_means_reference(sources, reads, out_mask, dy0, dx0)
+    assert np.array_equal(has, want_has)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_tau_rho_consistency_cases():
