@@ -18,7 +18,7 @@ from pathlib import Path
 from .driver import (EVAL_MODES, METRIC_ALIASES, ConfigError, McvConfig,
                      config_updates, run_mcv)
 from .metrics import rand_index
-from .partition import Partition, canonicalize, components_by_class
+from .partition import Partition, components_by_class
 from .pnmio import colorize, load_labels, load_pnm, save_labels, save_pnm
 
 
@@ -102,7 +102,7 @@ def cmd_components(args: argparse.Namespace) -> int:
         raise ConfigError("class map must be a single-band PGM")
     classmap = Partition(image.lattice, image.samples[:, :, 0])
     w0 = McvConfig(neighborhood=args.neighborhood).w0
-    part = canonicalize(components_by_class(classmap, w0))
+    part = components_by_class(classmap, w0)
     fmt = "csv" if args.output.endswith(".csv") else "pgm16"
     blob = save_labels(part, fmt)
     Path(args.output).write_bytes(blob)

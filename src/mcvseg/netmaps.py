@@ -44,8 +44,9 @@ class _NetMaps:
     ``_neighbor_means`` of its g-neighbor reads over the padded image.
     A ``"terms"`` map, keyed by its center map's id and then its reads,
     is the ``_site_terms`` of the center map and the means of its
-    non-origin g-neighbor reads, on the center's mask, built only where
-    the base windows of the chains that read it reach (its extent).
+    non-origin g-neighbor reads, on the center's mask, built over the
+    run's term box: the union of the bounding boxes of every chain's
+    base window, the positions any energy reads a term map at.
     Window positions that read alike share one map, within a chain and
     across the chains of a run. Before any map is built, every chain is
     planned in order on a grid of window positions: each key is
@@ -62,9 +63,12 @@ class _NetMaps:
     depends only on the image at the positions its reads reach; for a
     position that a chain reads, they lie in that chain's first window
     around a lattice pixel, so inside any pad of that reach, and off
-    the lattice the image map is 0 with its mask off at any pad. So
-    neither the one pad nor a term map's extent changes a value that
-    is read. The energy adds the terms in the order of
+    the lattice the image map is 0 with its mask off at any pad. The
+    term box holds every base window's box, so every position a chain
+    reads of a term map, and it lies inside the pad, since
+    ``check_chain`` puts each chain's base window inside its first. So
+    neither the one pad nor the one term box changes a value that is
+    read. The energy adds the terms in the order of
     ``pyramid.pyramid_evaluate``, leaving out only reads of +0.0, and
     ``x + 0.0 == x``. The size is an exact integer count of the
     window's in-region positions, the count ``mrf.evaluate`` divides
@@ -78,20 +82,22 @@ class _NetMaps:
         boxes = [levels[0].bbox() for levels in chains]
         x0, y0 = min(b[0] for b in boxes), min(b[2] for b in boxes)
         reach = ((-y0, max(b[3] for b in boxes)), (-x0, max(b[1] for b in boxes)))
+        bases = [levels[-1].bbox() for levels in chains]
+        self.box = (min(b[0] for b in bases), max(b[1] for b in bases),
+                    min(b[2] for b in bases), max(b[3] for b in bases))  # (x0, x1, y0, y1)
         inside = np.pad(np.ones((h, w), dtype=bool), reach)
         self.shape, self.origin, self.model = (h, w), (-y0, -x0), model
         self.everywhere = np.ones_like(inside)
         self.keys: list = [None]  # map id -> key; map 0 is the image
         self.ids = {"layer": {}, "terms": {}}  # kind -> row of source ids -> map id
         self.last = [0]  # map id -> index of the last distinct chain that reads it
-        self.extent = {}  # term map id -> (x0, x1, y0, y1) of the base windows that read it
         self.plans = {}  # chain -> (ids of the maps it builds, its energy plan)
         for n, levels in enumerate(dict.fromkeys(chains)):
             start = len(self.keys)
             plan = self._plan(levels, n)
             self.plans[levels] = range(start, len(self.keys)), plan
         # map id -> (values, mask) of the image or a layer map over the
-        # padded image, or a term map's values over its extent
+        # padded image, or a term map's values over the term box
         self.maps = {0: (np.pad(vals, reach + ((0, 0),)), inside)}
 
     def _intern(self, kind: str, reads: np.ndarray, n: int) -> np.ndarray:
@@ -131,14 +137,8 @@ class _NetMaps:
         reads = grid[rows[:, None] + d[:, 1], cols[:, None] + d[:, 0]]
         centers = reads[:, 0]
         terms = self._intern("terms", reads, n)
-        base = levels[-1].bbox()
-        for t in set(terms.tolist()):
-            e = self.extent.get(t, base)
-            self.extent[t] = (min(e[0], base[0]), max(e[1], base[1]),
-                              min(e[2], base[2]), max(e[3], base[3]))
-            self.last[t] = n
-        for c in set(centers.tolist()):
-            self.last[c] = n
+        for k in set(terms.tolist()) | set(centers.tolist()):
+            self.last[k] = n
         offsets = zip((cols - gx).tolist(), (rows - gy).tolist())
         sizes = {c: [(c0 - gx, c1 - gx, r0 - gy, r1 - gy) for c0, c1, r0, r1 in _boxes(grid == c)]
                  for c in dict.fromkeys(centers.tolist())}
@@ -146,14 +146,14 @@ class _NetMaps:
 
     def _build(self, i: int):
         """Map ``i``: a layer's (values, mask), or a term map's values
-        (..., 1) over its extent."""
+        (..., 1) over the term box."""
         kind, ids = self.keys[i]
         if kind == "layer":
             reads = [(d, k) for d, k in zip(self.model.neighborhood.offsets, ids) if k >= 0]
             return _neighbor_means({k: self.maps[k] for _, k in reads}, reads, self.everywhere)
         center, *ids = ids
         reads = [(d, k) for d, k in zip(self.model.neighbor_offsets(), ids) if k >= 0]
-        x0, x1, y0, y1 = self.extent[i]
+        x0, x1, y0, y1 = self.box
         (h, w), (oy, ox) = self.shape, self.origin
         rows, cols = slice(oy + y0, oy + y1 + h), slice(ox + x0, ox + x1 + w)
         vals, mask = self.maps[center]
@@ -166,8 +166,9 @@ class _NetMaps:
         plan over the window sizes."""
         reads, sizes = plan
         (h, w), (oy, ox) = self.shape, self.origin
-        sums = _add_shifted(np.zeros((h, w, 1)), self.maps, [
-            ((dx - self.extent[t][0], dy - self.extent[t][2]), t) for (dx, dy), t in reads])
+        x0, _, y0, _ = self.box
+        sums = _add_shifted(np.zeros((h, w, 1)), self.maps,
+                            [((dx - x0, dy - y0), t) for (dx, dy), t in reads])
         size = np.zeros((h, w), dtype=np.int64)
         for center, boxes in sizes.items():
             mask = self.maps[center][1]

@@ -8,8 +8,9 @@ maximal sets of pixels sharing a label. No region lists are kept between
 operations: adjacency is always recomputed locally from the label map.
 The merging operator, the windowed merge and the driver's merges all end
 in ``_relabel``, one vectorized pass through a bool table over labels;
-``connected_components`` instead fuses small blocks into large ones
-through explicit pixel lists, which bounds its work.
+both component labelings instead run the operator through ``_fuse_along``,
+which fuses small blocks into large ones through explicit pixel lists,
+bounding its work, and never fuses across the visited pixel's class.
 """
 
 from __future__ import annotations
@@ -133,21 +134,29 @@ def m_step(x: Pixel, p: Partition, w0: Window) -> Partition:
     return Partition(p.lattice, out)
 
 
-def _fuse_at(labels: np.ndarray, blocks: list[list[int]], window_labels: np.ndarray) -> None:
-    """In-place operator step on the list-backed label map: fuse every
-    block with a pixel in the window into the largest of them.
-    Relabeling smaller blocks into the largest keeps total relabel work
-    O(N log N) over a full run."""
-    members = np.unique(window_labels[window_labels != ABSENT]).tolist()
-    if len(members) < 2:
-        return
-    target = max(members, key=lambda lab: len(blocks[lab]))
+def _fuse_along(labels: np.ndarray, classes: np.ndarray, w0: Window,
+                rows: np.ndarray, cols: np.ndarray) -> None:
+    """In place, apply the merging operator at each pixel (rows[i],
+    cols[i]) in turn within its class: the blocks in its clipped w0-window
+    that share its class fuse into the largest of them, which keeps total
+    relabel work O(N log N). ``labels`` starts as singletons numbered in
+    raster order (block k holds the k-th present pixel), ABSENT elsewhere."""
+    blocks = [[f] for f in np.flatnonzero(labels != ABSENT).tolist()]
     view = labels.ravel()
-    for lab in members:
-        if lab != target:
-            view[blocks[lab]] = target
-            blocks[target].extend(blocks[lab])
-            blocks[lab] = []
+    geom = WindowGeom.of(w0)
+    bounds = geom.clip_bounds(rows, cols, *labels.shape).tolist()
+    for r, c, row in zip(rows.tolist(), cols.tolist(), bounds):
+        cut = geom.cut(row)
+        same = _window_labels(classes, *cut) == classes[r, c]
+        members = sorted(set(_window_labels(labels, *cut)[same].tolist()))
+        if len(members) < 2:
+            continue
+        target = max(members, key=lambda lab: len(blocks[lab]))
+        for lab in members:
+            if lab != target:
+                view[blocks[lab]] = target
+                blocks[target].extend(blocks[lab])
+                blocks[lab] = []
 
 
 def connected_components(S: Iterable[Pixel], w0: Window,
@@ -162,30 +171,20 @@ def connected_components(S: Iterable[Pixel], w0: Window,
     if len(order) != len(pixel_set) or set(order) != pixel_set:
         raise ValueError("order must be a permutation of S")
     labels = singletons(pixel_set, lat).labels
-    # singletons labels in raster order, so block k holds the k-th pixel
-    blocks = [[f] for f in np.flatnonzero(labels != ABSENT).tolist()]
-    geom = WindowGeom.of(w0)
     cols, rows = np.array(order, dtype=np.int64).reshape(-1, 2).T - 1
-    for bounds in geom.clip_bounds(rows, cols, lat.height, lat.width).tolist():
-        _fuse_at(labels, blocks, _window_labels(labels, *geom.cut(bounds)))
+    _fuse_along(labels, labels != ABSENT, w0, rows, cols)
     return Partition(lat, labels)
 
 
 def components_by_class(cm: Partition, w0: Window) -> Partition:
     """Connected components of every constant-class set of a class map,
-    combined into one total partition. Blocks never mix classes."""
-    lat = cm.lattice
-    out = np.full((lat.height, lat.width), ABSENT, dtype=np.int32)
-    next_label = 0
-    for cls in np.unique(cm.labels):
-        rows, cols = np.nonzero(cm.labels == cls)
-        pixels = [(int(c) + 1, int(r) + 1) for r, c in zip(rows, cols)]
-        part = connected_components(pixels, w0, pixels, lat)
-        sub = part.labels != ABSENT
-        relabeled, inverse = np.unique(part.labels[sub], return_inverse=True)
-        out[sub] = inverse.astype(np.int32) + next_label
-        next_label += relabeled.size
-    return Partition(lat, out)
+    combined into one total partition in canonical form: one raster pass
+    of the merging operator, each step within its pixel's class. Blocks
+    never mix classes."""
+    labels = singletons_full(cm.lattice).labels
+    rows, cols = np.divmod(np.arange(labels.size), labels.shape[1])
+    _fuse_along(labels, cm.labels, w0, rows, cols)
+    return canonicalize(Partition(cm.lattice, labels))
 
 
 def merge_step(x: Pixel, p: Partition, w0: Window, psi: Window) -> Partition:

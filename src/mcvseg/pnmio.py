@@ -1,7 +1,10 @@
 """Bit-exact PNM ingestion and emission, plus label-map serialization.
 
 Supported formats: PGM (P2 plain / P5 raw, one band) and PPM (P3 plain /
-P6 raw, three bands), maxval 1..65535. Raw two-byte samples are big-endian.
+P6 raw, three bands), maxval 1..65535. Raw two-byte samples are big-endian
+(``>u2``). Tokens are split by the six ASCII whitespace bytes and by '#'
+comments, which run to the end of their line and may directly follow a
+token; one whitespace byte alone separates maxval from a raw raster.
 Label maps are emitted as 16-bit PGM when every label fits in 16 bits, or
 as CSV (one line per lattice row, comma-separated, LF endings) otherwise.
 """
@@ -51,38 +54,23 @@ class ImageBuffer:
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("samples must be finite")
 
-    def value_at(self, pixel) -> np.ndarray:
-        return self.samples[self.lattice.index(pixel)]
+
+#: Whitespace and '#' comments (each to the end of its line), then a
+#: token: the bytes up to the next whitespace byte or '#'. It always
+#: matches; the token is empty only at the end of the data.
+_TOKEN = re.compile(rb"(?:[ \t\r\n\v\f]|#[^\r\n]*)*([^ \t\r\n\v\f#]*)")
 
 
-_WHITESPACE = b" \t\r\n\v\f"
-
-
-def _skip_space(data: bytes, pos: int) -> int:
-    """Advance past whitespace and '#' comments."""
-    n = len(data)
-    while pos < n:
-        if data[pos : pos + 1] in (b"#",):
-            while pos < n and data[pos] not in (0x0A, 0x0D):
-                pos += 1
-        elif data[pos] in _WHITESPACE:
-            pos += 1
-        else:
-            break
-    return pos
-
-
-def _next_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
-    pos = _skip_space(data, pos)
-    if pos >= len(data):
-        raise PnmParseError(f"unexpected end of file reading {what}", pos)
-    start = pos
-    while pos < len(data) and data[pos] not in _WHITESPACE and data[pos : pos + 1] != b"#":
-        pos += 1
-    token = data[start:pos]
+def _next_int(data: bytes, pos: int, what: str) -> tuple[int, int, int]:
+    """The next token from ``pos`` as an integer, with its start and end."""
+    m = _TOKEN.match(data, pos)
+    start, end = m.span(1)
+    if start == end:
+        raise PnmParseError(f"unexpected end of file reading {what}", start)
+    token = m[1]
     if not token.isdigit():
         raise PnmParseError(f"expected integer for {what}, got {token!r}", start)
-    return int(token), pos
+    return int(token), start, end
 
 
 def load_pnm(data: bytes) -> ImageBuffer:
@@ -95,37 +83,30 @@ def load_pnm(data: bytes) -> ImageBuffer:
         raise PnmParseError(f"unsupported magic {magic!r}", 0)
     bands, raw = formats[magic]
 
-    pos = 2
-    width, pos = _next_int(data, pos, "width")
-    height, pos = _next_int(data, pos, "height")
+    width, _, pos = _next_int(data, 2, "width")
+    height, _, pos = _next_int(data, pos, "height")
     if width < 1 or height < 1:
         raise PnmParseError(f"dimensions must be positive, got {width}x{height}", 2)
-    maxval_at = _skip_space(data, pos)
-    maxval, pos = _next_int(data, pos, "maxval")
+    maxval, start, pos = _next_int(data, pos, "maxval")
     if not 1 <= maxval <= 65535:
-        raise PnmParseError(f"maxval {maxval} outside [1, 65535]", maxval_at)
+        raise PnmParseError(f"maxval {maxval} outside [1, 65535]", start)
 
     count = width * height * bands
     if raw:
-        if pos >= len(data) or data[pos] not in _WHITESPACE:
+        if not data[pos : pos + 1].isspace():  # isspace: the six bytes of _TOKEN
             raise PnmParseError("expected single whitespace after maxval", pos)
         pos += 1
-        bytes_per = 2 if maxval > 255 else 1
-        need = count * bytes_per
+        dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
+        need = count * dtype.itemsize
         if len(data) - pos < need:
             raise PnmParseError(
                 f"truncated raster: need {need} bytes, have {len(data) - pos}", len(data)
             )
-        payload = np.frombuffer(data, dtype=np.uint8, count=need, offset=pos)
-        if bytes_per == 2:
-            values = payload.reshape(-1, 2).astype(np.uint32)
-            flat = values[:, 0] * 256 + values[:, 1]
-        else:
-            flat = payload.astype(np.uint32)
+        flat = np.frombuffer(data, dtype=dtype, count=count, offset=pos)
         if flat.max(initial=0) > maxval:
             bad = int(np.argmax(flat > maxval))
             raise PnmParseError(
-                f"sample {int(flat[bad])} exceeds maxval {maxval}", pos + bad * bytes_per
+                f"sample {int(flat[bad])} exceeds maxval {maxval}", pos + bad * dtype.itemsize
             )
     else:
         if len(data) - pos < 2 * count - 1:  # a digit per sample, a space between
@@ -133,10 +114,9 @@ def load_pnm(data: bytes) -> ImageBuffer:
                                 f"{2 * count - 1} bytes, have {len(data) - pos}", len(data))
         flat = np.empty(count, dtype=np.uint32)
         for i in range(count):
-            at = _skip_space(data, pos)
-            value, pos = _next_int(data, pos, f"sample {i}")
+            value, start, pos = _next_int(data, pos, f"sample {i}")
             if value > maxval:
-                raise PnmParseError(f"sample {value} exceeds maxval {maxval}", at)
+                raise PnmParseError(f"sample {value} exceeds maxval {maxval}", start)
             flat[i] = value
 
     samples = flat.astype(np.float64).reshape(height, width, bands)
@@ -152,20 +132,13 @@ def save_pnm(img: ImageBuffer, plain: bool = False) -> bytes:
     if img.bands not in (1, 3):
         raise ValueError(f"PNM supports 1 or 3 bands, got {img.bands}")
     values = np.clip(np.rint(img.samples), 0, img.max_value).astype(np.uint32)
-    flat = values.reshape(-1)
     magic = ("P2" if img.bands == 1 else "P3") if plain else ("P5" if img.bands == 1 else "P6")
     header = f"{magic}\n{img.lattice.width} {img.lattice.height}\n{img.max_value}\n".encode("ascii")
     if plain:
         rows = values.reshape(img.lattice.height, -1)
         body = "\n".join(" ".join(str(v) for v in row) for row in rows) + "\n"
         return header + body.encode("ascii")
-    if img.max_value > 255:
-        payload = np.empty(flat.size * 2, dtype=np.uint8)
-        payload[0::2] = flat >> 8
-        payload[1::2] = flat & 0xFF
-    else:
-        payload = flat.astype(np.uint8)
-    return header + payload.tobytes()
+    return header + values.astype(">u2" if img.max_value > 255 else np.uint8).tobytes()
 
 
 def _check_nonnegative(labels: np.ndarray) -> None:

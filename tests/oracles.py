@@ -307,3 +307,31 @@ def neighbor_means_reference(sources, reads, out_mask, dy0=0, dx0=0):
                         mean = sums[band] / count
                         means[b + (i, j, band)] = 0.0 if mean == 0 else mean
     return means, present
+
+
+def plain_pnm_tokens(data):
+    """Split a plain PNM into its magic number and its integer tokens,
+    one byte at a time. Whitespace is space, tab, CR, LF, VT or FF; a '#'
+    starts a comment, also directly after a token, that runs up to the
+    next CR or LF. Every token must be ASCII digits, else ValueError.
+    Returns (magic bytes, list of ints)."""
+    whitespace = {0x20, 0x09, 0x0D, 0x0A, 0x0B, 0x0C}
+    tokens, current, in_comment = [], [], False
+    for byte in data[2:]:
+        if in_comment and byte not in (0x0A, 0x0D):
+            continue
+        in_comment = False
+        if byte in whitespace or byte == ord("#"):
+            if current:
+                tokens.append(current)
+            current, in_comment = [], byte == ord("#")
+        else:
+            current.append(byte)
+    if current:
+        tokens.append(current)
+    numbers = []
+    for token in tokens:
+        if not all(ord("0") <= b <= ord("9") for b in token):
+            raise ValueError(f"not an integer token: {bytes(token)!r}")
+        numbers.append(int(bytes(token)))
+    return bytes(data[:2]), numbers

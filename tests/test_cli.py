@@ -61,6 +61,26 @@ def test_segment_rerun_is_byte_identical(tmp_path):
     assert read_tree(out1) == read_tree(out2)
 
 
+@pytest.mark.parametrize("bands, max_value", [(1, 255), (3, 65535)], ids=["gray", "color-16bit"])
+def test_segment_plain_and_raw_inputs_give_identical_trees(tmp_path, bands, max_value):
+    """P2 and P5 (P3 and P6) encodings of one image decode to the same
+    samples, so ``segment`` writes the same bytes for both."""
+    rng = np.random.default_rng(5)
+    blocks = rng.integers(0, 4, size=(3, 3, bands)) * (max_value // 4)
+    samples = np.repeat(np.repeat(blocks, 4, 0), 4, 1) + rng.integers(0, 3, size=(12, 12, bands))
+    img = ImageBuffer(Lattice(12, 12), bands, samples, max_value)
+    trees = []
+    for plain in (True, False):
+        src = tmp_path / f"img-{plain}.pnm"
+        src.write_bytes(save_pnm(img, plain=plain))
+        out = tmp_path / f"out-{plain}"
+        assert main(["segment", str(src), str(out), "--levels", "3", "--seed", "2",
+                     "--rho", str(max_value / 4)]) == 0
+        trees.append(read_tree(out))
+    assert trees[0] == trees[1]
+    assert int(parse_stats(trees[0]["stats.txt"])["final_regions"]) < 144
+
+
 def test_segment_missing_input(tmp_path, capsys):
     outdir = tmp_path / "out"
     rc = main(["segment", str(tmp_path / "nope.pgm"), str(outdir)])

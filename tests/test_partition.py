@@ -136,6 +136,30 @@ def test_components_by_class_never_mixes_classes():
         assert len(classes) == 1
 
 
+def test_components_by_class_matches_bfs_per_class_and_is_canonical():
+    """Random class maps with up to about 200 classes, noise or blocks,
+    under both neighborhoods: the blocks are the flood-fill components of
+    each class, and the labels are already in first-occurrence order."""
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        w, h = (int(v) for v in rng.integers(1, 17, size=2))
+        k = int(rng.integers(1, 201))
+        classes = rng.integers(0, k, size=(h, w))
+        if trial % 2:
+            tiles = rng.integers(0, k, size=(h // 3 + 1, w // 3 + 1))
+            classes = np.repeat(np.repeat(tiles, 3, 0), 3, 1)[:h, :w]
+        cm = Partition(Lattice(w, h), classes)
+        for w0 in (NINE_NEIGHBORHOOD, FIVE_NEIGHBORHOOD):
+            p = components_by_class(cm, w0)
+            expected = set()
+            for cls in np.unique(classes).tolist():
+                pixels = [(c + 1, r + 1) for r, c in zip(*np.nonzero(classes == cls))]
+                expected |= bfs_components(pixels, w0.offsets, w, h)
+            assert blocks_as_sets(p) == expected
+            rows = p.labels.tolist()
+            assert rows == first_occurrence_reference(rows, ABSENT)
+
+
 def test_merge_step_documented_split():
     # two 3-pixel runs on a 1x6 line; merging at pixel 3 with 1-wide
     # windows splits off both leftovers

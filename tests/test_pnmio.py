@@ -8,6 +8,8 @@ from mcvseg.partition import ABSENT, Partition
 from mcvseg.pnmio import (ImageBuffer, PnmParseError, colorize, load_labels,
                           load_pnm, save_labels, save_pnm)
 
+from oracles import plain_pnm_tokens
+
 
 def test_load_p2_plain():
     img = load_pnm(b"P2\n# comment\n3 2\n255\n0 10 20\n30 40 50\n")
@@ -15,14 +17,6 @@ def test_load_p2_plain():
     assert img.bands == 1
     assert img.max_value == 255
     assert img.samples[1, 2, 0] == 50.0
-    assert img.value_at((1, 2))[0] == 30.0
-
-
-@pytest.mark.parametrize("x", [(0, 0), (4, 1), (1, 3)])
-def test_value_at_rejects_off_lattice_pixels(x):
-    img = ImageBuffer(Lattice(3, 2), 1, np.zeros((2, 3, 1)), 255)
-    with pytest.raises(ValueError, match="outside 3x2 lattice"):
-        img.value_at(x)
 
 
 def test_load_p5_raw():
@@ -81,6 +75,76 @@ def test_plain_sample_above_maxval():
 def test_zero_maxval_rejected():
     with pytest.raises(PnmParseError):
         load_pnm(b"P2\n1 1\n0\n0\n")
+
+
+def test_comments_and_every_whitespace_byte_separate_tokens():
+    """Any of the six ASCII whitespace bytes separates tokens, and a '#'
+    comment, running to the next CR or LF, may follow a token directly."""
+    img = load_pnm(b"P2\f2#w\r1\v#h\n9#m\t# x#\n\n7 \x0b8#last")
+    assert (img.lattice, img.max_value) == (Lattice(2, 1), 9)
+    assert img.samples[:, :, 0].tolist() == [[7.0, 8.0]]
+    assert load_pnm(b"P5\v1\f1\v255\f\x05").samples.tolist() == [[[5.0]]]
+
+
+@pytest.mark.parametrize("data, message, offset", [
+    (b"P", "not a PNM file: too short", 0),
+    (b"P7\n1 1\n255\n\x00", "unsupported magic b'P7'", 0),
+    (b"P5\n3 2\n# no maxval", "unexpected end of file reading maxval", 18),
+    (b"P2\n3\n", "unexpected end of file reading height", 5),
+    (b"P2\n3 x2\n255\n", "expected integer for height, got b'x2'", 5),
+    (b"P2\n3#c\n-2\n255\n", "expected integer for height, got b'-2'", 7),
+    (b"P2\n0 1\n255\n", "dimensions must be positive, got 0x1", 2),
+    (b"P5\n1 1\n255#\n\x00", "expected single whitespace after maxval", 10),
+    (b"P2\n1 1\n0\n0\n", "maxval 0 outside [1, 65535]", 7),
+    (b"P5\n1 1\x0b65536\n\x00\x00", "maxval 65536 outside [1, 65535]", 7),
+    (b"P5\n1 1\n255", "expected single whitespace after maxval", 10),
+    (b"P5\n2 2\n255\n\x01\x02\x03", "truncated raster: need 4 bytes, have 3", 14),
+    (b"P6\n1 1\n1000\n\x00\x01\x00\x02\x00", "truncated raster: need 6 bytes, have 5", 17),
+    (b"P2\n2 2\n255\n1 2 3",
+     "truncated raster: 4 samples need at least 7 bytes, have 6", 16),
+    (b"P2\n2 1\n9\n1 # 2\n", "unexpected end of file reading sample 1", 15),
+    (b"P3\n1 1\n9\n1 2\f3x", "expected integer for sample 2, got b'3x'", 13),
+    (b"P2\n2 1\n10\n3 #c\n11\n", "sample 11 exceeds maxval 10", 15),
+    (b"P5\n3 1\n200\n\x01\xc9\xff", "sample 201 exceeds maxval 200", 12),
+    (b"P5\n3 1\n1000\n\x00\x01\x03\xe9\x00\x00", "sample 1001 exceeds maxval 1000", 14),
+], ids=["too-short", "bad-magic", "eof-in-comment", "eof-in-header", "non-digit",
+        "sign-after-comment", "zero-width", "comment-after-maxval", "maxval-0", "maxval-65536",
+        "eof-after-maxval", "truncated-raw", "truncated-raw-16bit", "truncated-plain",
+        "eof-in-plain-raster", "non-digit-sample", "plain-above-maxval", "raw-above-maxval",
+        "raw-16bit-above-maxval"])
+def test_parse_errors_name_their_offset(data, message, offset):
+    with pytest.raises(PnmParseError) as exc:
+        load_pnm(data)
+    assert str(exc.value) == f"{message} (byte offset {offset})"
+    assert exc.value.offset == offset
+
+
+_WHITESPACE = st.sampled_from([b" ", b"\t", b"\r", b"\n", b"\v", b"\f"])
+_COMMENT_TEXT = st.binary(max_size=6).map(lambda b: b.replace(b"\n", b"").replace(b"\r", b""))
+_SEPARATOR = st.lists(st.one_of(_WHITESPACE, st.builds(
+    lambda text, end: b"#" + text + end, _COMMENT_TEXT, st.sampled_from([b"\n", b"\r"]))),
+    min_size=1, max_size=3).map(b"".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(w=st.integers(1, 4), h=st.integers(1, 3), bands=st.sampled_from([1, 3]),
+       maxval=st.sampled_from([1, 9, 255, 65535]), draw=st.data())
+def test_plain_decode_matches_byte_loop_tokenizer(w, h, bands, maxval, draw):
+    """Plain files with random whitespace and comments between tokens,
+    a comment directly after a token included, decode to the tokens a
+    literal byte loop finds, which are the ones the file was written from."""
+    samples = draw.draw(st.lists(st.integers(0, maxval), min_size=w * h * bands,
+                                 max_size=w * h * bands))
+    written = [w, h, maxval, *samples]
+    data = b"P2" if bands == 1 else b"P3"
+    for value in written:
+        data += draw.draw(_SEPARATOR) + b"0" * draw.draw(st.integers(0, 2)) + str(value).encode()
+    data += draw.draw(st.one_of(st.just(b""), _SEPARATOR, _COMMENT_TEXT.map(lambda t: b"#" + t)))
+    assert plain_pnm_tokens(data) == (data[:2], written)
+    img = load_pnm(data)
+    assert [img.lattice.width, img.lattice.height, img.max_value] == written[:3]
+    assert img.bands == bands
+    assert img.samples.reshape(-1).tolist() == written[3:]
 
 
 def test_save_raw_round_trip():
