@@ -8,17 +8,35 @@ merge windows, producing a multiresolution sequence of partitions.
 from .driver import (ConfigError, LevelStats, McvConfig, PartitionSequence,
                      load_permutation, permutation, run_level, run_mcv)
 from .geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD, Window,
-                       boundary_point, clip, dilate, square_window)
+                       dilate, square_window)
 from .metrics import rand_index, region_size_histogram
-from .mrf import (GibbsTable, MrfModel, calibrate_rho, energy, evaluate,
-                  gibbs_distribution, neighborhood_squared, tau_rho_consistency)
+from .mrf import MrfModel, energy, evaluate, neighborhood_squared
 from .partition import (ABSENT, Partition, canonicalize, components_by_class,
-                        connected_components, m_step, merge_step,
-                        same_partition, singletons, singletons_full)
+                        connected_components, same_partition, singletons,
+                        singletons_full)
 from .pnmio import (ImageBuffer, PnmParseError, colorize, load_labels,
                     load_pnm, save_labels, save_pnm)
-from .pyramid import (check_chain, downsample, make_pyramid_evaluator,
-                      pyramid_evaluate, verdict_map)
+from .pyramid import check_chain, make_pyramid_evaluator, verdict_map
+
+#: The public names of ``reference``, the paper's literal operators, which
+#: no run executes: that module is imported on first access to one of them.
+_REFERENCE = frozenset({
+    "GibbsTable", "boundary_point", "calibrate_rho", "clip", "downsample",
+    "gibbs_distribution", "m_step", "merge_step", "pyramid_evaluate",
+    "tau_rho_consistency",
+})
+
+
+def __getattr__(name: str):
+    if name in _REFERENCE:
+        from . import reference
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _REFERENCE)
+
 
 __version__ = "0.1.0"
 

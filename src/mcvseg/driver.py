@@ -44,7 +44,7 @@ from .geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD, Window,
                        WindowGeom, dilate)
 from .mrf import MrfModel
 from .partition import Partition, _relabel, canonicalize, singletons_full
-from .pnmio import _CSV_INT, ImageBuffer
+from .pnmio import ImageBuffer, _decimal
 from .pyramid import check_chain, verdict_map, verdict_maps
 
 
@@ -283,9 +283,7 @@ def load_permutation(text: str, lat: Lattice) -> np.ndarray:
         s = line.split("#", 1)[0].strip()
         if not s:
             continue
-        if not _CSV_INT.fullmatch(s):
-            raise ValueError(f"permutation file line {ln}: not an integer: {s!r}")
-        values.append(int(s))
+        values.append(_decimal(s, f"permutation file line {ln}"))
         if not 0 <= values[-1] < lat.size:
             raise ValueError(f"permutation file line {ln}: {s} is not a pixel index")
     return _check_perm(np.array(values, dtype=np.int64), lat)
@@ -313,6 +311,9 @@ def _check_perm(perm: np.ndarray, lat: Lattice) -> np.ndarray:
 #: cut resets it to MERGE_CHUNK.
 MERGE_CHUNK = 32
 MERGE_CHUNK_MAX = 256
+
+#: _LATER[a, j]: visit j of a merge chunk comes after visit a.
+_LATER = np.arange(MERGE_CHUNK_MAX) > np.arange(MERGE_CHUNK_MAX)[:, None]
 
 
 def _w0_reads(w0: Window, h: int, w: int) -> np.ndarray:
@@ -362,7 +363,7 @@ def _merge_level(labels: np.ndarray, verdict: np.ndarray, perm: np.ndarray,
     NumPy indexes faster with intp; a re-gathered read row is compared
     with the chunk's as a list, which costs fewer NumPy calls. A round
     gathers its accepts' read rows, their clipped merge windows and their
-    rows of a per-level triangle (``later``: visit j after visit a) with
+    rows of the triangle ``_LATER`` (visit j after visit a) with
     ``take`` along axis 0. That picks whole rows, as fancy indexing does,
     so the targets, windows and stale tests are the same values, at
     about half the cost of fancy indexing and a broadcast compare.
@@ -380,9 +381,6 @@ def _merge_level(labels: np.ndarray, verdict: np.ndarray, perm: np.ndarray,
     near[box.clip(h - 1, w - 1, 2 * h - 1, 2 * w - 1)[:2]] = True
     near = np.roll(near.reshape(-1), -((h - 1) * (2 * w - 1) + w - 1))
     keys = rows * (2 * w - 1) + cols
-    # later[a, j]: visit j comes after visit a of the chunk
-    index = np.arange(MERGE_CHUNK_MAX)
-    later = index > index[:, None]
     fresh = int(work.max()) + 1
     table = np.zeros(fresh + len(perm), dtype=bool)
     evaluations = accepted = pos = 0
@@ -395,7 +393,7 @@ def _merge_level(labels: np.ndarray, verdict: np.ndarray, perm: np.ndarray,
         if len(acc):
             key = keys[pos : pos + cut]
             stale = np.logical_or.reduce(near[key - key[acc][:, None]]
-                                         & later.take(acc, 0)[:, :cut])
+                                         & _LATER.take(acc, 0)[:, :cut])
             # order ends in cut, past every j, so the merges stop there
             order, targets = [*acc.tolist(), cut], block.take(acc, 0)
             merge_rows = bounds.take(pos + acc, 0).tolist()

@@ -1,4 +1,6 @@
-"""Integer-lattice geometry: windows, clipping, dilation, boundary test.
+"""Integer-lattice geometry: windows, clipping to arrays, dilation. The
+paper's clipped window and boundary test on pixel sets are
+``reference.clip`` and ``reference.boundary_point``.
 
 Pixels are (col, row) pairs, 1-based, on an m x n lattice. Windows are
 finite sets of integer offsets containing the origin; they double as
@@ -167,32 +169,6 @@ NINE_NEIGHBORHOOD = square_window(1)
 
 #: Origin plus the four axis neighbors (4-connectivity).
 FIVE_NEIGHBORHOOD = Window(((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)))
-
-
-def clip(w: Window, x: Pixel, lat: Lattice) -> set[Pixel]:
-    """Translate ``w`` to ``x`` and intersect with the lattice.
-
-    The result always contains ``x`` because the window contains the origin.
-    """
-    lat.index(x)  # raises off the lattice
-    c, r = x
-    return {
-        (c + dx, r + dy)
-        for dx, dy in w.offsets
-        if 1 <= c + dx <= lat.width and 1 <= r + dy <= lat.height
-    }
-
-
-def boundary_point(x: Pixel, region: set[Pixel], w0: Window, lat: Lattice) -> bool:
-    """True iff the clipped window at ``x`` meets both the region and its
-    in-lattice complement.
-
-    Both tests run inside the lattice: off-lattice positions never count as
-    "outside the region", so a full-lattice region has no boundary points.
-    """
-    clipped = clip(w0, x, lat)
-    inside = clipped & region
-    return bool(inside) and len(inside) < len(clipped)
 
 
 _DILATIONS: dict[Window, tuple[Window, ...]] = {}  # dilate(g, 1..k) for each g

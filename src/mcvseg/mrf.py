@@ -6,29 +6,18 @@ per-pixel energy falls below the model threshold. The AR predictor is
 one layer of the net: ``_neighbor_means`` predicts each pixel for the
 energy and gives every pyramid layer alike. ``_ordered_sum`` adds a
 window's terms one at a time in row-major order, and a term's bands in
-order, so ``energy``, the Gibbs and Metropolis tables and
-``pyramid.verdict_map`` give bitwise the same energy of a window; the
-Metropolis chain adds its energy changes in one fixed order too. The
-Boltzmann distribution this energy induces is enumerable for tiny state
-spaces, which gives an exact oracle for the threshold equivalence and a
-target for the Metropolis calibration.
+order, so ``energy`` and ``pyramid.verdict_map`` give bitwise the same
+energy of a window.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .geometry import Offset, Pixel, Window, NINE_NEIGHBORHOOD, dilate
-
-#: Enumeration guard for the Gibbs table.
-MAX_STATES = 2**20
+from .geometry import Offset, Window, NINE_NEIGHBORHOOD, dilate
 
 METRICS = ("euclidean", "per_band_abs")
 
@@ -184,153 +173,6 @@ def evaluate(values: np.ndarray, model: MrfModel, mask: np.ndarray | None = None
     vals = _as_bands(values)
     size = vals.shape[0] * vals.shape[1] if mask is None else int(np.count_nonzero(mask))
     return 1 if energy(vals, model, mask) / size <= model.rho else 0
-
-
-# --- exact enumeration over tiny state spaces ------------------------------
-
-
-def _neighbor_table(pixels: Sequence[Pixel], model: MrfModel) -> list[list[int]]:
-    """Per pixel, the indices of its in-region neighbors. A prediction
-    divides the neighbors' sum once, so a constant patch scores exactly
-    zero."""
-    index = {p: i for i, p in enumerate(pixels)}
-    offsets = model.neighbor_offsets()
-    return [[index[q] for q in ((c + dx, r + dy) for dx, dy in offsets) if q in index]
-            for c, r in pixels]
-
-
-def _boltzmann(energies: np.ndarray, temperature: float):
-    """Normalized Boltzmann weights, computed relative to the minimum
-    energy for stability."""
-    scaled = np.exp(-(energies - float(energies.min())) / temperature)
-    return scaled / float(scaled.sum())
-
-
-@dataclass
-class GibbsTable:
-    """Exhaustive Boltzmann distribution over all images on a tiny region."""
-
-    pixels: tuple[Pixel, ...]
-    states: list[tuple]
-    energies: np.ndarray
-    probabilities: np.ndarray
-
-    def mean_energy_per_pixel(self) -> float:
-        return float(np.dot(self.probabilities, self.energies)) / len(self.pixels)
-
-
-def gibbs_distribution(region: Iterable[Pixel], values: Sequence, model: MrfModel) -> GibbsTable:
-    """Enumerate the Boltzmann distribution over all |V|^|R| images.
-
-    Guarded at MAX_STATES states; probabilities are positive and sum to 1.
-    """
-    pixels = tuple(sorted(set(region), key=lambda p: (p[1], p[0])))
-    if not pixels:
-        raise ValueError("region is empty")
-    k = len(pixels)
-    values = list(values)
-    if len(values) == 0:
-        raise ValueError("value set is empty")
-    n_states = len(values) ** k
-    if n_states > MAX_STATES:
-        raise ValueError(f"state space {len(values)}^{k} exceeds {MAX_STATES}")
-    table = _neighbor_table(pixels, model)
-    states = list(itertools.product(values, repeat=k))
-    terms = np.fromiter((_site_term(s, i, table, model.metric) for s in states for i in range(k)),
-                        dtype=np.float64, count=n_states * k)
-    energies = _ordered_sum(terms.reshape(n_states, k))
-    return GibbsTable(pixels, states, energies, _boltzmann(energies, model.temperature))
-
-
-def tau_rho_consistency(region: Iterable[Pixel], values: Sequence, model: MrfModel) -> bool:
-    """Check on the enumerated state space that probability thresholding
-    and energy thresholding select the same acceptance set.
-
-    The probability threshold is the Boltzmann weight of the model's total
-    energy budget rho * |R|; agreement must be exact, state by state. The
-    threshold weight is evaluated in the same exp call as the state
-    weights so equal exponents give bitwise equal weights, and the shared
-    normalizer is left out of the comparison entirely.
-    """
-    gt = gibbs_distribution(region, values, model)
-    rho_total = model.rho * len(gt.pixels)
-    shift = float(gt.energies.min())
-    scaled = np.exp(-(np.append(gt.energies, rho_total) - shift) / model.temperature)
-    by_prob = scaled[:-1] >= scaled[-1]
-    by_energy = gt.energies <= rho_total
-    return bool(np.array_equal(by_prob, by_energy))
-
-
-def calibrate_rho(patch_shape: tuple[int, int], values: Sequence, model: MrfModel,
-                  samples: int, seed: int = 0) -> float:
-    """Estimate a per-pixel energy threshold by Metropolis sampling.
-
-    Runs a single-site Metropolis chain over images on a full
-    (rows, cols) patch: proposals are uniform over the value set, accepted
-    with probability min(1, exp(-dU/T)). Returns the chain mean of the
-    per-pixel energy. Deterministic for a fixed seed (NumPy PCG64).
-    """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    rows, cols = patch_shape
-    if rows < 1 or cols < 1:
-        raise ValueError(f"patch shape must be positive, got {patch_shape}")
-    values = list(values)
-    if len(values) == 0:
-        raise ValueError("value set is empty")
-    pixels = tuple((c + 1, r + 1) for r in range(rows) for c in range(cols))
-    k = len(pixels)
-    table = _neighbor_table(pixels, model)
-    # terms affected by a change at site j: j itself plus sites with j as neighbor
-    affected = [[j] + [i for i, nbrs in enumerate(table) if j in nbrs] for j in range(k)]
-
-    rng = np.random.default_rng(seed)
-    state = [values[int(i)] for i in rng.integers(0, len(values), size=k)]
-    terms = [_site_term(state, i, table, model.metric) for i in range(k)]
-    total = 0.0
-    t_inv = 1.0 / model.temperature
-    for _ in range(samples):
-        site = int(rng.integers(0, k))
-        proposal = values[int(rng.integers(0, len(values)))]
-        old_value = state[site]
-        old_terms = [terms[i] for i in affected[site]]
-        state[site] = proposal
-        new_terms = [_site_term(state, i, table, model.metric) for i in affected[site]]
-        # added in order: the builtin sum is compensated from Python 3.12
-        delta = reduce(add, new_terms, 0.0) - reduce(add, old_terms, 0.0)
-        if delta <= 0 or rng.random() < math.exp(-delta * t_inv):
-            for i, term in zip(affected[site], new_terms):
-                terms[i] = term
-        else:
-            state[site] = old_value
-        total += float(_ordered_sum(np.array(terms)))
-    return total / samples / k
-
-
-def _site_term(state: Sequence, i: int, table, metric: str) -> float:
-    """Energy contribution of the single site ``i`` for the current state,
-    with ``_site_terms``' float operations: neighbors and bands are added
-    in order, one at a time."""
-    nbrs = table[i]
-    if not nbrs:
-        return 0.0
-    n = len(nbrs)
-    vi = state[i]
-    if isinstance(vi, (tuple, list)):
-        pred = [0.0] * len(vi)
-        for j in nbrs:
-            for b, vb in enumerate(state[j]):
-                pred[b] += vb
-        term = 0.0
-        for pb, vb in zip(pred, vi):
-            d = pb / n - vb
-            term += d * d if metric == "euclidean" else abs(d)
-        return term if metric == "euclidean" else term * term
-    pred = 0.0
-    for j in nbrs:
-        pred += state[j]
-    d = pred / n - vi
-    return d * d
 
 
 def neighborhood_squared(g: Window) -> Window:

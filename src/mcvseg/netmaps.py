@@ -3,8 +3,8 @@
 ``pyramid.verdict_maps`` scores the chains of a run through one
 ``_NetMaps``: every layer and term map is built once for all of them,
 and the energy per pixel adds the term maps over each window. The
-per-window net of ``pyramid`` is the reference this fast path is
-tested against, bit for bit.
+per-window net, ``reference.pyramid_evaluate``, is the reference this
+fast path is tested against, bit for bit.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ class _NetMaps:
     ``check_chain`` puts each chain's base window inside its first. So
     neither the one pad nor the one term box changes a value that is
     read. The energy adds the terms in the order of
-    ``pyramid.pyramid_evaluate``, leaving out only reads of +0.0, and
+    ``reference.pyramid_evaluate``, leaving out only reads of +0.0, and
     ``x + 0.0 == x``. The size is an exact integer count of the
     window's in-region positions, the count ``mrf.evaluate`` divides
     by, and at least 1, since every window holds the origin and each

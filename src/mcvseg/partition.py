@@ -1,13 +1,14 @@
-"""Partitions as dense label maps: the block-merging operator, the
-sequential connected-component algorithm built on it, and the windowed
-merge operation used by the level driver.
+"""Partitions as dense label maps: the relabel pass the level driver's
+merges end in, the sequential connected-component algorithm built on
+the block-merging operator, and canonical renumbering.
 
 A partition lives on the whole lattice or on a subset of it; pixels
 outside the domain carry the reserved ABSENT marker. Blocks are the
 maximal sets of pixels sharing a label. No region lists are kept between
 operations: adjacency is always recomputed locally from the label map.
-The merging operator, the windowed merge and the driver's merges all end
-in ``_relabel``, one vectorized pass through a bool table over labels;
+The driver's merges, and the paper's merging operator and windowed merge
+(``reference.m_step`` and ``reference.merge_step``), all end in
+``_relabel``, one vectorized pass through a bool table over labels;
 both component labelings instead run the operator through ``_fuse_along``,
 which fuses small blocks into large ones through explicit pixel lists,
 bounding its work, and never fuses across the visited pixel's class.
@@ -93,14 +94,6 @@ def _relabel(labels: np.ndarray, rs: slice, cs: slice, sub: np.ndarray | None,
     region[sel] = fresh
 
 
-def _label_table(labels: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """A ``_relabel`` table over every label of ``labels``, set at
-    ``targets``; negative labels index it from the end, past the largest."""
-    table = np.zeros(int(labels.max()) + 1 - min(int(labels.min()), 0), dtype=bool)
-    table[targets] = True
-    return table
-
-
 def singletons(S: Iterable[Pixel], lat: Lattice) -> Partition:
     """Partition of S into single-pixel blocks, labeled in raster order."""
     labels = np.full((lat.height, lat.width), ABSENT, dtype=np.int32)
@@ -114,24 +107,6 @@ def singletons_full(lat: Lattice) -> Partition:
     """Every lattice pixel its own block; labels are raster indices."""
     labels = np.arange(lat.size, dtype=np.int32).reshape(lat.height, lat.width)
     return Partition(lat, labels)
-
-
-def m_step(x: Pixel, p: Partition, w0: Window) -> Partition:
-    """One application of the block-merging operator at ``x``: every block
-    meeting the clipped w0-window of ``x`` (within the domain) fuses into
-    the block of ``x``; all other blocks pass through.
-
-    The result is a partition of the same domain, coarser than or equal to
-    the input, and it preserves connectedness of blocks.
-    """
-    target = p.label_at(x)
-    if target == ABSENT:
-        raise ValueError(f"pixel {x} is not in the partition domain")
-    members = _window_labels(p.labels, *WindowGeom.of(w0).clip(*p.lattice.index(x), *p.labels.shape))
-    out = p.labels.copy()
-    table = _label_table(out, members[members != ABSENT])
-    _relabel(out, slice(None), slice(None), None, table, target)
-    return Partition(p.lattice, out)
 
 
 def _fuse_along(labels: np.ndarray, classes: np.ndarray, w0: Window,
@@ -185,25 +160,6 @@ def components_by_class(cm: Partition, w0: Window) -> Partition:
     rows, cols = np.divmod(np.arange(labels.size), labels.shape[1])
     _fuse_along(labels, cm.labels, w0, rows, cols)
     return canonicalize(Partition(cm.lattice, labels))
-
-
-def merge_step(x: Pixel, p: Partition, w0: Window, psi: Window) -> Partition:
-    """Windowed merge at ``x``: blocks meeting the w0-window contribute
-    their pixels inside the psi-window to one new block; what falls outside
-    the psi-window stays behind as residue blocks under the old labels.
-
-    The merged block always contains ``x``; residues may be disconnected
-    and empty residues vanish. Regions can split as well as merge, so the
-    result need not be coarser than the input.
-    """
-    r, c = p.lattice.index(x)  # raises off the lattice
-    if not p.is_total:
-        raise ValueError("merge_step requires a total partition")
-    out = p.labels.copy()
-    targets = _window_labels(out, *WindowGeom.of(w0).clip(r, c, *out.shape))
-    rs, cs, sub = WindowGeom.of(psi).clip(r, c, *out.shape)
-    _relabel(out, rs, cs, sub, _label_table(out, targets), int(out.max()) + 1)
-    return Partition(p.lattice, out)
 
 
 def canonicalize(p: Partition) -> Partition:

@@ -70,7 +70,11 @@ def _next_int(data: bytes, pos: int, what: str) -> tuple[int, int, int]:
     token = m[1]
     if not token.isdigit():
         raise PnmParseError(f"expected integer for {what}, got {token!r}", start)
-    return int(token), start, end
+    try:  # leading zeros dropped first, as in _decimal
+        return int(token.lstrip(b"0") or b"0"), start, end
+    except ValueError:
+        raise PnmParseError(f"integer for {what} too long: {end - start} digits",
+                            start) from None
 
 
 def load_pnm(data: bytes) -> ImageBuffer:
@@ -171,6 +175,22 @@ def save_labels(lm: Partition, format: str = "pgm16") -> bytes:
 _CSV_INT = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
+def _decimal(cell: str, where: str) -> int:
+    """The integer a label CSV cell or a permutation-file line spells
+    (``_CSV_INT``), or a ValueError that names ``where``. Leading zeros
+    are dropped first, so a zero-padded number converts at any length;
+    one with more significant digits than ``int`` converts (4300 by
+    default, ``sys.get_int_max_str_digits``) is refused."""
+    if not _CSV_INT.fullmatch(cell):
+        raise ValueError(f"{where}: not an integer: {cell!r}")
+    cell = cell.strip()
+    sign = cell[0] if cell[0] in "+-" else ""
+    try:
+        return int(sign + (cell[len(sign):].lstrip("0") or "0"))
+    except ValueError:
+        raise ValueError(f"{where}: integer too long: {len(cell)} characters") from None
+
+
 def load_labels(data: bytes) -> Partition:
     """Load a label map from 16-bit/8-bit PGM bytes or CSV bytes."""
     if data[:2] in (b"P2", b"P5"):
@@ -189,11 +209,8 @@ def load_labels(data: bytes) -> Partition:
     widths = {len(cells) for _, cells in lines}
     if len(widths) != 1:
         raise ValueError(f"ragged label CSV: row lengths {sorted(widths)}")
-    for ln, cells in lines:
-        for col, cell in enumerate(cells, 1):
-            if not _CSV_INT.fullmatch(cell):
-                raise ValueError(f"label CSV row {ln}, column {col}: not an integer: {cell!r}")
-    labels = np.array([[int(cell) for cell in cells] for _, cells in lines])
+    labels = np.array([[_decimal(cell, f"label CSV row {ln}, column {col}")
+                        for col, cell in enumerate(cells, 1)] for ln, cells in lines])
     _check_nonnegative(labels)
     return Partition(Lattice(labels.shape[1], labels.shape[0]), labels)
 

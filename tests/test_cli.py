@@ -102,6 +102,16 @@ def test_segment_header_larger_than_file(tmp_path, capsys):
     assert not outdir.exists()
 
 
+def test_segment_width_past_the_int_digit_limit(tmp_path, capsys):
+    src = tmp_path / "wide.pgm"
+    src.write_bytes(b"P2\n" + b"1" * 5000 + b" 1\n255\n1\n")
+    outdir = tmp_path / "out"
+    assert main(["segment", str(src), str(outdir)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: integer for width too long: 5000 digits (byte offset 3)\n"
+    assert not outdir.exists()
+
+
 def test_segment_config_file_with_flag_override(tmp_path):
     src = tmp_path / "img.pgm"
     write_pgm(src, np.full((6, 6), 30.0))

@@ -89,6 +89,17 @@ def test_load_permutation_reads_ascii_digits_only(spelling):
         load_permutation("# order\n" + "\n".join(lines[1:]) + "\n0\n", lat)
 
 
+def test_load_permutation_past_the_int_digit_limit():
+    """A zero-padded index of 5000 digits is the index it spells; one
+    with more significant digits than ``int`` converts (4300 by default)
+    is refused with its line."""
+    lat = Lattice(2, 1)
+    assert load_permutation("1\n" + "0" * 5000 + "\n", lat).tolist() == [1, 0]
+    with pytest.raises(ValueError) as exc:
+        load_permutation("0\n# index\n" + "1" * 5000 + "\n", lat)
+    assert str(exc.value) == "permutation file line 3: integer too long: 5000 characters"
+
+
 def test_config_validation():
     McvConfig().validate()
     with pytest.raises(ConfigError):

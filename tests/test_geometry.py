@@ -4,8 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcvseg.geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD,
-                             Window, WindowGeom, boundary_point, clip, dilate,
-                             square_window)
+                             Window, WindowGeom, dilate, square_window)
+from mcvseg.reference import boundary_point, clip
 
 
 def test_lattice_membership_and_size():

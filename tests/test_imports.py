@@ -1,5 +1,6 @@
 """Every name a module of the package or the tests imports is read there,
-and every private helper of the package is read somewhere in it.
+and every private helper of the package is read somewhere in it; and no
+run imports the reference layer.
 
 A standard-library stand-in for a linter's unused-import and dead-code
 checks: each module's imported names are compared with the names its
@@ -8,6 +9,9 @@ imports them to re-export them.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -108,3 +112,64 @@ def test_no_dead_private_helpers():
     dead = [f"{path.relative_to(ROOT)} line {line}: {name}" for path in PACKAGE
             for name, line in private_definitions(path.read_text()).items() if name not in read]
     assert dead == []
+
+
+#: The public names ``mcvseg`` loads from ``mcvseg.reference`` on first use.
+REFERENCE_NAMES = {"GibbsTable", "boundary_point", "calibrate_rho", "clip", "downsample",
+                   "gibbs_distribution", "m_step", "merge_step", "pyramid_evaluate",
+                   "tau_rho_consistency"}
+
+# Runs in a fresh interpreter, in a temporary directory: a run and every
+# subcommand, then the checks that load the reference layer.
+BOUNDARY_SCRIPT = """
+import sys
+import numpy as np
+import mcvseg
+from mcvseg.cli import main
+
+img = mcvseg.ImageBuffer(mcvseg.Lattice(4, 3), 1, np.arange(12.0).reshape(3, 4, 1) * 20, 255)
+seq = mcvseg.run_mcv(img, mcvseg.McvConfig(max_level=2, rho=50.0))
+open("in.pgm", "wb").write(mcvseg.save_pnm(img))
+assert main(["segment", "in.pgm", "out", "--levels", "2"]) == 0
+assert main(["components", "in.pgm", "classes.pgm"]) == 0
+assert main(["rand", "out/level_1.pgm", "out/level_2.pgm"]) == 0
+assert set(mcvseg.__all__) <= set(dir(mcvseg))
+print("loaded after a run:", "mcvseg.reference" in sys.modules)
+
+names = {name: getattr(mcvseg, name) for name in mcvseg.__all__}
+import mcvseg.reference as reference
+star = {}
+exec("from mcvseg import *", star)
+assert {k: v for k, v in star.items() if k != "__builtins__"} == names
+for name in REFERENCE_NAMES:
+    assert names[name] is getattr(reference, name), name
+try:
+    mcvseg.no_such_name
+except AttributeError as e:
+    print("unknown name:", e)
+"""
+
+
+def test_runs_never_import_the_reference_layer(tmp_path):
+    """``import mcvseg``, ``run_mcv`` and the ``segment``, ``components``
+    and ``rand`` subcommands leave ``mcvseg.reference`` unloaded, and so
+    does ``dir(mcvseg)``, which lists every name of ``mcvseg.__all__``;
+    each of them resolves, the reference names to the objects of
+    ``mcvseg.reference``, and an unknown name still raises
+    AttributeError."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    script = f"REFERENCE_NAMES = {sorted(REFERENCE_NAMES)!r}\n" + BOUNDARY_SCRIPT
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == [
+        "loaded after a run: False",
+        "unknown name: module 'mcvseg' has no attribute 'no_such_name'"]
+
+
+def test_reference_names_are_public():
+    import mcvseg
+
+    assert REFERENCE_NAMES <= set(mcvseg.__all__)
+    assert REFERENCE_NAMES == set(mcvseg._REFERENCE)

@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcvseg.geometry import FIVE_NEIGHBORHOOD, NINE_NEIGHBORHOOD, dilate, square_window
-from mcvseg.mrf import (MrfModel, _neighbor_means, _ordered_sum, calibrate_rho, energy,
-                        evaluate, gibbs_distribution, neighborhood_squared,
-                        tau_rho_consistency)
+from mcvseg.mrf import (MrfModel, _neighbor_means, _ordered_sum, energy, evaluate,
+                        neighborhood_squared)
+from mcvseg.reference import calibrate_rho, gibbs_distribution, tau_rho_consistency
 
 from oracles import energy_reference, neighbor_means_reference
 

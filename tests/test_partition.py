@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from mcvseg.geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD,
                              Window, WindowGeom, dilate, square_window)
-from mcvseg.partition import (ABSENT, Partition, _label_table, _relabel,
-                              canonicalize, components_by_class,
-                              connected_components, m_step, merge_step,
+from mcvseg.partition import (ABSENT, Partition, _relabel, canonicalize,
+                              components_by_class, connected_components,
                               same_partition, singletons, singletons_full)
 from mcvseg.pnmio import load_labels, save_labels
+from mcvseg.reference import _label_table, m_step, merge_step
 
 from oracles import (bfs_components, first_occurrence_reference, merge_sets,
                      relabel_reference)

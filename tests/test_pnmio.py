@@ -10,6 +10,9 @@ from mcvseg.pnmio import (ImageBuffer, PnmParseError, colorize, load_labels,
 
 from oracles import plain_pnm_tokens
 
+# Python's int() refuses strings of more than 4300 digits by default.
+LONG = 5000
+
 
 def test_load_p2_plain():
     img = load_pnm(b"P2\n# comment\n3 2\n255\n0 10 20\n30 40 50\n")
@@ -107,11 +110,17 @@ def test_comments_and_every_whitespace_byte_separate_tokens():
     (b"P2\n2 1\n10\n3 #c\n11\n", "sample 11 exceeds maxval 10", 15),
     (b"P5\n3 1\n200\n\x01\xc9\xff", "sample 201 exceeds maxval 200", 12),
     (b"P5\n3 1\n1000\n\x00\x01\x03\xe9\x00\x00", "sample 1001 exceeds maxval 1000", 14),
+    (b"P2 " + b"1" * LONG + b" 1 255\n1", f"integer for width too long: {LONG} digits", 3),
+    (b"P2 1 " + b"0" * LONG + b"1" * LONG + b" 255\n1",
+     f"integer for height too long: {2 * LONG} digits", 5),
+    (b"P5 1 1 " + b"9" * LONG + b"\n\x00", f"integer for maxval too long: {LONG} digits", 7),
+    (b"P2 2 1 255\n0 " + b"1" * LONG, f"integer for sample 1 too long: {LONG} digits", 13),
 ], ids=["too-short", "bad-magic", "eof-in-comment", "eof-in-header", "non-digit",
         "sign-after-comment", "zero-width", "comment-after-maxval", "maxval-0", "maxval-65536",
         "eof-after-maxval", "truncated-raw", "truncated-raw-16bit", "truncated-plain",
         "eof-in-plain-raster", "non-digit-sample", "plain-above-maxval", "raw-above-maxval",
-        "raw-16bit-above-maxval"])
+        "raw-16bit-above-maxval", "long-width", "long-zero-padded-height", "long-maxval",
+        "long-plain-sample"])
 def test_parse_errors_name_their_offset(data, message, offset):
     with pytest.raises(PnmParseError) as exc:
         load_pnm(data)
@@ -220,12 +229,27 @@ def test_load_labels_rejects_ragged_csv():
     (b"0,1_0\n", "row 1, column 2: not an integer: '1_0'"),
     ("0,\u0663\n".encode(), "row 1, column 2: not an integer: '\u0663'"),
     (b"0,\xff\n", "not UTF-8 text: byte 2 is 0xff"),
+    (b"0," + b"1" * LONG + b"\n", f"row 1, column 2: integer too long: {LONG} characters"),
+    (b"0,1\n2, -" + b"9" * LONG + b" \n",
+     f"row 2, column 2: integer too long: {LONG + 1} characters"),
 ], ids=["letter", "fraction-after-blank-line", "empty-cell", "underscore", "arabic-digit",
-        "not-utf8"])
+        "not-utf8", "long", "long-negative-with-spaces"])
 def test_load_labels_names_the_bad_csv_cell(data, message):
     with pytest.raises(ValueError) as exc:
         load_labels(data)
     assert message in str(exc.value)
+
+
+def test_zero_padded_integers_past_the_int_digit_limit_decode():
+    """Leading zeros are dropped before conversion, so a long zero-padded
+    header field, plain sample or CSV cell is the number it spells."""
+    zeros = b"0" * LONG
+    assert load_pnm(b"P2 1 1 255\n" + zeros + b"1").samples.tolist() == [[[1.0]]]
+    img = load_pnm(b"P2 " + zeros + b"2 1 " + zeros + b"255\n" + zeros + b"7 0")
+    assert (img.lattice.width, img.max_value, img.samples.ravel().tolist()) == (2, 255, [7.0, 0.0])
+    assert load_pnm(b"P2 1 1 255\n" + zeros).samples.tolist() == [[[0.0]]]
+    labels = load_labels(b"0," + zeros + b"1\n+" + zeros + b"2, -" + zeros + b"\n")
+    assert labels.labels.tolist() == [[0, 1], [2, 0]]
 
 
 def test_colorize_distinct_and_deterministic():

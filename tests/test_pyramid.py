@@ -7,8 +7,8 @@ from mcvseg.driver import ConfigError, McvConfig
 from mcvseg.geometry import (FIVE_NEIGHBORHOOD, NINE_NEIGHBORHOOD, Window,
                              WindowGeom, dilate, square_window)
 from mcvseg.mrf import MrfModel, energy, evaluate
-from mcvseg.pyramid import (check_chain, downsample, make_pyramid_evaluator,
-                            pyramid_evaluate, verdict_map)
+from mcvseg.pyramid import check_chain, make_pyramid_evaluator, verdict_map
+from mcvseg.reference import downsample, pyramid_evaluate
 
 from oracles import downsample_reference
 
