@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import numbers
 import os
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -232,15 +231,12 @@ def config_updates(text: str) -> dict:
 
 @dataclass
 class LevelStats:
-    """Counters for one executed level (level 0 is the initial state).
-    ``elapsed`` covers the level's merge loop and canonicalization, not
-    the verdict map, which consecutive levels may share."""
+    """Counters for one executed level (level 0 is the initial state)."""
 
     level: int
     evaluations: int
     accepted: int
     region_count: int
-    elapsed: float = 0.0
 
 
 @dataclass
@@ -427,12 +423,10 @@ def _check_label_room(lat: Lattice) -> None:
 def _run_level_inplace(labels: np.ndarray, omega: ImageBuffer, level: int,
                        cfg: McvConfig, perm: np.ndarray, verdict: np.ndarray,
                        reads: np.ndarray) -> LevelStats:
-    t0 = time.perf_counter()
     evaluations, accepted = _merge_level(labels, verdict, perm, cfg.w0,
                                          cfg.merge_geom(level), reads)
     labels[...] = canonicalize(Partition(omega.lattice, labels)).labels
-    return LevelStats(level, evaluations, accepted, int(labels.max()) + 1,
-                      time.perf_counter() - t0)
+    return LevelStats(level, evaluations, accepted, int(labels.max()) + 1)
 
 
 def run_level(p: Partition, omega: ImageBuffer, i: int, cfg: McvConfig,

@@ -73,9 +73,6 @@ class Window:
     def __len__(self) -> int:
         return len(self.offsets)
 
-    def __iter__(self):
-        return iter(self.offsets)
-
     @cached_property
     def _grid(self) -> tuple[tuple[int, int, int, int], np.ndarray]:
         dxs = [o[0] for o in self.offsets]

@@ -4,7 +4,9 @@ The energy of a patch is the summed squared deviation of each pixel from
 the mean of its in-region neighbors; a patch is acceptable when the
 per-pixel energy falls below the model threshold. The AR predictor is
 one layer of the net: ``_neighbor_means`` predicts each pixel for the
-energy and gives every pyramid layer alike. ``_ordered_sum`` adds a
+energy and gives every pyramid layer alike; with ``_add_shifted`` and
+``_site_terms``, it is one of the kernels that the one-window ``energy``
+and the whole-image maps of ``pyramid`` share. ``_ordered_sum`` adds a
 window's terms one at a time in row-major order, and a term's bands in
 order, so ``energy`` and ``pyramid.verdict_map`` give bitwise the same
 energy of a window.

@@ -33,6 +33,7 @@ class Partition:
     ``labels[row, col]`` is the 0-based storage for the 1-based (col, row)
     lattice; ABSENT marks pixels outside the partition's domain. Labels
     are int32; a fractional or out-of-range label raises ValueError.
+    Two partitions are equal when their lattices and labels are.
     """
 
     lattice: Lattice
@@ -50,8 +51,10 @@ class Partition:
         if self.labels.shape != expected:
             raise ValueError(f"label array shape {self.labels.shape} != {expected}")
 
-    def copy(self) -> Partition:
-        return Partition(self.lattice, self.labels.copy())
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Partition):
+            return NotImplemented
+        return self.lattice == other.lattice and np.array_equal(self.labels, other.labels)
 
     @property
     def is_total(self) -> bool:

@@ -7,9 +7,27 @@ Each step is one layer of plain means over the model's neighborhood
 (``mrf._neighbor_means``, which is the AR predictor too): nothing is
 learned, every weight is wired to one. ``verdict_maps`` slides the net
 over a whole image as a convolution, for every chain of a run at once
-(``verdict_map`` for one), through the run's cache of whole-image maps
-(``netmaps``). The net on one window, ``reference.pyramid_evaluate``, is
-the reference this fast path is tested against.
+(``verdict_map`` for one), through one ``_NetMaps``, the run's cache of
+whole-image maps: it pads the image once, names each map by an id under
+its key, and builds every term map over one term box. The net on one
+window, ``reference.pyramid_evaluate``, is the reference this fast path
+is tested against, bit for bit.
+
+Why exact: an id names one key and a key one map, so a map built once
+is the map each chain would build for itself. A map position depends
+only on the image at the positions its reads reach; for a position that
+a chain reads, they lie in that chain's first window around a lattice
+pixel, so inside any pad of that reach, and off the lattice the image
+map is 0 with its mask off at any pad. The term box holds every base
+window's box, so every position a chain reads of a term map, and it
+lies inside the pad, since ``check_chain`` puts each chain's base window
+inside its first. So neither the one pad nor the one term box changes a
+value that is read. The energy adds the terms in the order of
+``reference.pyramid_evaluate``, leaving out only reads of +0.0, and
+``x + 0.0 == x``. The size is an exact integer count of the window's
+in-region positions, the count ``mrf.evaluate`` divides by, and at
+least 1, since every window holds the origin and each layer reads its
+own position. So every verdict is bitwise the per-window net's.
 """
 
 from __future__ import annotations
@@ -17,8 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import Window, dilate
-from .mrf import MrfModel, _as_bands
-from .netmaps import _NetMaps
+from .mrf import MrfModel, _add_shifted, _as_bands, _neighbor_means, _site_terms
 
 
 def check_chain(levels) -> tuple[Window, ...]:
@@ -56,3 +73,166 @@ def verdict_maps(samples: np.ndarray, chains, model: MrfModel) -> list[np.ndarra
         return []
     verdicts = _NetMaps(_as_bands(samples), chains, model).verdicts()
     return [verdicts[levels] for levels in chains]
+
+
+def _boxes(mask: np.ndarray) -> list[list[int]]:
+    """The set cells of a 2-D bool array as disjoint [c0, c1, r0, r1]
+    boxes, bounds included: each row's runs of set cells, a run merged
+    into the box of the same run on the row above."""
+    edges = np.diff(mask.astype(np.int8), axis=1, prepend=0, append=0)
+    rows, starts = np.nonzero(edges == 1)
+    stops = np.nonzero(edges == -1)[1] - 1
+    boxes, latest = [], {}
+    for r, c0, c1 in zip(rows.tolist(), starts.tolist(), stops.tolist()):
+        box = latest.get((c0, c1))
+        if box is not None and box[3] == r - 1:
+            box[3] = r
+        else:
+            latest[c0, c1] = box = [c0, c1, r, r]
+            boxes.append(box)
+    return boxes
+
+
+class _NetMaps:
+    """One run's cache of the net's whole-image maps, for the window
+    chains it is given in level order.
+
+    The image is padded once by the largest reach of any chain's first
+    window; map 0 is that image with its lattice mask. Every other map
+    is interned under its key, a kind and the ids of the maps it reads,
+    one per read offset in order, -1 for none. A ``"layer"`` map is the
+    ``_neighbor_means`` of its g-neighbor reads over the padded image.
+    A ``"terms"`` map, keyed by its center map's id and then its reads,
+    is the ``_site_terms`` of the center map and the means of its
+    non-origin g-neighbor reads, on the center's mask, built over the
+    run's term box: the union of the bounding boxes of every chain's
+    base window, the positions any energy reads a term map at.
+    Window positions that read alike share one map, within a chain and
+    across the chains of a run. Before any map is built, every chain is
+    planned in order on a grid of window positions: each key is
+    interned once, and its map is built with the first chain that reads
+    it and dropped after the last one (through a map built for that
+    chain, or its energy). The energy of a chain adds, per base-window
+    position in row-major order, that position's term map; each
+    window's size is the integer count of its center maps' masks over
+    it, from a prefix-sum table per center map and a few boxes of
+    window positions (``_boxes``).
+    """
+
+    def __init__(self, vals: np.ndarray, chains: list[tuple[Window, ...]], model: MrfModel):
+        h, w, _ = vals.shape
+        boxes = [levels[0].bbox() for levels in chains]
+        x0, y0 = min(b[0] for b in boxes), min(b[2] for b in boxes)
+        reach = ((-y0, max(b[3] for b in boxes)), (-x0, max(b[1] for b in boxes)))
+        bases = [levels[-1].bbox() for levels in chains]
+        self.box = (min(b[0] for b in bases), max(b[1] for b in bases),
+                    min(b[2] for b in bases), max(b[3] for b in bases))  # (x0, x1, y0, y1)
+        inside = np.pad(np.ones((h, w), dtype=bool), reach)
+        self.shape, self.origin, self.model = (h, w), (-y0, -x0), model
+        self.everywhere = np.ones_like(inside)
+        self.keys: list = [None]  # map id -> key; map 0 is the image
+        self.ids = {"layer": {}, "terms": {}}  # kind -> row of source ids -> map id
+        self.last = [0]  # map id -> index of the last distinct chain that reads it
+        self.plans = {}  # chain -> (ids of the maps it builds, its energy plan)
+        for n, levels in enumerate(dict.fromkeys(chains)):
+            start = len(self.keys)
+            plan = self._plan(levels, n)
+            self.plans[levels] = range(start, len(self.keys)), plan
+        # map id -> (values, mask) of the image or a layer map over the
+        # padded image, or a term map's values over the term box
+        self.maps = {0: (np.pad(vals, reach + ((0, 0),)), inside)}
+
+    def _intern(self, kind: str, reads: np.ndarray, n: int) -> np.ndarray:
+        """The map id of each row of source ids of ``reads``, under key
+        (kind, row); a key new to the ``n``-th distinct chain is
+        interned, and its sources are read by that chain."""
+        table = self.ids[kind]
+        rows = list(map(tuple, reads.tolist()))
+        for row in dict.fromkeys(rows):
+            if row not in table:
+                table[row] = len(self.keys)
+                self.keys.append((kind, row))
+                self.last.append(n)
+                for k in row:
+                    if k >= 0:
+                        self.last[k] = n
+        return np.array([table[row] for row in rows])
+
+    def _plan(self, levels: tuple[Window, ...], n: int):
+        """Intern the maps of chain ``levels``, the ``n``-th distinct one.
+        Returns its energy's plan: the (offset, term map id) reads in
+        row-major order, and per center map id, the boxes of offsets
+        whose term maps are on that center."""
+        g = np.array(self.model.neighborhood.offsets)
+        d = np.array([(0, 0), *self.model.neighbor_offsets()])  # a term's center, then its reads
+        x0, x1, y0, y1 = levels[0].bbox()
+        r = int(np.abs(g).max())
+        gy, gx = r - y0, r - x0  # the grid cell of window position (0, 0)
+        grid = np.full((y1 + gy + r + 1, x1 + gx + r + 1), -1)  # window position -> map id
+        for i, win in enumerate(levels):
+            rows, cols = np.nonzero(win.mask())
+            rows, cols = rows + win.bbox()[2] + gy, cols + win.bbox()[0] + gx
+            ids = 0 if i == 0 else self._intern(
+                "layer", grid[rows[:, None] + g[:, 1], cols[:, None] + g[:, 0]], n)
+            grid = np.full_like(grid, -1)
+            grid[rows, cols] = ids
+        reads = grid[rows[:, None] + d[:, 1], cols[:, None] + d[:, 0]]
+        centers = reads[:, 0]
+        terms = self._intern("terms", reads, n)
+        for k in set(terms.tolist()) | set(centers.tolist()):
+            self.last[k] = n
+        offsets = zip((cols - gx).tolist(), (rows - gy).tolist())
+        sizes = {c: [(c0 - gx, c1 - gx, r0 - gy, r1 - gy) for c0, c1, r0, r1 in _boxes(grid == c)]
+                 for c in dict.fromkeys(centers.tolist())}
+        return list(zip(offsets, terms.tolist())), sizes
+
+    def _build(self, i: int):
+        """Map ``i``: a layer's (values, mask), or a term map's values
+        (..., 1) over the term box."""
+        kind, ids = self.keys[i]
+        if kind == "layer":
+            reads = [(d, k) for d, k in zip(self.model.neighborhood.offsets, ids) if k >= 0]
+            return _neighbor_means({k: self.maps[k] for _, k in reads}, reads, self.everywhere)
+        center, *ids = ids
+        reads = [(d, k) for d, k in zip(self.model.neighbor_offsets(), ids) if k >= 0]
+        x0, x1, y0, y1 = self.box
+        (h, w), (oy, ox) = self.shape, self.origin
+        rows, cols = slice(oy + y0, oy + y1 + h), slice(ox + x0, ox + x1 + w)
+        vals, mask = self.maps[center]
+        sources = {k: self.maps[k] for k in (center, *(k for _, k in reads))}
+        pred = _neighbor_means(sources, reads, mask[rows, cols], oy + y0, ox + x0)
+        return _site_terms(vals[rows, cols], *pred, self.model)[..., None]
+
+    def _energy(self, plan) -> np.ndarray:
+        """The energy per pixel of one chain, (h, w): the term sums of its
+        plan over the window sizes."""
+        reads, sizes = plan
+        (h, w), (oy, ox) = self.shape, self.origin
+        x0, _, y0, _ = self.box
+        sums = _add_shifted(np.zeros((h, w, 1)), self.maps,
+                            [((dx - x0, dy - y0), t) for (dx, dy), t in reads])
+        size = np.zeros((h, w), dtype=np.int64)
+        for center, boxes in sizes.items():
+            mask = self.maps[center][1]
+            table = np.zeros((mask.shape[0] + 1, mask.shape[1] + 1), dtype=np.int64)
+            np.cumsum(mask.cumsum(0), 1, out=table[1:, 1:])
+            for x0, x1, y0, y1 in boxes:
+                r0, r1, c0, c1 = oy + y0, oy + y1 + 1, ox + x0, ox + x1 + 1
+                size += (table[r1 : r1 + h, c1 : c1 + w] - table[r0 : r0 + h, c1 : c1 + w]
+                         - table[r1 : r1 + h, c0 : c0 + w] + table[r0 : r0 + h, c0 : c0 + w])
+        return sums[..., 0] / size
+
+    def verdicts(self) -> dict:
+        """Each distinct chain's (h, w) bool verdict map, energy per pixel
+        at most ``rho``, building and dropping maps as planned."""
+        dead: list[list[int]] = [[] for _ in self.plans]
+        for i, n in enumerate(self.last):
+            dead[n].append(i)
+        out = {}
+        for n, (levels, (new, plan)) in enumerate(self.plans.items()):
+            for i in new:
+                self.maps[i] = self._build(i)
+            out[levels] = self._energy(plan) <= self.model.rho
+            for i in dead[n]:
+                del self.maps[i]
+        return out

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mcvseg.cli import main
+from mcvseg.driver import McvConfig, run_mcv
 from mcvseg.geometry import Lattice
 from mcvseg.pnmio import ImageBuffer, load_labels, load_pnm, save_pnm
 
@@ -59,6 +60,25 @@ def test_segment_rerun_is_byte_identical(tmp_path):
     assert main(["segment", args[0], str(out1)] + args[1:]) == 0
     assert main(["segment", args[0], str(out2)] + args[1:]) == 0
     assert read_tree(out1) == read_tree(out2)
+
+
+def test_segment_writes_csv_past_65535_labels(tmp_path):
+    """Level 0 of a 257x256 image has 65792 labels, past 16-bit PGM, so
+    it is written as CSV; level 1, whose flat top rows merge, as PGM. A
+    rerun writes the same bytes."""
+    noise = np.random.default_rng(0).integers(0, 256, size=(256, 257), dtype=np.uint8)
+    noise[:4] = 0
+    src = tmp_path / "big.pgm"
+    src.write_bytes(b"P5\n257 256\n255\n" + noise.tobytes())
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    for out in (out1, out2):
+        assert main(["segment", str(src), str(out), "--levels", "1", "--perm", "raster"]) == 0
+    tree = read_tree(out1)
+    assert set(tree) == {"level_0.csv", "level_1.pgm", "final.ppm", "stats.txt"}
+    assert tree == read_tree(out2)
+    cfg = McvConfig(max_level=1, permutation="raster")
+    want = run_mcv(load_pnm(src.read_bytes()), cfg).levels[0]
+    assert load_labels(tree["level_0.csv"]) == want
 
 
 @pytest.mark.parametrize("bands, max_value", [(1, 255), (3, 65535)], ids=["gray", "color-16bit"])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mcvseg import driver, netmaps, pyramid
+from mcvseg import driver, pyramid
 from mcvseg.driver import (ConfigError, McvConfig, config_updates,
                            load_permutation, permutation, run_level, run_mcv)
 from mcvseg.geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD,
@@ -229,6 +229,9 @@ def test_config_updates_parsing():
         config_updates("max_level\n")
     with pytest.raises(ConfigError):
         config_updates("workers = many\n")
+    assert config_updates("reshuffle_per_level = yes\n") == {"reshuffle_per_level": True}
+    with pytest.raises(ConfigError, match=r"^config line 1: not a boolean: 'maybe'$"):
+        config_updates("reshuffle_per_level = maybe\n")
 
 
 def test_metric_aliases_accepted():
@@ -435,8 +438,8 @@ def test_run_mcv_scores_one_verdict_map_per_distinct_chain(pinned):
     cfg = McvConfig(max_level=4, rho=50.0)
     if pinned:
         cfg = replace(cfg, eval_windows=(cfg.w0,) * 4)
-    with mock.patch.object(netmaps._NetMaps, "_energy", autospec=True,
-                           side_effect=netmaps._NetMaps._energy) as spy:
+    with mock.patch.object(pyramid._NetMaps, "_energy", autospec=True,
+                           side_effect=pyramid._NetMaps._energy) as spy:
         run_mcv(img, cfg)
     assert spy.call_count == (1 if pinned else 4)
 
@@ -451,9 +454,9 @@ def test_run_mcv_builds_each_net_map_once(mode, layers, terms):
     rng = np.random.default_rng(5)
     img = gray(rng.integers(0, 4, size=(10, 10)).astype(np.float64) * 60)
     cfg = McvConfig(max_level=7, rho=50.0, eval_mode=mode)
-    with mock.patch.object(netmaps, "_site_terms", side_effect=netmaps._site_terms) as site, \
-            mock.patch.object(netmaps, "_neighbor_means",
-                              side_effect=netmaps._neighbor_means) as means:
+    with mock.patch.object(pyramid, "_site_terms", side_effect=pyramid._site_terms) as site, \
+            mock.patch.object(pyramid, "_neighbor_means",
+                              side_effect=pyramid._neighbor_means) as means:
         run_mcv(img, cfg)
     assert site.call_count == terms
     assert means.call_count == layers + terms
@@ -574,7 +577,20 @@ def test_run_level_takes_any_integer_order_that_indexes_the_lattice():
     for dt in fits:
         got, stats = run_level(p, img, 2, cfg, perm.astype(dt))
         assert np.array_equal(got.labels, want.labels), dt
-        assert replace(stats, elapsed=0.0) == replace(want_stats, elapsed=0.0), dt
+        assert stats == want_stats, dt
+
+
+def test_run_mcv_reruns_compare_equal():
+    """Two runs of one config compare equal, stats included; a sequence
+    whose labels differ compares unequal, as its partitions do."""
+    img = gray(np.full((7, 9), 5.0))
+    cfg = McvConfig(max_level=2, rho=1.0)
+    seq = run_mcv(img, cfg)
+    assert seq == run_mcv(img, cfg)
+    other = run_mcv(img, replace(cfg, seed=5))
+    assert seq.levels[0] == other.levels[0]
+    assert seq.levels[1] != other.levels[1]
+    assert replace(other, config=cfg, stats=seq.stats) != seq
 
 
 def test_run_mcv_reshuffle_flag():
