@@ -22,8 +22,8 @@ configuration.
 
 Each accepted merge reads the labels the previous one wrote, so merges
 run in visit order on one thread, but ``_merge_level`` tests a chunk of
-visits at once and applies every accept of it up to the first visit
-whose reads an earlier accept's merge has changed. Every merge
+visits at once, applies its accepts in order, and re-tests in place each
+visit whose reads an earlier merge of the chunk has changed. Every merge
 goes through ``partition._relabel`` and a bool table over labels, and
 ``WindowGeom.clip_bounds`` clips the merge windows of all of a level's
 visits at once; they lie on the lattice, as its clamped arithmetic needs.
@@ -301,10 +301,9 @@ def _check_perm(perm: np.ndarray, lat: Lattice) -> np.ndarray:
     return perm.astype(np.intp)
 
 
-#: Visits in a merge chunk's boundary-test gather. A chunk runs up to its
-#: first visit whose w0 reads an earlier accept in it changed; one that
-#: runs to its end doubles the next chunk, up to MERGE_CHUNK_MAX, and a
-#: cut resets it to MERGE_CHUNK.
+#: Visits in a merge chunk's boundary-test gather. A chunk always runs to
+#: its end; one with no accept doubles the next chunk, up to
+#: MERGE_CHUNK_MAX, and one with an accept resets it to MERGE_CHUNK.
 MERGE_CHUNK = 32
 MERGE_CHUNK_MAX = 256
 
@@ -334,42 +333,46 @@ def _merge_level(labels: np.ndarray, verdict: np.ndarray, perm: np.ndarray,
     rows, each read clipped to the lattice: w0 holds (dx, 0) and (0, dy)
     with each of its offsets (dx, dy), all one step at most, so a clipped
     read stays in the clipped w0-window, inside its unclipped box. A visit
-    may be stale when its w0 box meets the merge box of an earlier accept
-    in the chunk: psi's bounding box dilated by w0's, set in a bool table
-    over (row, column) offsets between visits. The accepts merge in visit
+    is stale when its w0 box meets the merge box of an earlier merge in
+    the chunk: psi's bounding box dilated by w0's, set in a bool table
+    over (row, column) offsets between visits. The merges run in visit
     order, each with the next fresh label inside its psi box, which
-    ``WindowGeom.clip_bounds`` clips for the whole level. Once every
-    accept before a possibly stale visit has merged, its reads are
-    gathered again, and the chunk is cut there if they differ from the
-    chunk's gather; the next chunk starts at the cut. If they do not, as
-    when the merges near it took only labels it does not read, its test
-    stands and the chunk goes on. This is the one-visit-at-a-time loop
-    exactly: a merge changes no label outside its psi box, so a visit
-    that is not stale reads the labels that loop reads, and a stale one
-    is checked against them; so every test before the cut, and every
-    accept's targets, are that loop's, and each accept makes one
-    ``_relabel`` call, as there. The cut is exact at any chunk length, so
-    the length follows the cuts: a chunk that runs to its end doubles the
-    next one, up to ``MERGE_CHUNK_MAX``, where accepts are rare, and a cut
-    resets it to ``MERGE_CHUNK``, where they are dense. A merge flags its
-    targets in one bool table over labels: below ``labels.max() + 1``,
-    plus one fresh label per visit at most, so 2N entries on a level that
-    starts canonical. The loop runs on a C-ordered intp copy of
-    ``labels``, written back at the end, and on intp read rows, because
-    NumPy indexes faster with intp; a re-gathered read row is compared
-    with the chunk's as a list, which costs fewer NumPy calls. A round
-    gathers its accepts' read rows, their clipped merge windows and their
-    rows of the triangle ``_LATER`` (visit j after visit a) with
+    ``WindowGeom.clip_bounds`` clips for the whole level. Once every merge
+    before a stale visit has run, its reads are gathered again. If they
+    equal the chunk's gather, as when the merges near it took only labels
+    it does not read, its test stands. If not, the visit is re-tested on
+    the row it now reads: ``evaluations`` takes the difference of its
+    boundary tests, a merge the chunk had planned for it is dropped, and
+    if it now accepts it merges with that row as its targets, and every
+    later visit of the chunk in its near box becomes stale. This is the
+    one-visit-at-a-time loop exactly: a merge changes no label outside its
+    psi box, so a test that stands read the labels that loop reads, and
+    the stale set stays a superset of the visits an earlier merge could
+    have changed (a mark left by a dropped merge costs one re-check). So
+    every test and every merge's targets are that loop's, and each merge
+    makes one ``_relabel`` call, as there. No chunk is cut, so its length
+    follows the accepts: a chunk without one doubles the next, up to
+    ``MERGE_CHUNK_MAX``, where accepts are rare, and one with an accept
+    resets it to ``MERGE_CHUNK``, which keeps the (accepts x chunk) stale
+    table small where they are dense. A merge flags its targets in one
+    bool table over labels: below ``labels.max() + 1``, plus one fresh
+    label per visit at most, so 2N entries on a level that starts
+    canonical. The loop runs on a C-ordered intp copy of ``labels``,
+    written back at the end, and on intp read rows, because NumPy indexes
+    faster with intp; a re-gathered read row is compared with the
+    chunk's, and re-tested, as a list, which costs fewer NumPy calls. A
+    round gathers its accepts' read rows, their clipped merge windows and
+    their rows of the triangle ``_LATER`` (visit j after visit a) with
     ``take`` along axis 0. That picks whole rows, as fancy indexing does,
-    so the targets, windows and stale tests are the same values, at
-    about half the cost of fancy indexing and a broadcast compare.
+    so the targets, windows and stale tests are the same values, at about
+    half the cost of fancy indexing and a broadcast compare.
     """
     h, w = labels.shape
     work = labels.astype(np.intp, order="C")
     flat, neighbors, hits = work.reshape(-1), reads[perm].astype(np.intp), verdict.ravel()[perm]
     rows, cols = np.divmod(perm, w)
     bounds = psi.clip_bounds(rows, cols, h, w)
-    # near[key_j - key_a]: visit j reads inside accept a's merge box; the
+    # near[key_j - key_a]: visit j reads inside visit a's merge box; the
     # table is rolled so that a negative offset indexes it from the end.
     x0, x1, y0, y1 = w0.bbox()
     near = np.zeros((2 * h - 1, 2 * w - 1), dtype=bool)
@@ -383,18 +386,22 @@ def _merge_level(labels: np.ndarray, verdict: np.ndarray, perm: np.ndarray,
     size = MERGE_CHUNK
     while pos < len(perm):
         block = flat[neighbors[pos : pos + size]]
+        n = len(block)
         boundary = np.logical_or.reduce(block != block[:, :1], axis=1)
         acc = (boundary & hits[pos : pos + size]).nonzero()[0]
-        cut = len(block)
+        evaluations += int(np.count_nonzero(boundary))
         if len(acc):
-            key = keys[pos : pos + cut]
+            key = keys[pos : pos + n]
             stale = np.logical_or.reduce(near[key - key[acc][:, None]]
-                                         & _LATER.take(acc, 0)[:, :cut])
-            # order ends in cut, past every j, so the merges stop there
-            order, targets = [*acc.tolist(), cut], block.take(acc, 0)
+                                         & _LATER.take(acc, 0)[:, :n])
+            # order and todo end in n, past every j, so the merges stop there
+            order, targets = [*acc.tolist(), n], list(block.take(acc, 0))
             merge_rows = bounds.take(pos + acc, 0).tolist()
-            done = 0
-            for j in (*stale.nonzero()[0].tolist(), cut):
+            todo = [*stale.nonzero()[0].tolist(), n]
+            done = k = 0
+            while True:
+                j = todo[k]
+                k += 1
                 while order[done] < j:
                     target = targets[done]
                     table[target] = True
@@ -403,13 +410,31 @@ def _merge_level(labels: np.ndarray, verdict: np.ndarray, perm: np.ndarray,
                     table[target] = False
                     fresh += 1
                     done += 1
-                if j < cut and flat[neighbors[pos + j]].tolist() != block[j].tolist():
-                    cut = j
+                if j == n:
                     break
+                row = flat[neighbors[pos + j]]
+                now = row.tolist()
+                if now == block[j].tolist():
+                    continue
+                edge = now.count(now[0]) < len(now)
+                evaluations += edge - int(boundary[j])
+                hit = edge and hits[pos + j]
+                # A chunk accept's near box is marked already: merge it with
+                # the row or drop it. A new accept marks its own.
+                if order[done] == j:
+                    if hit:
+                        targets[done] = row
+                    else:
+                        del order[done], targets[done], merge_rows[done]
+                elif hit:
+                    order.insert(done, j)
+                    targets.insert(done, row)
+                    merge_rows.insert(done, bounds[pos + j].tolist())
+                    stale[j:] |= near[key[j:] - key[j]]
+                    todo, k = [*(stale[j + 1 :].nonzero()[0] + (j + 1)).tolist(), n], 0
             accepted += done
-        evaluations += int(np.count_nonzero(boundary[:cut]))
-        size = MERGE_CHUNK if cut < len(block) else min(2 * size, MERGE_CHUNK_MAX)
-        pos += cut
+        size = MERGE_CHUNK if len(acc) else min(2 * size, MERGE_CHUNK_MAX)
+        pos += n
     labels[...] = work
     return evaluations, accepted
 

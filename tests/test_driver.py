@@ -767,7 +767,7 @@ def _check_merge_level(labels, verdict, perm, w0, psi):
                          ids=["square2", "square4", "diamond3"])
 def test_merge_level_applies_several_accepts_per_chunk(w0, psi):
     """On a 48x48 lattice most merge boxes are far apart, so a chunk
-    applies several accepts before its cut, unlike on the small grids
+    applies several accepts with few re-tests, unlike on the small grids
     of the Hypothesis test, where most merge boxes cover the lattice."""
     rng = np.random.default_rng(48)
     labels = rng.integers(0, 4, size=(48, 48)).astype(np.int32)
@@ -781,11 +781,11 @@ def test_merge_level_applies_several_accepts_per_chunk(w0, psi):
                          ids=["square2", "diamond3", "covering"])
 def test_merge_level_grows_chunks_where_accepts_are_rare(w0, psi):
     """At accept rate 0.02 on a 48x48 lattice, chunks grow past
-    ``MERGE_CHUNK``: with square2 and diamond3, 21 rounds of more than
-    32 visits end in a cut and 11 run to their end; a psi that covers
-    the lattice cuts every chunk right after its first accept (26 and 7
-    such rounds). Nearly every pixel starts with its own label, so every
-    merge leaves boundaries behind."""
+    ``MERGE_CHUNK``: 18 of the 50 rounds gather more than 32 visits.
+    Nearly every pixel starts with its own label, so every merge leaves
+    boundaries behind. A psi that covers the lattice stales every visit
+    after a chunk's first accept, and 97 (8n) and 17 (4n) of those
+    re-checks find changed reads and re-test the visit in place."""
     rng = np.random.default_rng(49)
     labels = rng.integers(0, 2 * 48 * 48, size=(48, 48)).astype(np.int32)
     verdict = rng.random((48, 48)) < 0.02
@@ -802,13 +802,72 @@ def test_merge_level_goes_on_past_stale_visits_that_keep_their_reads(w0, psi):
     merge takes only the few labels around its visit, inside a diamond
     whose bounding box also covers pixels of other labels. So many visits
     in reach of an earlier merge's box read nothing it changed, and their
-    chunk goes on: 97, 148 and 114 such checks against 62, 77 and 113
-    that found a change and cut the chunk."""
+    test stands: 110, 178 and 180 such checks against 77, 112 and 196
+    that found a change and re-tested the visit."""
     rng = np.random.default_rng(2)
     rows, cols = np.mgrid[:48, :48]
     labels = ((rows // 12) * 4 + cols // 12).astype(np.int32)
     verdict = rng.random((48, 48)) < 0.2
     perm = permutation("random", Lattice(48, 48), 2)
+    _check_merge_level(labels, verdict, perm, w0, psi)
+
+
+@pytest.mark.parametrize("w0", [NINE_NEIGHBORHOOD, FIVE_NEIGHBORHOOD], ids=["8n", "4n"])
+@pytest.mark.parametrize("psi", [square_window(2), None], ids=["square2", "pinned"])
+def test_merge_level_in_raster_order_with_dense_verdicts(w0, psi):
+    """In raster order the next visit lies in every accept's merge box
+    (but at a row's end), so at accept rate 0.9 nearly every accept
+    stales the visit after it: 2173 to 2176 of the 2304 visits re-read
+    changed labels and are re-tested in place."""
+    rng = np.random.default_rng(50)
+    labels = rng.integers(0, 4, size=(48, 48)).astype(np.int32)
+    verdict = rng.random((48, 48)) < 0.9
+    perm = permutation("raster", Lattice(48, 48))
+    _check_merge_level(labels, verdict, perm, w0, w0 if psi is None else psi)
+
+
+# One-row lattices of at most MERGE_CHUNK pixels, so every visit is in the
+# first chunk and is gathered from the starting labels. With the 3x3 w0
+# and square(2) merges, visit 1 merges pixels 0..3 first, then the visit
+# ``at`` reads changed labels and is re-tested; ``outcome`` is its
+# (boundary in the chunk, boundary at its turn, verdict).
+_RETESTS = {
+    # [2, 2, 2, 2, 1, ...]: visit 4 newly accepts and merges 2..6 into 3.
+    # Visit 7 is outside visit 1's merge box dilated by w0, so only visit
+    # 4's re-tested merge can stale it; it then newly accepts as well.
+    "newly-accepts": ([0, 1, 1, 1, 1, 1, 1, 1], [1, 4, 7], 4, (False, True, True)),
+    "newly-accepts-after-retest": ([0, 1, 1, 1, 1, 1, 1, 1], [1, 4, 7], 7,
+                                   (False, True, True)),
+    # [8, 8, 8, 3, 4, ...]: visit 3 reads {8, 3, 4}, not {2, 3, 4}, so its
+    # merge takes pixels 1..4, where the old targets would take 3..4.
+    "accept-new-targets": ([0, 1, 2, 3, 4, 5, 6, 7], [1, 3], 3, (True, True, True)),
+    # [8, 8, 8, 8, 2, ...]: visit 2 now reads one label and drops its merge.
+    "accept-off-boundary": ([0, 1, 2, 2, 2, 5, 6, 7], [1, 2], 2, (True, False, True)),
+    "non-hit-onto-boundary": ([0, 1, 1, 1, 1, 1, 1, 1], [1, 4, 7], 4, (False, True, False)),
+    "non-hit-off-boundary": ([0, 1, 2, 2, 2, 5, 6, 7], [1, 2], 2, (True, False, False)),
+}
+
+
+@pytest.mark.parametrize("case", _RETESTS.values(), ids=_RETESTS.keys())
+def test_merge_level_retests_a_changed_visit_in_place(case):
+    """Each outcome of a re-test: the crafted visit's reads at its turn
+    in the one-visit loop differ from the chunk's gather, its boundary
+    test and verdict are as named, and the labels and counts match that
+    loop."""
+    row, head, at, outcome = case
+    labels = np.array([row], dtype=np.int32)
+    perm = np.array(head + [p for p in range(len(row)) if p not in head])
+    verdict = np.ones_like(labels, dtype=bool)
+    verdict[0, at] = outcome[2]
+    assert labels.size <= driver.MERGE_CHUNK
+    w0, psi = NINE_NEIGHBORHOOD, square_window(2)
+    turn = head.index(at)
+    before = merge_level_reference(labels, verdict, _pixel_pairs(perm[:turn], len(row)),
+                                   w0.offsets, psi.offsets)[0]
+    reads = driver._w0_reads(w0, 1, len(row))[at]
+    chunk, now = labels[0, reads].tolist(), before[0, reads].tolist()
+    assert chunk != now
+    assert (len(set(chunk)) > 1, len(set(now)) > 1, verdict[0, at]) == outcome
     _check_merge_level(labels, verdict, perm, w0, psi)
 
 
