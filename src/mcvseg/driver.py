@@ -22,16 +22,16 @@ configuration.
 
 Each accepted merge reads the labels the previous one wrote, so merges
 run in visit order on one thread, but ``_merge_level`` tests a chunk of
-visits at once, applies its accepts in order, and re-tests in place each
-visit whose reads an earlier merge of the chunk has changed. Every merge
-goes through ``partition._relabel`` and a bool table over labels, and
+visits at once, then walks it in visit order: each accept merges where
+it stands, and each visit whose reads an earlier merge of the chunk has
+changed is re-tested in place. Every merge goes through
+``partition._relabel`` and a bool table over labels, and
 ``WindowGeom.clip_bounds`` clips the merge windows of all of a level's
 visits at once; they lie on the lattice, as its clamped arithmetic needs.
 """
 
 from __future__ import annotations
 
-import numbers
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD, Window,
-                       WindowGeom, dilate)
+                       WindowGeom, _integer, dilate)
 from .mrf import MrfModel
 from .partition import Partition, _relabel, canonicalize, singletons_full
 from .pnmio import ImageBuffer, _decimal
@@ -128,7 +128,7 @@ class McvConfig:
     def validate(self) -> None:
         for name in ("max_level", "seed", "neighborhood", "workers"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            if not _integer(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.max_level < 1:
             raise ConfigError(f"max_level must be >= 1, got {self.max_level}")
@@ -333,39 +333,36 @@ def _merge_level(labels: np.ndarray, verdict: np.ndarray, perm: np.ndarray,
     rows, each read clipped to the lattice: w0 holds (dx, 0) and (0, dy)
     with each of its offsets (dx, dy), all one step at most, so a clipped
     read stays in the clipped w0-window, inside its unclipped box. A visit
-    is stale when its w0 box meets the merge box of an earlier merge in
+    is stale when its w0 box meets the merge box of an earlier accept in
     the chunk: psi's bounding box dilated by w0's, set in a bool table
-    over (row, column) offsets between visits. The merges run in visit
-    order, each with the next fresh label inside its psi box, which
-    ``WindowGeom.clip_bounds`` clips for the whole level. Once every merge
-    before a stale visit has run, its reads are gathered again. If they
-    equal the chunk's gather, as when the merges near it took only labels
-    it does not read, its test stands. If not, the visit is re-tested on
-    the row it now reads: ``evaluations`` takes the difference of its
-    boundary tests, a merge the chunk had planned for it is dropped, and
-    if it now accepts it merges with that row as its targets, and every
-    later visit of the chunk in its near box becomes stale. This is the
-    one-visit-at-a-time loop exactly: a merge changes no label outside its
-    psi box, so a test that stands read the labels that loop reads, and
-    the stale set stays a superset of the visits an earlier merge could
-    have changed (a mark left by a dropped merge costs one re-check). So
-    every test and every merge's targets are that loop's, and each merge
-    makes one ``_relabel`` call, as there. No chunk is cut, so its length
-    follows the accepts: a chunk without one doubles the next, up to
-    ``MERGE_CHUNK_MAX``, where accepts are rare, and one with an accept
-    resets it to ``MERGE_CHUNK``, which keeps the (accepts x chunk) stale
-    table small where they are dense. A merge flags its targets in one
-    bool table over labels: below ``labels.max() + 1``, plus one fresh
-    label per visit at most, so 2N entries on a level that starts
-    canonical. The loop runs on a C-ordered intp copy of ``labels``,
-    written back at the end, and on intp read rows, because NumPy indexes
-    faster with intp; a re-gathered read row is compared with the
-    chunk's, and re-tested, as a list, which costs fewer NumPy calls. A
-    round gathers its accepts' read rows, their clipped merge windows and
-    their rows of the triangle ``_LATER`` (visit j after visit a) with
-    ``take`` along axis 0. That picks whole rows, as fancy indexing does,
-    so the targets, windows and stale tests are the same values, at about
-    half the cost of fancy indexing and a broadcast compare.
+    over (row, column) offsets between visits. The chunk is then walked
+    once, in visit order, over its accepts and its stale visits. A stale
+    visit's reads are gathered again; if they differ from the chunk's
+    gather, it is re-tested on them, ``evaluations`` takes the difference
+    of its two boundary tests, and if it now accepts where the chunk did
+    not, its near box joins the stale set and the walk. An accept merges
+    where it stands, with the next fresh label inside its psi box, which
+    ``WindowGeom.clip_bounds`` clips for the whole level. This is the
+    one-visit-at-a-time loop exactly: a merge changes no label outside
+    its psi box, so every visit whose reads an earlier merge could have
+    changed is stale (a mark left by a dropped accept costs one
+    re-check), and every test that stands read the labels that loop
+    reads. So every test and every merge's targets are that loop's, and
+    each merge makes one ``_relabel`` call, as there. No chunk is cut, so
+    its length follows the accepts: a chunk without one doubles the next,
+    up to ``MERGE_CHUNK_MAX``, where accepts are rare, and one with an
+    accept resets it to ``MERGE_CHUNK``, which keeps the (accepts x
+    chunk) stale table small where they are dense. A merge flags its
+    targets in one bool table over labels: below ``labels.max() + 1``,
+    plus one fresh label per visit at most, so 2N entries on a level that
+    starts canonical. The loop runs on a C-ordered intp copy of
+    ``labels``, written back at the end, and on intp read rows, because
+    NumPy indexes faster with intp; the walk reads its test and stale
+    flags, and compares and re-tests a re-gathered read row, as lists,
+    which costs fewer NumPy calls. A round gathers its accepts' rows of
+    the triangle ``_LATER`` (visit j after visit a) with ``take`` along
+    axis 0, which picks the same rows as fancy indexing at about half its
+    cost.
     """
     h, w = labels.shape
     work = labels.astype(np.intp, order="C")
@@ -388,51 +385,40 @@ def _merge_level(labels: np.ndarray, verdict: np.ndarray, perm: np.ndarray,
         block = flat[neighbors[pos : pos + size]]
         n = len(block)
         boundary = np.logical_or.reduce(block != block[:, :1], axis=1)
-        acc = (boundary & hits[pos : pos + size]).nonzero()[0]
+        test = boundary & hits[pos : pos + size]
+        acc = test.nonzero()[0]
         evaluations += int(np.count_nonzero(boundary))
         if len(acc):
             key = keys[pos : pos + n]
             stale = np.logical_or.reduce(near[key - key[acc][:, None]]
                                          & _LATER.take(acc, 0)[:, :n])
-            # order and todo end in n, past every j, so the merges stop there
-            order, targets = [*acc.tolist(), n], list(block.take(acc, 0))
-            merge_rows = bounds.take(pos + acc, 0).tolist()
-            todo = [*stale.nonzero()[0].tolist(), n]
-            done = k = 0
-            while True:
+            # The walk: every accept and stale visit, in visit order.
+            todo, k = (stale | test).nonzero()[0].tolist(), 0
+            tests, stales = test.tolist(), stale.tolist()
+            while k < len(todo):
                 j = todo[k]
                 k += 1
-                while order[done] < j:
-                    target = targets[done]
-                    table[target] = True
-                    rs, cs, sub = psi.cut(merge_rows[done])
+                row, hit = block[j], tests[j]
+                if stales[j]:
+                    now = flat[neighbors[pos + j]]
+                    seen = now.tolist()
+                    if seen != row.tolist():
+                        edge = seen.count(seen[0]) < len(seen)
+                        evaluations += edge - int(boundary[j])
+                        # A planned accept's near box is marked already; a
+                        # new accept marks its own and walks the rest anew.
+                        if edge and hits[pos + j] and not hit:
+                            stale[j:] |= near[key[j:] - key[j]]
+                            stales = stale.tolist()
+                            todo, k = ((stale | test)[j + 1 :].nonzero()[0] + (j + 1)).tolist(), 0
+                        row, hit = now, edge and hits[pos + j]
+                if hit:
+                    table[row] = True
+                    rs, cs, sub = psi.cut(bounds[pos + j].tolist())
                     _relabel(work, rs, cs, sub, table, fresh)
-                    table[target] = False
+                    table[row] = False
                     fresh += 1
-                    done += 1
-                if j == n:
-                    break
-                row = flat[neighbors[pos + j]]
-                now = row.tolist()
-                if now == block[j].tolist():
-                    continue
-                edge = now.count(now[0]) < len(now)
-                evaluations += edge - int(boundary[j])
-                hit = edge and hits[pos + j]
-                # A chunk accept's near box is marked already: merge it with
-                # the row or drop it. A new accept marks its own.
-                if order[done] == j:
-                    if hit:
-                        targets[done] = row
-                    else:
-                        del order[done], targets[done], merge_rows[done]
-                elif hit:
-                    order.insert(done, j)
-                    targets.insert(done, row)
-                    merge_rows.insert(done, bounds[pos + j].tolist())
-                    stale[j:] |= near[key[j:] - key[j]]
-                    todo, k = [*(stale[j + 1 :].nonzero()[0] + (j + 1)).tolist(), n], 0
-            accepted += done
+                    accepted += 1
         size = MERGE_CHUNK if len(acc) else min(2 * size, MERGE_CHUNK_MAX)
         pos += n
     labels[...] = work

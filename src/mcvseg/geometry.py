@@ -19,6 +19,11 @@ Pixel = tuple[int, int]
 Offset = tuple[int, int]
 
 
+def _integer(value) -> bool:
+    """An integer, but not a bool, which a header would print as True."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Lattice:
     """Rectangular pixel lattice, columns 1..width and rows 1..height."""
@@ -27,7 +32,7 @@ class Lattice:
     height: int
 
     def __post_init__(self):
-        if not all(isinstance(v, Integral) for v in (self.width, self.height)):
+        if not (_integer(self.width) and _integer(self.height)):
             raise ValueError(f"lattice sides must be integers, got {self.width!r}x{self.height!r}")
         if self.width < 1 or self.height < 1:
             raise ValueError(f"lattice dimensions must be positive, got {self.width}x{self.height}")

@@ -11,13 +11,12 @@ as CSV (one line per lattice row, comma-separated, LF endings) otherwise.
 
 from __future__ import annotations
 
-import numbers
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Lattice
+from .geometry import Lattice, _integer
 from .partition import Partition
 
 
@@ -42,9 +41,9 @@ class ImageBuffer:
     max_value: int
 
     def __post_init__(self):
-        if not isinstance(self.bands, numbers.Integral) or self.bands < 1:
+        if not _integer(self.bands) or self.bands < 1:
             raise ValueError(f"bands must be an integer >= 1, got {self.bands!r}")
-        if not isinstance(self.max_value, numbers.Integral) or not 1 <= self.max_value <= 65535:
+        if not _integer(self.max_value) or not 1 <= self.max_value <= 65535:
             raise ValueError(f"max_value must be an integer in 1..65535, "
                              f"got {self.max_value!r}")
         self.samples = np.asarray(self.samples, dtype=np.float64)

@@ -861,14 +861,39 @@ def test_merge_level_retests_a_changed_visit_in_place(case):
     verdict[0, at] = outcome[2]
     assert labels.size <= driver.MERGE_CHUNK
     w0, psi = NINE_NEIGHBORHOOD, square_window(2)
-    turn = head.index(at)
-    before = merge_level_reference(labels, verdict, _pixel_pairs(perm[:turn], len(row)),
-                                   w0.offsets, psi.offsets)[0]
-    reads = driver._w0_reads(w0, 1, len(row))[at]
-    chunk, now = labels[0, reads].tolist(), before[0, reads].tolist()
+    chunk, now = _reads_at_turn(labels, verdict, perm, at, w0, psi)
     assert chunk != now
     assert (len(set(chunk)) > 1, len(set(now)) > 1, verdict[0, at]) == outcome
     _check_merge_level(labels, verdict, perm, w0, psi)
+
+
+def test_merge_level_keeps_a_stale_visits_test_after_a_dropped_merge():
+    """[0, 1, 2, 2, 2, 5, 6, 7] visited 1, 2, 5 first, every verdict set:
+    visit 1 merges pixels 0..3 into 8, so visit 2 reads {8} and its
+    planned merge is dropped. Visit 5 lies outside visit 1's near box
+    (its merge box dilated by w0, pixels 0..4) but inside visit 2's, so
+    only the dropped merge stales it; its reads {2, 5, 6} stand, and it
+    merges on the chunk's gather."""
+    row, head = [0, 1, 2, 2, 2, 5, 6, 7], [1, 2, 5]
+    labels = np.array([row], dtype=np.int32)
+    perm = np.array(head + [p for p in range(len(row)) if p not in head])
+    verdict = np.ones_like(labels, dtype=bool)
+    w0, psi = NINE_NEIGHBORHOOD, square_window(2)
+    chunk, now = _reads_at_turn(labels, verdict, perm, 2, w0, psi)
+    assert (set(chunk), set(now)) == ({1, 2}, {8})
+    chunk, now = _reads_at_turn(labels, verdict, perm, 5, w0, psi)
+    assert chunk == now and set(now) == {2, 5, 6}
+    _check_merge_level(labels, verdict, perm, w0, psi)
+
+
+def _reads_at_turn(labels, verdict, perm, at, w0, psi):
+    """Pixel ``at``'s w0 reads on the one-row ``labels``, and on the
+    labels the one-visit loop has left when its turn comes."""
+    turn = perm.tolist().index(at)
+    before = merge_level_reference(labels, verdict, _pixel_pairs(perm[:turn], labels.shape[1]),
+                                   w0.offsets, psi.offsets)[0]
+    reads = driver._w0_reads(w0, *labels.shape)[at]
+    return labels[0, reads].tolist(), before[0, reads].tolist()
 
 
 @pytest.mark.parametrize("layout", ["fortran", "transposed"])

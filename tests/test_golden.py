@@ -6,9 +6,10 @@ writes: every ``level_*`` label map, ``final.ppm`` and ``stats.txt``. The
 config matrix covers the raster, random and reshuffled orders, direct and
 pyramid evaluation, 4- and 8-neighborhoods, the l1 and l2 metrics, default,
 pinned or overridden eval windows, overridden merge windows, and 1 or 2
-workers. Four more cases run 128x128 gray and RGB images for 7 levels,
+workers. Five more cases run 128x128 gray and RGB images for 7 levels,
 direct and pyramid, so that windows up to 15x15 and pyramid chains seven
-layers deep are covered too.
+layers deep are covered too; one of them visits in raster order, where
+nearly every merge changes the labels the next visit reads.
 
 The digests were recorded once and must never move: a refactor that
 changes one changed the program's output. To print the digests of the
@@ -96,6 +97,7 @@ CASES = {
 # name -> (image kind, McvConfig fields), run at LARGE_SIDE for LARGE_LEVELS
 LARGE_CASES = {
     "gray128-random-direct-8-l2": ("gray", dict(rho=20.0, seed=16)),
+    "gray128-raster-direct-8-l2": ("gray", dict(permutation="raster", rho=20.0)),
     "gray128-random-pyramid-8-l2": ("gray", dict(rho=20.0, seed=17, eval_mode="pyramid")),
     "rgb128-random-direct-8-l2": ("rgb", dict(rho=100.0, seed=18)),
     "rgb128-random-pyramid-8-l1": ("rgb", dict(rho=100.0, seed=19, metric="l1",
@@ -116,6 +118,7 @@ GOLDEN = {
     'gray-reshuffle-pyramid-8-eval-skip-w2': 'b39b93f42c0bd948213a973612ae1b43cd7ac6b0166855e8eb51c17611e43e5b',
     'gray128-random-direct-8-l2': 'e2d2efb082ccb91f8b4b14809e34682adc7652e40511d946d41199d21fa53bea',
     'gray128-random-pyramid-8-l2': '9911182529be8368f0a87dba51514feab728c268de2a3d891b0aa87c00204d13',
+    'gray128-raster-direct-8-l2': 'dbb166d5cd0f33456af0b5efde08d892d14feacf065bd9b6da02e19b9c4d3ed5',
     'gray16-random-direct-8-l2': '0d67b77047851687553481d6a84ed86867e9904ca627b526215604269d89ae8b',
     'gray16-raster-pyramid-4-l1-w2': 'bef95ba9b8d3a88d480ecc40cf55b4f57ce97c4baf6a897cf1bf5bf5b4e6f013',
     'gray16-reshuffle-direct-4-merge-diamond': '8861d5ec222f1232e9d3c4211eb87a7a998c1fdbd2094d5d8aa0184c00116481',

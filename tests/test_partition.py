@@ -48,6 +48,16 @@ def test_off_lattice_pixels_rejected(x):
     assert p.is_total and p.block_count() == 6
 
 
+@pytest.mark.parametrize("sides", [(True, 2), (2, False), (np.int64(2), True)])
+def test_lattice_rejects_bool_sides(sides):
+    """A bool is an Integral, but a label map's header would print it as
+    ``True``, which no reader takes back."""
+    with pytest.raises(ValueError, match="lattice sides must be integers"):
+        Lattice(*sides)
+    lat = Lattice(np.int64(2), 1)
+    assert load_labels(save_labels(singletons_full(lat), "pgm16")).lattice == lat
+
+
 def test_singletons_full_is_total():
     p = singletons_full(Lattice(3, 2))
     assert p.is_total

@@ -290,6 +290,15 @@ def test_image_buffer_rejects_what_pnm_cannot_hold():
         assert load_pnm(save_pnm(img)).max_value == max_value
 
 
+def test_image_buffer_rejects_bools():
+    """A bool is an Integral, but the PNM header would print it as
+    ``True``, which ``load_pnm`` rejects."""
+    with pytest.raises(ValueError, match="bands"):
+        ImageBuffer(Lattice(2, 1), True, np.zeros((1, 2, 1)), 255)
+    with pytest.raises(ValueError, match="max_value"):
+        ImageBuffer(Lattice(2, 1), 1, np.zeros((1, 2, 1)), True)
+
+
 def test_load_labels_rejects_labels_outside_int32():
     with pytest.raises(ValueError, match="labels must lie in"):
         load_labels(b"0,3000000000\n")
