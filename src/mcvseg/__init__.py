@@ -10,20 +10,19 @@ from .driver import (ConfigError, LevelStats, McvConfig, PartitionSequence,
 from .geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD, Window,
                        dilate, square_window)
 from .metrics import rand_index, region_size_histogram
-from .mrf import MrfModel, energy, evaluate, neighborhood_squared
 from .partition import (ABSENT, Partition, canonicalize, components_by_class,
                         connected_components, same_partition, singletons,
                         singletons_full)
 from .pnmio import (ImageBuffer, PnmParseError, colorize, load_labels,
                     load_pnm, save_labels, save_pnm)
-from .pyramid import check_chain, make_pyramid_evaluator, verdict_map
+from .pyramid import MrfModel, check_chain, make_pyramid_evaluator, verdict_map
 
 #: The public names of ``reference``, the paper's literal operators, which
 #: no run executes: that module is imported on first access to one of them.
 _REFERENCE = frozenset({
-    "GibbsTable", "boundary_point", "calibrate_rho", "clip", "downsample",
-    "gibbs_distribution", "m_step", "merge_step", "pyramid_evaluate",
-    "tau_rho_consistency",
+    "GibbsTable", "boundary_point", "calibrate_rho", "clip", "downsample", "energy",
+    "evaluate", "gibbs_distribution", "m_step", "merge_step", "neighborhood_squared",
+    "pyramid_evaluate", "tau_rho_consistency",
 })
 
 

@@ -15,11 +15,11 @@ import time
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .driver import (EVAL_MODES, METRIC_ALIASES, ConfigError, McvConfig,
-                     config_updates, run_mcv)
+from .driver import EVAL_MODES, ConfigError, McvConfig, config_updates, run_mcv
 from .metrics import rand_index
 from .partition import Partition, components_by_class
 from .pnmio import colorize, load_labels, load_pnm, save_labels, save_pnm
+from .pyramid import METRIC_ALIASES
 
 
 def _parse_perm_flag(raw: str) -> dict:

@@ -41,10 +41,9 @@ import numpy as np
 
 from .geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD, Window,
                        WindowGeom, _integer, dilate)
-from .mrf import MrfModel
 from .partition import Partition, _relabel, canonicalize, singletons_full
 from .pnmio import ImageBuffer, _decimal
-from .pyramid import check_chain, verdict_map, verdict_maps
+from .pyramid import METRIC_ALIASES, MrfModel, check_chain, verdict_map, verdict_maps
 
 
 class ConfigError(ValueError):
@@ -53,14 +52,6 @@ class ConfigError(ValueError):
 
 PERMUTATION_KINDS = ("raster", "random", "file")
 EVAL_MODES = ("direct", "pyramid")
-
-#: CLI spellings accepted for the two deviation metrics.
-METRIC_ALIASES = {
-    "euclidean": "euclidean",
-    "per_band_abs": "per_band_abs",
-    "l2": "euclidean",
-    "l1": "per_band_abs",
-}
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,9 @@ one tiny state space, with no chunking, caching or whole-image maps:
 - the block-merging operator and the windowed merge (``m_step``,
   ``merge_step``), which the driver's merge loop and the component
   labelings reproduce;
+- the AR-MRF energy of one window and its threshold (``energy``,
+  ``evaluate``), and the neighborhood system the energy is an MRF
+  energy for (``neighborhood_squared``);
 - the net on one window (``downsample``, ``pyramid_evaluate``), which
   ``pyramid.verdict_maps`` slides over a whole image;
 - the Gibbs/Metropolis reading of the AR-MRF threshold: the Boltzmann
@@ -15,8 +18,8 @@ one tiny state space, with no chunking, caching or whole-image maps:
   (``gibbs_distribution``), which gives an exact oracle for the
   threshold equivalence (``tau_rho_consistency``) and a target for the
   Metropolis calibration (``calibrate_rho``). Their energies add terms
-  in ``mrf._site_terms``' order, one at a time, so they are bitwise
-  ``mrf.energy``'s.
+  in ``pyramid._site_terms``' order, one at a time, so they are bitwise
+  ``energy``'s.
 
 No run imports this module: ``mcvseg segment``, ``run_mcv`` and every
 other subcommand leave it unloaded, and ``mcvseg`` loads it on first
@@ -34,10 +37,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import Lattice, Pixel, Window, WindowGeom
-from .mrf import MrfModel, _as_bands, _neighbor_means, _ordered_sum, evaluate
+from .geometry import Lattice, Pixel, Window, WindowGeom, dilate
 from .partition import ABSENT, Partition, _relabel, _window_labels
-from .pyramid import check_chain
+from .pyramid import (MrfModel, _as_bands, _neighbor_means, _ordered_sum, _site_terms,
+                      check_chain)
 
 # --- geometry ----------------------------------------------------------------
 
@@ -116,6 +119,48 @@ def merge_step(x: Pixel, p: Partition, w0: Window, psi: Window) -> Partition:
     return Partition(p.lattice, out)
 
 
+# --- the energy of one window ------------------------------------------------
+
+
+def _sequential_sum(x: np.ndarray) -> np.float64:
+    """The sum of the 1-D ``x``, adding one element at a time from the
+    first: ``np.add.accumulate`` is sequential by definition, unlike
+    ``np.sum``, whose order depends on the array's length and layout."""
+    return np.add.accumulate(x)[-1]
+
+
+def energy(values: np.ndarray, model: MrfModel, mask: np.ndarray | None = None) -> float:
+    """Autoregressive energy of a patch over region ``mask``.
+
+    Each in-region pixel with at least one in-region neighbor contributes
+    the squared metric deviation between its value and the mean of its
+    in-region neighbors; isolated pixels contribute zero.
+    """
+    vals = _as_bands(values)
+    h, w = vals.shape[:2]
+    region = np.ones((h, w), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if region.shape != (h, w):
+        raise ValueError(f"mask shape {region.shape} != patch shape {(h, w)}")
+    if not region.any():
+        raise ValueError("region is empty")
+    pred = _neighbor_means({0: (vals * region[..., None], region)},
+                           [(o, 0) for o in model.neighbor_offsets()], region)
+    return float(_sequential_sum(_site_terms(vals, *pred, model).ravel()))
+
+
+def evaluate(values: np.ndarray, model: MrfModel, mask: np.ndarray | None = None) -> int:
+    """1 iff the patch is acceptable: per-pixel energy at most ``rho``."""
+    vals = _as_bands(values)
+    size = vals.shape[0] * vals.shape[1] if mask is None else int(np.count_nonzero(mask))
+    return 1 if energy(vals, model, mask) / size <= model.rho else 0
+
+
+def neighborhood_squared(g: Window) -> Window:
+    """Composition of the neighborhood relation with itself: the system
+    with respect to which the autoregressive energy is a valid MRF energy."""
+    return dilate(g, 2)
+
+
 # --- the net on one window ---------------------------------------------------
 
 
@@ -155,7 +200,7 @@ def pyramid_evaluate(values: np.ndarray, levels, model: MrfModel,
     """Feed one window through the net and threshold: ``values``
     (h, w[, bands]) and ``mask`` (None for the whole window) cover the
     bounding box of the chain's first window. With one window this is
-    ``mrf.evaluate`` on the window."""
+    ``evaluate`` on the window."""
     levels = check_chain(levels)
     values, mask = _on_window(_as_bands(values), mask, levels[0])
     for src, dst in zip(levels, levels[1:]):
@@ -283,13 +328,13 @@ def calibrate_rho(patch_shape: tuple[int, int], values: Sequence, model: MrfMode
                 terms[i] = term
         else:
             state[site] = old_value
-        total += float(_ordered_sum(np.array(terms)))
+        total += float(_sequential_sum(np.array(terms)))
     return total / samples / k
 
 
 def _site_term(state: Sequence, i: int, table, metric: str) -> float:
     """Energy contribution of the single site ``i`` for the current state,
-    with ``mrf._site_terms``' float operations: neighbors and bands are
+    with ``pyramid._site_terms``' float operations: neighbors and bands are
     added in order, one at a time."""
     nbrs = table[i]
     if not nbrs:

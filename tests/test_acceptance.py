@@ -16,11 +16,10 @@ from mcvseg.driver import McvConfig, run_mcv
 from mcvseg.geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD,
                              dilate, square_window, Window)
 from mcvseg.metrics import rand_index
-from mcvseg.mrf import MrfModel, energy, evaluate
 from mcvseg.partition import Partition, canonicalize, connected_components
 from mcvseg.pnmio import ImageBuffer
-from mcvseg.pyramid import make_pyramid_evaluator
-from mcvseg.reference import (calibrate_rho, downsample, gibbs_distribution,
+from mcvseg.pyramid import MrfModel, make_pyramid_evaluator
+from mcvseg.reference import (calibrate_rho, downsample, energy, evaluate, gibbs_distribution,
                               merge_step, pyramid_evaluate, tau_rho_consistency)
 
 from oracles import bfs_components, merge_sets, rand_brute

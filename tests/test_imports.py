@@ -116,8 +116,12 @@ def test_no_dead_private_helpers():
 
 #: The public names ``mcvseg`` loads from ``mcvseg.reference`` on first use.
 REFERENCE_NAMES = {"GibbsTable", "boundary_point", "calibrate_rho", "clip", "downsample",
-                   "gibbs_distribution", "m_step", "merge_step", "pyramid_evaluate",
-                   "tau_rho_consistency"}
+                   "energy", "evaluate", "gibbs_distribution", "m_step", "merge_step",
+                   "neighborhood_squared", "pyramid_evaluate", "tau_rho_consistency"}
+
+#: The modules of the package that a run and every subcommand load.
+RUN_PATH_MODULES = ["mcvseg", "mcvseg.cli", "mcvseg.driver", "mcvseg.geometry",
+                    "mcvseg.metrics", "mcvseg.partition", "mcvseg.pnmio", "mcvseg.pyramid"]
 
 # Runs in a fresh interpreter, in a temporary directory: a run and every
 # subcommand, then the checks that load the reference layer.
@@ -135,6 +139,7 @@ assert main(["components", "in.pgm", "classes.pgm"]) == 0
 assert main(["rand", "out/level_1.pgm", "out/level_2.pgm"]) == 0
 assert set(mcvseg.__all__) <= set(dir(mcvseg))
 print("loaded after a run:", "mcvseg.reference" in sys.modules)
+print("modules after a run:", sorted(m for m in sys.modules if m.split(".")[0] == "mcvseg"))
 
 names = {name: getattr(mcvseg, name) for name in mcvseg.__all__}
 import mcvseg.reference as reference
@@ -154,7 +159,8 @@ def test_runs_never_import_the_reference_layer(tmp_path):
     """``import mcvseg``, ``run_mcv`` and the ``segment``, ``components``
     and ``rand`` subcommands leave ``mcvseg.reference`` unloaded, and so
     does ``dir(mcvseg)``, which lists every name of ``mcvseg.__all__``;
-    each of them resolves, the reference names to the objects of
+    they load exactly the run-path modules of the package. Each name of
+    ``mcvseg.__all__`` resolves, the reference names to the objects of
     ``mcvseg.reference``, and an unknown name still raises
     AttributeError."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -163,8 +169,9 @@ def test_runs_never_import_the_reference_layer(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2:] == [
+    assert proc.stdout.splitlines()[-3:] == [
         "loaded after a run: False",
+        f"modules after a run: {RUN_PATH_MODULES}",
         "unknown name: module 'mcvseg' has no attribute 'no_such_name'"]
 
 

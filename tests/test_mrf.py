@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcvseg.geometry import FIVE_NEIGHBORHOOD, NINE_NEIGHBORHOOD, dilate, square_window
-from mcvseg.mrf import (MrfModel, _neighbor_means, _ordered_sum, energy, evaluate,
-                        neighborhood_squared)
-from mcvseg.reference import calibrate_rho, gibbs_distribution, tau_rho_consistency
+from mcvseg.pyramid import MrfModel, _neighbor_means, _ordered_sum
+from mcvseg.reference import (_sequential_sum, calibrate_rho, energy, evaluate,
+                              gibbs_distribution, neighborhood_squared, tau_rho_consistency)
 
 from oracles import energy_reference, neighbor_means_reference
 
@@ -169,10 +169,10 @@ def _left_to_right(values):
 
 @pytest.mark.parametrize("bands", [1, 2, 3, 4, 5])
 def test_ordered_sum_adds_left_to_right(bands):
-    """``_ordered_sum`` over 1 to 5 bands, and over a 1-D array, is bit for
-    bit a Python sum from the first element on, on values where the order
-    of the adds moves the result: 1 + 1e16 - 1e16 is 0 that way, but 1
-    from the right."""
+    """``_ordered_sum`` over 1 to 5 bands, and ``reference._sequential_sum``
+    over a 1-D array, are bit for bit a Python sum from the first element
+    on, on values where the order of the adds moves the result:
+    1 + 1e16 - 1e16 is 0 that way, but 1 from the right."""
     rng = np.random.default_rng(bands)
     pool = [1e16, 1.0, -1e16, 0.1, -0.0, 3.0, 2.0**-40]
     x = rng.choice(pool, size=(6, 7, bands))
@@ -182,7 +182,7 @@ def test_ordered_sum_adds_left_to_right(bands):
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     flat = x.reshape(-1)
-    assert np.float64(_ordered_sum(flat)).view(np.int64) == \
+    assert np.float64(_sequential_sum(flat)).view(np.int64) == \
         np.float64(_left_to_right(flat.tolist())).view(np.int64)
     if bands >= 3:
         first = x[0, 0].tolist()

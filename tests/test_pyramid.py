@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from mcvseg.driver import ConfigError, McvConfig
 from mcvseg.geometry import (FIVE_NEIGHBORHOOD, NINE_NEIGHBORHOOD, Window,
                              WindowGeom, dilate, square_window)
-from mcvseg.mrf import MrfModel, energy, evaluate
-from mcvseg.pyramid import check_chain, make_pyramid_evaluator, verdict_map
-from mcvseg.reference import downsample, pyramid_evaluate
+from mcvseg.pyramid import MrfModel, check_chain, make_pyramid_evaluator, verdict_map
+from mcvseg.reference import downsample, energy, evaluate, pyramid_evaluate
 
 from oracles import downsample_reference
 
