@@ -335,3 +335,34 @@ def plain_pnm_tokens(data):
             raise ValueError(f"not an integer token: {bytes(token)!r}")
         numbers.append(int(bytes(token)))
     return bytes(data[:2]), numbers
+
+
+def spiral_map(side):
+    """A side x side class map of 0s and 1s: a square spiral wall of 1s,
+    one pixel wide, walked inward from the top-left corner with a one-pixel
+    corridor of 0s between its turns, so both classes run the length of
+    the spiral."""
+    grid = np.zeros((side, side), dtype=np.uint8)
+    r = c = dr = 0
+    dc, turns = 1, 0
+    grid[0, 0] = 1
+    while turns < 2:
+        nr, nc, ar, ac = r + dr, c + dc, r + 2 * dr, c + 2 * dc
+        ahead = 0 <= ar < side and 0 <= ac < side and grid[ar, ac]
+        if 0 <= nr < side and 0 <= nc < side and not grid[nr, nc] and not ahead:
+            r, c, turns = nr, nc, 0
+            grid[r, c] = 1
+        else:
+            dr, dc, turns = dc, -dr, turns + 1
+    return grid
+
+
+def serpentine_map(side):
+    """A side x side class map whose 1s form one path that runs along
+    every even row and turns at alternate ends; the 0s are the odd rows
+    between its turns."""
+    grid = np.zeros((side, side), dtype=np.uint8)
+    grid[::2] = 1
+    grid[1::4, -1] = 1
+    grid[3::4, 0] = 1
+    return grid

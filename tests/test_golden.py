@@ -11,12 +11,20 @@ direct and pyramid, so that windows up to 15x15 and pyramid chains seven
 layers deep are covered too; one of them visits in raster order, where
 nearly every merge changes the labels the next visit reads.
 
+The ``components`` cases hash what ``mcvseg components`` writes and
+prints for four class maps under both neighborhoods: the 257x256 ramp of
+the CI run (at the 4-neighborhood every pixel is its own component, so
+its 65,792 labels go to CSV), tiles with noise, and a spiral whose two
+classes run the length of the map.
+
 The digests were recorded once and must never move: a refactor that
 changes one changed the program's output. To print the digests of the
 current code, run ``PYTHONPATH=src python3 tests/test_golden.py``.
 """
 
+import contextlib
 import hashlib
+import io
 
 import numpy as np
 import pytest
@@ -25,6 +33,8 @@ from mcvseg import (FIVE_NEIGHBORHOOD, ImageBuffer, Lattice, McvConfig,
                     NINE_NEIGHBORHOOD, colorize, dilate, run_mcv, save_labels,
                     save_pnm, square_window)
 from mcvseg.cli import _stats_text, main
+
+from oracles import spiral_map
 
 SIDE = 12
 LEVELS = 3
@@ -104,7 +114,38 @@ LARGE_CASES = {
                                                eval_mode="pyramid")),
 }
 
+def make_classmap(kind: str) -> bytes:
+    """A single-band P5 class map; fixed per kind."""
+    if kind == "ramp":
+        return b"P5\n257 256\n255\n" + bytes(range(256)) * 257
+    if kind == "tiles-noise":
+        rng = np.random.default_rng([96, 80, 5])
+        classes = np.repeat(np.repeat(rng.integers(0, 5, size=(10, 12)), 8, 0), 8, 1)
+        noise = rng.random(classes.shape) < 0.15
+        classes[noise] = rng.integers(0, 5, size=int(noise.sum()))
+    else:
+        classes = spiral_map(64) * 200 + 17
+    h, w = classes.shape
+    return b"P5\n%d %d\n255\n" % (w, h) + classes.astype(np.uint8).tobytes()
+
+
+# name -> (class map kind, neighborhood, output suffix)
+COMPONENT_CASES = {
+    "components-ramp-8": ("ramp", 8, "pgm"),
+    "components-ramp-4-csv": ("ramp", 4, "csv"),
+    "components-tiles-noise-8": ("tiles-noise", 8, "pgm"),
+    "components-tiles-noise-4": ("tiles-noise", 4, "pgm"),
+    "components-spiral-8": ("spiral", 8, "pgm"),
+    "components-spiral-4": ("spiral", 4, "pgm"),
+}
+
 GOLDEN = {
+    'components-ramp-4-csv': 'b42de42ee102ffd1a7b332151aa378a60a4f6aef06f599d6a3843f916a548964',
+    'components-ramp-8': '4bf3d829ea8e30e29bf5ac7e3c7842ea7438babada111d18e10d9dbcb6f74b02',
+    'components-spiral-4': '52bd2c5af0202d26a9024f7c215f96186cdcb5054b6a7978eb142561a77e34b7',
+    'components-spiral-8': '2645543a964fc2f2ef0e4559dcbb8143f73ca4f2cc81c6385b79bf44618f9fd8',
+    'components-tiles-noise-4': '0b372dbc63e1e67328ce72c79ce676d71b18910ba10d55da6f3ac924adbcad77',
+    'components-tiles-noise-8': 'f27a3bb496448a8648a210877c3292871702f53a86ba404eed8a9ec4e3bd3f0a',
     'gray-random-direct-4-l2': '512accefe750bfa4202d4411a70b5211734d705d7549067dca28ea509b0c712f',
     'gray-random-direct-4-pinned-w2': 'ff9fbfde885951b42914ace5c77d3baa72f5f32e09707603a307680ff0714414',
     'gray-random-direct-8-l2-w2': '94f85e170fdc576bdc970b82fa41c416d115527236823abf483fd7b4c27c66f1',
@@ -158,6 +199,18 @@ def digest(outputs: dict[str, bytes]) -> str:
     return h.hexdigest()
 
 
+def components_outputs(tmp_path, kind: str, neighborhood: int,
+                       suffix: str) -> dict[str, bytes]:
+    """The label map ``mcvseg components`` writes and the line it prints."""
+    src, out = tmp_path / f"{kind}.pgm", tmp_path / f"{kind}-{neighborhood}.{suffix}"
+    src.write_bytes(make_classmap(kind))
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        rc = main(["components", str(src), str(out), "--neighborhood", str(neighborhood)])
+    assert rc == 0
+    return {out.name: out.read_bytes(), "stdout": printed.getvalue().encode()}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_segment_digest(name):
     kind, fields = CASES[name]
@@ -182,9 +235,20 @@ def test_corpus_digests_match_cli(tmp_path):
     assert written == segment_outputs(kind, fields)
 
 
+@pytest.mark.parametrize("name", sorted(COMPONENT_CASES))
+def test_components_digest(name, tmp_path):
+    assert digest(components_outputs(tmp_path, *COMPONENT_CASES[name])) == GOLDEN[name]
+
+
 if __name__ == "__main__":
+    import pathlib
+    import tempfile
     for name in sorted(CASES):
         print(f"    {name!r}: {digest(segment_outputs(*CASES[name]))!r},")
     for name in sorted(LARGE_CASES):
         outputs = segment_outputs(*LARGE_CASES[name], LARGE_SIDE, LARGE_LEVELS)
         print(f"    {name!r}: {digest(outputs)!r},")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(COMPONENT_CASES):
+            outputs = components_outputs(pathlib.Path(tmp), *COMPONENT_CASES[name])
+            print(f"    {name!r}: {digest(outputs)!r},")
