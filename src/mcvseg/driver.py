@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD, Window,
-                       WindowGeom, _integer, dilate)
+                       WindowGeom, _integer, _w0_reads, dilate)
 from .partition import Partition, _relabel, canonicalize, singletons_full
 from .pnmio import ImageBuffer, _decimal
 from .pyramid import METRIC_ALIASES, MrfModel, check_chain, verdict_map, verdict_maps
@@ -302,30 +302,19 @@ MERGE_CHUNK_MAX = 256
 _LATER = np.arange(MERGE_CHUNK_MAX) > np.arange(MERGE_CHUNK_MAX)[:, None]
 
 
-def _w0_reads(w0: Window, h: int, w: int) -> np.ndarray:
-    """Every pixel's w0 reads clipped to the h x w lattice: an (N, |w0|)
-    int32 table of row-major indices, row p for pixel p, the pixel itself
-    first; ``_check_label_room`` keeps N below 2**30."""
-    offsets = np.array([(0, 0)] + [o for o in w0.offsets if o != (0, 0)], dtype=np.int32)
-    rows = np.clip(np.arange(h, dtype=np.int32)[:, None] + offsets[:, 1], 0, h - 1) * w
-    cols = np.clip(np.arange(w, dtype=np.int32)[:, None] + offsets[:, 0], 0, w - 1)
-    return (rows[:, None] + cols).reshape(h * w, len(offsets))
-
-
 def _merge_level(labels: np.ndarray, verdict: np.ndarray, perm: np.ndarray,
                  w0: Window, psi: WindowGeom, reads: np.ndarray) -> tuple[int, int]:
     """Visit the row-major pixel indices of ``perm`` in order on
     ``labels``, in place. A visit whose w0-window holds another label is
     one evaluation; if its bool ``verdict`` is set, the pixels of its
     psi-window whose label is in its w0-window take a fresh label.
-    ``reads`` is ``_w0_reads(w0, h, w)``. Returns (evaluations, accepted).
+    ``reads`` is ``geometry._w0_reads(w0, h, w)``. Returns (evaluations,
+    accepted).
 
     Visits are tested a chunk at a time in one gather of their ``reads``
-    rows, each read clipped to the lattice: w0 holds (dx, 0) and (0, dy)
-    with each of its offsets (dx, dy), all one step at most, so a clipped
-    read stays in the clipped w0-window, inside its unclipped box. A visit
-    is stale when its w0 box meets the merge box of an earlier accept in
-    the chunk: psi's bounding box dilated by w0's, set in a bool table
+    rows, which hold exactly the clipped w0-window, for any w0. A visit is
+    stale when its w0 box meets the merge box of an earlier accept in the
+    chunk: psi's bounding box dilated by w0's, set in a bool table
     over (row, column) offsets between visits. The chunk is then walked
     once, in visit order, over its accepts and its stale visits. A stale
     visit's reads are gathered again; if they differ from the chunk's

@@ -159,6 +159,21 @@ class WindowGeom:
         return slice(a0, a1), slice(b0, b1), self.mask[r : r + a1 - a0, c : c + b1 - b0]
 
 
+def _w0_reads(w0: Window, h: int, w: int) -> np.ndarray:
+    """Every pixel's w0 reads on the h x w lattice: an (N, |w0|) int32
+    table of row-major indices, row p for pixel p, the pixel itself first.
+    An off-lattice read reads the pixel itself, so a row holds exactly the
+    clipped w0-window. A lattice past int32 indices raises ValueError."""
+    if h * w - 1 > np.iinfo(np.int32).max:
+        raise ValueError(f"{w}x{h} lattice too large for int32 pixel indices")
+    offsets = np.array([(0, 0)] + [o for o in w0.offsets if o != (0, 0)], dtype=np.int32)
+    rows = np.arange(h, dtype=np.int32)[:, None] + offsets[:, 1]
+    cols = np.arange(w, dtype=np.int32)[:, None] + offsets[:, 0]
+    on = ((rows >= 0) & (rows < h))[:, None] & ((cols >= 0) & (cols < w))
+    reads = (np.clip(rows, 0, h - 1) * w)[:, None] + np.clip(cols, 0, w - 1)
+    return np.where(on, reads, reads[..., :1]).reshape(h * w, len(offsets))
+
+
 def square_window(r: int) -> Window:
     """Square window of side 2r + 1 centered at the origin."""
     if r < 0:

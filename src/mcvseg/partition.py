@@ -1,27 +1,25 @@
-"""Partitions as dense label maps: the relabel pass the level driver's
-merges end in, the sequential connected-component algorithm built on
-the block-merging operator, and canonical renumbering.
+"""Partitions as dense label maps: the relabel pass every merge ends in,
+connected components, and canonical renumbering.
 
 A partition lives on the whole lattice or on a subset of it; pixels
 outside the domain carry the reserved ABSENT marker. Blocks are the
 maximal sets of pixels sharing a label. No region lists are kept between
 operations: adjacency is always recomputed locally from the label map.
-The driver's merges, and the paper's merging operator and windowed merge
-(``reference.m_step`` and ``reference.merge_step``), all end in
-``_relabel``, one vectorized pass through a bool table over labels;
-both component labelings instead run the operator through ``_fuse_along``,
-which fuses small blocks into large ones through explicit pixel lists,
-bounding its work, and never fuses across the visited pixel's class.
+Every merge, the driver's and the paper's operators in ``reference``,
+ends in ``_relabel``, one vectorized pass through a bool table over
+labels. The merging operator applied at every pixel leaves the connected
+components whatever the order; both component labelings compute that
+fixpoint at once (``_components``) over the driver's read table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .geometry import Lattice, Pixel, Window, WindowGeom
+from .geometry import Lattice, Pixel, Window, _w0_reads
 
 ABSENT = -1
 
@@ -76,12 +74,6 @@ class Partition:
         return out
 
 
-def _window_labels(labels: np.ndarray, rs: slice, cs: slice, sub: np.ndarray | None) -> np.ndarray:
-    """Labels under a window cut out of the lattice by ``WindowGeom.cut``."""
-    block = labels[rs, cs]
-    return block if sub is None else block[sub]
-
-
 def _relabel(labels: np.ndarray, rs: slice, cs: slice, sub: np.ndarray | None,
              table: np.ndarray, fresh: int) -> None:
     """In place, give the label ``fresh`` to every pixel of
@@ -112,57 +104,51 @@ def singletons_full(lat: Lattice) -> Partition:
     return Partition(lat, labels)
 
 
-def _fuse_along(labels: np.ndarray, classes: np.ndarray, w0: Window,
-                rows: np.ndarray, cols: np.ndarray) -> None:
-    """In place, apply the merging operator at each pixel (rows[i],
-    cols[i]) in turn within its class: the blocks in its clipped w0-window
-    that share its class fuse into the largest of them, which keeps total
-    relabel work O(N log N). ``labels`` starts as singletons numbered in
-    raster order (block k holds the k-th present pixel), ABSENT elsewhere."""
-    blocks = [[f] for f in np.flatnonzero(labels != ABSENT).tolist()]
-    view = labels.ravel()
-    geom = WindowGeom.of(w0)
-    bounds = geom.clip_bounds(rows, cols, *labels.shape).tolist()
-    for r, c, row in zip(rows.tolist(), cols.tolist(), bounds):
-        cut = geom.cut(row)
-        same = _window_labels(classes, *cut) == classes[r, c]
-        members = sorted(set(_window_labels(labels, *cut)[same].tolist()))
-        if len(members) < 2:
-            continue
-        target = max(members, key=lambda lab: len(blocks[lab]))
-        for lab in members:
-            if lab != target:
-                view[blocks[lab]] = target
-                blocks[target].extend(blocks[lab])
-                blocks[lab] = []
+def _components(classes: np.ndarray, w0: Window) -> np.ndarray:
+    """The w0-connected components of each class of ``classes``: every
+    pixel gets the raster index of its component's first pixel.
 
-
-def connected_components(S: Iterable[Pixel], w0: Window,
-                         order: Sequence[Pixel], lat: Lattice) -> Partition:
-    """Connected components of S under w0-adjacency, computed by repeated
-    application of the merging operator along ``order``.
-
-    ``order`` must be a permutation of S. The final partition is the same
-    for every choice of order.
+    The reads are ``_w0_reads`` of w0 and its mirror image, as the
+    merging operator joins a pixel to the pixels it reads and to those
+    that read it, and a read of another class reads the pixel itself.
+    Each round, every root takes the smallest root its pixels read
+    (``np.minimum.at`` on a copy of the parents), and pointer jumping
+    points every pixel at its root again. Roots only move down, so no
+    cycle forms and a root stays its component's smallest pixel. The loop
+    stops when no read finds a smaller root: no read leaves its
+    component, the fixpoint of ``reference.m_step`` at every pixel.
     """
-    pixel_set = set(S)
-    if len(order) != len(pixel_set) or set(order) != pixel_set:
-        raise ValueError("order must be a permutation of S")
-    labels = singletons(pixel_set, lat).labels
-    cols, rows = np.array(order, dtype=np.int64).reshape(-1, 2).T - 1
-    _fuse_along(labels, labels != ABSENT, w0, rows, cols)
-    return Partition(lat, labels)
+    h, w = classes.shape
+    reads = _w0_reads(Window(w0.offsets + tuple((-dx, -dy) for dx, dy in w0.offsets)), h, w)
+    flat = classes.ravel()
+    reads = np.where(flat[reads] == flat[:, None], reads, reads[:, :1])
+    parent = np.arange(flat.size)
+    while True:
+        low = parent[reads].min(axis=1)
+        if not (low < parent).any():
+            return parent.reshape(h, w)
+        hooked = parent.copy()
+        np.minimum.at(hooked, parent, low)
+        parent, up = hooked, hooked[hooked]
+        while not np.array_equal(up, parent):
+            parent, up = up, up[up]
+
+
+def connected_components(S: Iterable[Pixel], w0: Window, lat: Lattice) -> Partition:
+    """Connected components of S under w0-adjacency, in canonical form:
+    the partition that the merging operator leaves after visiting every
+    pixel of S, in any order."""
+    labels = singletons(S, lat).labels
+    roots = _components(labels != ABSENT, w0)
+    roots[labels == ABSENT] = ABSENT
+    return canonicalize(Partition(lat, roots))
 
 
 def components_by_class(cm: Partition, w0: Window) -> Partition:
     """Connected components of every constant-class set of a class map,
-    combined into one total partition in canonical form: one raster pass
-    of the merging operator, each step within its pixel's class. Blocks
-    never mix classes."""
-    labels = singletons_full(cm.lattice).labels
-    rows, cols = np.divmod(np.arange(labels.size), labels.shape[1])
-    _fuse_along(labels, cm.labels, w0, rows, cols)
-    return canonicalize(Partition(cm.lattice, labels))
+    combined into one total partition in canonical form. Blocks never
+    mix classes."""
+    return canonicalize(Partition(cm.lattice, _components(cm.labels, w0)))
 
 
 def canonicalize(p: Partition) -> Partition:

@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .geometry import Lattice, Pixel, Window, WindowGeom, dilate
-from .partition import ABSENT, Partition, _relabel, _window_labels
+from .partition import ABSENT, Partition, _relabel
 from .pyramid import (MrfModel, _as_bands, _neighbor_means, _ordered_sum, _site_terms,
                       check_chain)
 
@@ -72,6 +72,12 @@ def boundary_point(x: Pixel, region: set[Pixel], w0: Window, lat: Lattice) -> bo
 
 
 # --- partition ---------------------------------------------------------------
+
+
+def _window_labels(labels: np.ndarray, rs: slice, cs: slice, sub: np.ndarray | None) -> np.ndarray:
+    """Labels under a window cut out of the lattice by ``WindowGeom.cut``."""
+    block = labels[rs, cs]
+    return block if sub is None else block[sub]
 
 
 def _label_table(labels: np.ndarray, targets: np.ndarray) -> np.ndarray:

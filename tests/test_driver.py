@@ -13,7 +13,7 @@ from mcvseg import driver, pyramid
 from mcvseg.driver import (ConfigError, McvConfig, config_updates,
                            load_permutation, permutation, run_level, run_mcv)
 from mcvseg.geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD,
-                             Window, WindowGeom, dilate, square_window)
+                             Window, WindowGeom, _w0_reads, dilate, square_window)
 from mcvseg.partition import Partition, canonicalize, same_partition, singletons_full
 from mcvseg.pnmio import ImageBuffer
 
@@ -693,16 +693,22 @@ def _diamond(r):
                         if abs(dx) + abs(dy) <= r))
 
 
-@pytest.mark.parametrize("neighborhood", [4, 8])
-def test_w0_closed_under_clipping(neighborhood):
-    """``_merge_level`` clips its boundary reads to the lattice, which
-    is exact only while a clipped read stays in the clipped w0-window:
-    every offset is one step at most, and zeroing either coordinate of
-    an offset gives an offset of the window."""
-    offsets = set(McvConfig(neighborhood=neighborhood).w0.offsets)
-    for dx, dy in offsets:
-        assert max(abs(dx), abs(dy)) <= 1
-        assert (0, dy) in offsets and (dx, 0) in offsets
+@pytest.mark.parametrize("w0", [
+    Window(((0, 0), (2, 0), (-2, 0), (0, 2), (0, -2))), Window(((0, 0), (1, 0), (-1, 2))),
+], ids=["far-cross", "one-sided"])
+def test_merge_level_reads_any_w0_exactly(w0):
+    """The merge loop reads ``_w0_reads`` rows, which hold exactly the
+    clipped w0-window for any w0, so it matches the one-visit loop on
+    windows that are not closed under dropping a coordinate or reach two
+    steps, which a read clamped to the lattice edge gets wrong."""
+    rng = np.random.default_rng(len(w0))
+    for trial in range(40):
+        height, width = (int(v) for v in rng.integers(1, 9, size=2))
+        labels = rng.integers(0, (1, 2, 3, 2 * height * width)[trial % 4],
+                              size=(height, width)).astype(np.int32)
+        verdict = rng.random((height, width)) < 0.6
+        perm = permutation("random", Lattice(width, height), trial)
+        _check_merge_level(labels, verdict, perm, w0, (square_window(2), _diamond(3))[trial % 2])
 
 
 @settings(max_examples=300, deadline=None)
@@ -756,7 +762,7 @@ def _check_merge_level(labels, verdict, perm, w0, psi):
 
     with mock.patch.object(driver, "_relabel", side_effect=bounded) as spy:
         got = driver._merge_level(labels, verdict, perm, w0, WindowGeom.of(psi),
-                                  driver._w0_reads(w0, *labels.shape))
+                                  _w0_reads(w0, *labels.shape))
     assert np.array_equal(labels, want)
     assert got == (evaluations, accepted)
     assert spy.call_count == accepted
@@ -892,7 +898,7 @@ def _reads_at_turn(labels, verdict, perm, at, w0, psi):
     turn = perm.tolist().index(at)
     before = merge_level_reference(labels, verdict, _pixel_pairs(perm[:turn], labels.shape[1]),
                                    w0.offsets, psi.offsets)[0]
-    reads = driver._w0_reads(w0, *labels.shape)[at]
+    reads = _w0_reads(w0, *labels.shape)[at]
     return labels[0, reads].tolist(), before[0, reads].tolist()
 
 

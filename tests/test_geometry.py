@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcvseg.geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD,
-                             Window, WindowGeom, dilate, square_window)
+                             Window, WindowGeom, _w0_reads, dilate, square_window)
 from mcvseg.reference import boundary_point, clip
 
 
@@ -176,6 +176,32 @@ def test_clip_bounds_matches_clip_at_every_pixel(win, height, width):
     for row, r, c in zip(bounds.tolist(), rows.tolist(), cols.tolist()):
         expected = set(lat.pixels()) if win is None else clip(win, (c + 1, r + 1), lat)
         assert cut_as_set(geom.cut(row)) == expected
+
+
+@pytest.mark.parametrize("height, width", [(1, 9), (9, 1), (5, 7)], ids=["1xN", "Nx1", "5x7"])
+@pytest.mark.parametrize("win", [
+    NINE_NEIGHBORHOOD, FIVE_NEIGHBORHOOD, square_window(2), _diamond(3),
+    Window(((0, 0), (2, 0), (-2, 0), (0, 2), (0, -2))), Window(((0, 0), (1, 0), (-1, 2))),
+], ids=["3x3", "cross", "square2", "diamond3", "far-cross", "one-sided"])
+def test_w0_reads_hold_exactly_the_clipped_window(win, height, width):
+    """Row p of ``_w0_reads`` reads pixel p first and then only pixels of
+    its clipped window, each of them: an off-lattice offset reads the
+    pixel itself, never the nearest edge pixel, which may lie outside the
+    window."""
+    lat = Lattice(width, height)
+    reads = _w0_reads(win, height, width)
+    assert reads.dtype == np.int32 and reads.shape == (height * width, len(win))
+    for p, row in enumerate(reads.tolist()):
+        r, c = divmod(p, width)
+        assert row[0] == p
+        assert {(q % width + 1, q // width + 1) for q in row} == clip(win, (c + 1, r + 1), lat)
+
+
+def test_w0_reads_refuse_indices_past_int32():
+    """A lattice of more than 2**31 pixels is refused before any table is
+    built."""
+    with pytest.raises(ValueError, match="too large for int32"):
+        _w0_reads(NINE_NEIGHBORHOOD, 2 ** 16, 2 ** 15 + 1)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,3 +1,4 @@
+import time
 from unittest import mock
 
 import numpy as np
@@ -7,14 +8,14 @@ from hypothesis import strategies as st
 
 from mcvseg.geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD,
                              Window, WindowGeom, dilate, square_window)
-from mcvseg.partition import (ABSENT, Partition, _relabel, canonicalize,
+from mcvseg.partition import (ABSENT, Partition, _components, _relabel, canonicalize,
                               components_by_class, connected_components,
                               same_partition, singletons, singletons_full)
 from mcvseg.pnmio import load_labels, save_labels
 from mcvseg.reference import _label_table, m_step, merge_step
 
 from oracles import (bfs_components, first_occurrence_reference, merge_sets,
-                     relabel_reference)
+                     relabel_reference, serpentine_map, spiral_map)
 
 LINE3 = Window(((0, 0), (-1, 0), (1, 0)))
 
@@ -103,26 +104,90 @@ def test_connected_components_matches_bfs():
         pixels = random_mask_pixels(rng, 8, 8)
         if not pixels:
             continue
-        order = list(pixels)
-        rng.shuffle(order)
-        p = connected_components(pixels, NINE_NEIGHBORHOOD, order, lat)
+        p = connected_components(pixels, NINE_NEIGHBORHOOD, lat)
         expected = bfs_components(pixels, NINE_NEIGHBORHOOD.offsets, 8, 8)
         assert blocks_as_sets(p) == expected
+        assert p == canonicalize(p)
 
 
 def test_connected_components_four_vs_eight():
     lat = Lattice(2, 2)
     diag = {(1, 1), (2, 2)}
-    p8 = connected_components(diag, NINE_NEIGHBORHOOD, sorted(diag), lat)
-    p4 = connected_components(diag, FIVE_NEIGHBORHOOD, sorted(diag), lat)
+    p8 = connected_components(diag, NINE_NEIGHBORHOOD, lat)
+    p4 = connected_components(diag, FIVE_NEIGHBORHOOD, lat)
     assert p8.block_count() == 1
     assert p4.block_count() == 2
 
 
-def test_connected_components_rejects_bad_order():
-    lat = Lattice(2, 1)
-    with pytest.raises(ValueError):
-        connected_components({(1, 1), (2, 1)}, NINE_NEIGHBORHOOD, [(1, 1)], lat)
+def m_step_fixpoint(pixels, w0, lat, rng):
+    """The paper's merging operator applied once at every pixel of
+    ``pixels``, along a random order, starting from singletons."""
+    p = singletons(pixels, lat)
+    for i in rng.permutation(len(pixels)).tolist():
+        p = m_step(pixels[i], p, w0)
+    return p
+
+
+ODD_WINDOWS = {
+    "square2": square_window(2),
+    "diamond2": dilate(FIVE_NEIGHBORHOOD, 2),
+    "far-cross": Window(((0, 0), (2, 0), (-2, 0), (0, 2), (0, -2))),
+    "one-sided": Window(((0, 0), (1, 0), (-1, 2))),
+}
+
+
+@pytest.mark.parametrize("w0", ODD_WINDOWS.values(), ids=ODD_WINDOWS)
+def test_components_match_m_step_on_odd_windows(w0):
+    """On windows other than the 3x3 block and the cross, both labelings
+    give the partition that ``reference.m_step`` leaves along a random
+    order. The masked diamond and the far cross, which is not closed
+    under dropping a coordinate, fail if a read past the lattice edge
+    lands on the edge pixel; the one-sided window fails if a pixel only
+    joins the pixels that it reads, and not the pixels that read it."""
+    rng = np.random.default_rng(len(w0))
+    for _ in range(15):
+        w, h = (int(v) for v in rng.integers(1, 11, size=2))
+        lat = Lattice(w, h)
+        pixels = sorted(random_mask_pixels(rng, w, h, fill=rng.uniform(0.2, 0.8)))
+        if pixels:
+            got = connected_components(pixels, w0, lat)
+            assert blocks_as_sets(got) == blocks_as_sets(m_step_fixpoint(pixels, w0, lat, rng))
+            assert got == canonicalize(got)
+        classes = rng.integers(0, 3, size=(h, w))
+        expected = set()
+        for cls in np.unique(classes).tolist():
+            pixels = [(c + 1, r + 1) for r, c in zip(*np.nonzero(classes == cls))]
+            expected |= blocks_as_sets(m_step_fixpoint(pixels, w0, lat, rng))
+        assert blocks_as_sets(components_by_class(Partition(lat, classes), w0)) == expected
+
+
+@pytest.mark.parametrize("w0", [NINE_NEIGHBORHOOD, FIVE_NEIGHBORHOOD], ids=["8n", "4n"])
+@pytest.mark.parametrize("make", [spiral_map, serpentine_map], ids=["spiral", "serpentine"])
+def test_components_follow_long_paths(make, w0):
+    """A 256x256 spiral and serpentine, whose components run the length
+    of the map, label as flood fill does, each in under 2 s."""
+    classes = make(256)
+    lat = Lattice(256, 256)
+    ones = [(c + 1, r + 1) for r, c in zip(*np.nonzero(classes))]
+    t0 = time.perf_counter()
+    by_class = components_by_class(Partition(lat, classes), w0)
+    path = connected_components(ones, w0, lat)
+    elapsed = time.perf_counter() - t0
+    zeros = [(c + 1, r + 1) for r, c in zip(*np.nonzero(classes == 0))]
+    expected = bfs_components(ones, w0.offsets, 256, 256)
+    assert blocks_as_sets(path) == expected
+    expected |= bfs_components(zeros, w0.offsets, 256, 256)
+    assert blocks_as_sets(by_class) == expected
+    assert elapsed < 2.0, f"{elapsed:.2f}s"
+
+
+def test_components_refuse_indices_past_int32():
+    """The labeling reads through ``_w0_reads``, which refuses a lattice
+    past int32 before it builds a table; the zero-stride class map holds
+    one value."""
+    classes = np.broadcast_to(np.int32(0), (2 ** 16, 2 ** 15 + 1))
+    with pytest.raises(ValueError, match="too large for int32"):
+        _components(classes, NINE_NEIGHBORHOOD)
 
 
 def test_components_by_class_two_tone():
