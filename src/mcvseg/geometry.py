@@ -169,9 +169,10 @@ def _w0_reads(w0: Window, h: int, w: int) -> np.ndarray:
     offsets = np.array([(0, 0)] + [o for o in w0.offsets if o != (0, 0)], dtype=np.int32)
     rows = np.arange(h, dtype=np.int32)[:, None] + offsets[:, 1]
     cols = np.arange(w, dtype=np.int32)[:, None] + offsets[:, 0]
-    on = ((rows >= 0) & (rows < h))[:, None] & ((cols >= 0) & (cols < w))
     reads = (np.clip(rows, 0, h - 1) * w)[:, None] + np.clip(cols, 0, w - 1)
-    return np.where(on, reads, reads[..., :1]).reshape(h * w, len(offsets))
+    off = ((rows < 0) | (rows >= h))[:, None] | ((cols < 0) | (cols >= w))
+    np.copyto(reads, reads[..., :1], where=off)
+    return reads.reshape(h * w, len(offsets))
 
 
 def square_window(r: int) -> Window:
