@@ -6,7 +6,7 @@ squared deviation of each in-region pixel from the mean of its
 in-region neighbors. A patch is acceptable when the energy per pixel is
 at most ``rho``. The homogeneity test is a net with every weight wired
 to one, nothing learned. The AR predictor is one of its layers:
-``_neighbor_means`` predicts each pixel for the energy and gives every
+``_frame_means`` predicts each pixel for the energy and gives every
 pyramid layer alike, and with ``_add_shifted`` and ``_site_terms`` it
 is one of the kernels that every map of the net is built from.
 
@@ -17,20 +17,33 @@ neighborhood, where the energy is thresholded as
 the model's neighborhood. ``verdict_maps`` slides the net over a whole
 image as a convolution, for every chain of a run at once
 (``verdict_map`` for one), through one ``_NetMaps``, the run's cache of
-whole-image maps: it pads the image once, names each map by an id under
-its key, and builds every term map over one term box. The net on one
-window, ``reference.pyramid_evaluate``, is the reference this fast path
-is tested against, bit for bit.
+whole-image maps: it pads the image once into one frame, names each map
+by an id under its key, and builds every term map over one term span.
+The net on one window, ``reference.pyramid_evaluate``, is the reference
+this fast path is tested against, bit for bit.
 
 Why exact: an id names one key and a key one map, so a map built once
 is the map each chain would build for itself. A map position depends
 only on the image at the positions its reads reach; for a position that
 a chain reads, they lie in that chain's first window around a lattice
 pixel, so inside any pad of that reach, and off the lattice the image
-map is 0 with its mask off at any pad. The term box holds every base
-window's box, so every position a chain reads of a term map, and it
-lies inside the pad, since ``check_chain`` puts each chain's base window
-inside its first. So neither the one pad nor the one term box changes a
+map is 0 with its mask off at any pad. Every map lies on the one frame,
+the padded image stored flat with one row stride, where a read at
+(dx, dy) is the contiguous slice at offset dy * stride + dx. For a
+position that a chain reads, every read lies on the frame, so it is the
+read at (dx, dy): it neither runs past a row end nor leaves the frame,
+and the position gets the same adds, in the same order, as on a 2-D
+array with reads clipped at its edges. A position whose reads would run
+past a row end wraps into the next row instead, and one whose reads
+would leave the frame gets none; no chain reads such a position, and
+its values are means and sums of finite values, so finite. The term
+span, the frame positions from the first to the last of the union of
+every chain's base-window box around the lattice, holds every position
+a chain reads of a term map, and those lie inside the pad, since
+``check_chain`` puts each chain's base window inside its first. The
+energy sums run over the frame rows of the lattice, and their columns
+off it, which read past row ends, are dropped before the divide. So
+neither the one pad, the flat reads nor the one term span changes a
 value that is read. ``_ordered_sum`` adds a term's bands in order, and
 the energy adds the terms in the order of ``reference.pyramid_evaluate``,
 leaving out only reads of +0.0, and ``x + 0.0 == x``. The size is an
@@ -101,37 +114,29 @@ def _as_bands(values: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _add_shifted(out: np.ndarray, sources, reads: Iterable[tuple[Offset, object]],
-                 dy0: int = 0, dx0: int = 0) -> np.ndarray:
-    """Add to ``out`` (..., h, w, bands), one read at a time in order,
-    each ((dx, dy), k) read: ``sources[k]`` (..., hs, ws, bands) at
-    (i + dy0 + dy, j + dx0 + dx) for each position (i, j), or nothing
-    where that is off the source. Returns ``out``. This is the only code
-    that adds shifted arrays: every mean layer of the net, the AR
-    predictor and the energy sum of ``verdict_maps``."""
-    h, w = out.shape[-3:-1]
-    for (dx, dy), k in reads:
-        src = sources[k]
-        hs, ws = src.shape[-3:-1]
-        ry, rx = dy0 + dy, dx0 + dx
-        i0, i1 = max(0, -ry), min(h, hs - ry)
-        j0, j1 = max(0, -rx), min(w, ws - rx)
-        if i0 < i1 and j0 < j1:
-            out[..., i0:i1, j0:j1, :] += src[..., i0 + ry : i1 + ry, j0 + rx : j1 + rx, :]
-    return out
+def _add_shifted(out: np.ndarray, sources, reads: Iterable[tuple[int, object]], start: int):
+    """Add to ``out`` in place, one read at a time in order, each (o, k)
+    read: the ``len(out)`` rows of ``sources[k]`` from row ``start + o``,
+    one contiguous slice. This is the only code that adds shifted
+    arrays: every mean layer of the net, the AR predictor and the energy
+    sum of ``verdict_maps``."""
+    for o, k in reads:
+        out += sources[k][start + o : start + o + len(out)]
 
 
-def _neighbor_means(sources: Mapping[object, tuple[np.ndarray, np.ndarray]],
-                    reads: Iterable[tuple[Offset, object]], out_mask: np.ndarray,
-                    dy0: int = 0, dx0: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """One layer of the net: per-band means (..., h, w, bands) of the
-    in-mask reads at each (..., h, w) ``out_mask`` position, and the
-    mask, off where a position has no read. Position (i, j) sits at
-    source position (i + dy0, j + dx0). ``sources`` maps a key to a
-    (values, mask) pair, all of one shape, (..., hs, ws, bands) values
-    zero off the (..., hs, ws) mask. Each ((dx, dy), k) read, in order,
-    adds source k at (i + dy0 + dy, j + dx0 + dx), or nothing off the
-    source; the sum is divided once. Every zero mean is +0.0.
+def _frame_means(sources: Mapping[object, tuple[np.ndarray, np.ndarray]],
+                 reads: Iterable[tuple[Offset, object]], out_mask: np.ndarray,
+                 stride: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """One layer of the net on a frame, a C-order (rows, ``stride``)
+    lattice stored flat: per-band means (n, bands) of the in-mask reads
+    at the n frame positions from ``start`` that the (n,) ``out_mask``
+    covers, and the mask, off where a position has no read. ``sources``
+    maps a key to a (values, mask) pair over the whole frame, (N, bands)
+    values zero off the (N,) mask. Each ((dx, dy), k) read, in order,
+    adds source k at frame position p + dy * stride + dx, one contiguous
+    slice: past a row end it wraps into the next row, and a position
+    with a read off either end of the frame gets no read at all. The sum
+    is divided once. Every zero mean is +0.0.
 
     Why exact: the reads are counted in the smallest unsigned dtype that
     holds their number, so no count wraps, and a count converts to float
@@ -143,18 +148,46 @@ def _neighbor_means(sources: Mapping[object, tuple[np.ndarray, np.ndarray]],
     a mean is only added to a sum that starts at +0.0 or put in a
     difference whose square or absolute value is taken. This form skips
     NumPy's masked divide and float counts, its slow paths."""
-    reads = list(reads)
-    values, mask = next(iter(sources.values()))
-    out = (*mask.shape[:-2], *out_mask.shape[-2:])
-    sums = _add_shifted(np.zeros((*out, values.shape[-1])),
-                        {k: v for k, (v, _) in sources.items()}, reads, dy0, dx0)
-    counts = _add_shifted(np.zeros((*out, 1), dtype=np.min_scalar_type(len(reads))),
-                          {k: m[..., None] for k, (_, m) in sources.items()},
-                          reads, dy0, dx0)[..., 0]
+    (values, mask), n = next(iter(sources.values())), len(out_mask)
+    reads = [(dy * stride + dx, k) for (dx, dy), k in reads]
+    lo = max(0, -start - min((o for o, _ in reads), default=0))
+    hi = max(lo, min(n, len(mask) - start - max((o for o, _ in reads), default=0)))
+    sums = np.zeros((n, values.shape[1]))
+    counts = np.zeros(n, dtype=np.min_scalar_type(len(reads)))
+    _add_shifted(sums[lo:hi], {k: v for k, (v, _) in sources.items()}, reads, start + lo)
+    _add_shifted(counts[lo:hi], {k: m for k, (_, m) in sources.items()}, reads, start + lo)
     present = out_mask & (counts > 0)
-    means = sums / np.where(present, counts, np.inf)[..., None]
+    means = sums / np.where(present, counts, np.inf)[:, None]
     means += 0.0
     return means, present
+
+
+def _neighbor_means(sources: Mapping[object, tuple[np.ndarray, np.ndarray]],
+                    reads: Iterable[tuple[Offset, object]], out_mask: np.ndarray,
+                    dy0: int = 0, dx0: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """One layer of the net on small patches: per-band means (..., h, w,
+    bands) of the in-mask reads at each (..., h, w) ``out_mask``
+    position, and the mask, off where a position has no read. Position
+    (i, j) sits at source position (i + dy0, j + dx0). ``sources`` maps
+    a key to a (values, mask) pair, all of one shape, (..., hs, ws,
+    bands) values zero off the (..., hs, ws) mask. Each ((dx, dy), k)
+    read, in order, adds source k at (i + dy0 + dy, j + dx0 + dx), or
+    nothing off the source; the sum is divided once. Every zero mean is
+    +0.0. This is ``_frame_means`` on one frame: every patch zero-padded
+    to hold each output position and its reads, so no read of one wraps
+    or leaves the frame, and the patches of the batch axes stacked as
+    rows."""
+    reads = list(reads)
+    mask, (h, w) = next(iter(sources.values()))[1], out_mask.shape
+    p = h + w + abs(dy0) + abs(dx0) + max((max(map(abs, d)) for d, _ in reads), default=0)
+    pad = ((0, 0),) * (mask.ndim - 2) + ((p, p), (p, p))
+    on = np.zeros_like(np.pad(mask, pad))
+    at = (..., slice(p + dy0, p + dy0 + h), slice(p + dx0, p + dx0 + w))
+    on[at] = out_mask
+    frame = {k: (np.pad(v, pad + ((0, 0),)).reshape(-1, v.shape[-1]), np.pad(m, pad).ravel())
+             for k, (v, m) in sources.items()}
+    means, present = _frame_means(frame, reads, on.ravel(), on.shape[-1])
+    return means.reshape(*on.shape, -1)[(*at, slice(None))], present.reshape(on.shape)[at]
 
 
 def _ordered_sum(x: np.ndarray) -> np.ndarray:
@@ -243,18 +276,20 @@ class _NetMaps:
     chains it is given in level order.
 
     The image is padded once by the largest reach of any chain's first
-    window; map 0 is that image with its lattice mask. Every other map
-    is interned under its key, a kind and the ids of the maps it reads,
-    one per read offset in order, -1 for none. A ``"layer"`` map is the
-    ``_neighbor_means`` of its g-neighbor reads over the padded image.
-    A ``"terms"`` map, keyed by its center map's id and then its reads,
-    is the ``_site_terms`` of the center map and the means of its
-    non-origin g-neighbor reads, on the center's mask, built over the
-    run's term box: the union of the bounding boxes of every chain's
-    base window, the positions any energy reads a term map at.
-    Window positions that read alike share one map, within a chain and
-    across the chains of a run. Before any map is built, every chain is
-    planned in order on a grid of window positions: each key is
+    window into the run's frame, stored flat in C order with one row
+    stride that every map shares; map 0 is that image with its lattice
+    mask. Every other map is interned under its key, a kind and the ids
+    of the maps it reads, one per read offset in order, -1 for none. A
+    ``"layer"`` map is the ``_frame_means`` of its g-neighbor reads over
+    the whole frame. A ``"terms"`` map, keyed by its center map's id and
+    then its reads, is the ``_site_terms`` of the center map and the
+    means of its non-origin g-neighbor reads, on the center's mask,
+    built over the run's term span: the frame positions from the first
+    to the last of the union of the bounding boxes of every chain's base
+    window around the lattice, the positions any energy reads a term map
+    at. Window positions that read alike share one map, within a chain
+    and across the chains of a run. Before any map is built, every chain
+    is planned in order on a grid of window positions: each key is
     interned once, and its map is built with the first chain that reads
     it and dropped after the last one (through a map built for that
     chain, or its energy). The energy of a chain adds, per base-window
@@ -265,27 +300,24 @@ class _NetMaps:
     """
 
     def __init__(self, vals: np.ndarray, chains: list[tuple[Window, ...]], model: MrfModel):
-        h, w, _ = vals.shape
-        boxes = [levels[0].bbox() for levels in chains]
-        x0, y0 = min(b[0] for b in boxes), min(b[2] for b in boxes)
-        reach = ((-y0, max(b[3] for b in boxes)), (-x0, max(b[1] for b in boxes)))
-        bases = [levels[-1].bbox() for levels in chains]
-        self.box = (min(b[0] for b in bases), max(b[1] for b in bases),
-                    min(b[2] for b in bases), max(b[3] for b in bases))  # (x0, x1, y0, y1)
-        inside = np.pad(np.ones((h, w), dtype=bool), reach)
+        h, w, bands = vals.shape
+        firsts, bases = ([levels[i].bbox() for levels in chains] for i in (0, -1))
+        (x0, _, y0, _), (_, x1, _, y1) = np.min(firsts, 0), np.max(firsts, 0)
+        inside = np.pad(np.ones((h, w), dtype=bool), reach := ((-y0, y1), (-x0, x1)))
         self.shape, self.origin, self.model = (h, w), (-y0, -x0), model
-        self.everywhere = np.ones_like(inside)
+        self.stride = stride = inside.shape[1]
+        self.start = start = -y0 * stride - x0  # the frame position of lattice pixel (0, 0)
+        (x0, _, y0, _), (_, x1, _, y1) = np.min(bases, 0), np.max(bases, 0)
+        self.span = slice(start + y0 * stride + x0, start + (y1 + h - 1) * stride + x1 + w)
+        self.everywhere = np.ones(inside.size, dtype=bool)
         self.keys: list = [None]  # map id -> key; map 0 is the image
         self.ids = {"layer": {}, "terms": {}}  # kind -> row of source ids -> map id
         self.last = [0]  # map id -> index of the last distinct chain that reads it
-        self.plans = {}  # chain -> (ids of the maps it builds, its energy plan)
-        for n, levels in enumerate(dict.fromkeys(chains)):
-            start = len(self.keys)
-            plan = self._plan(levels, n)
-            self.plans[levels] = range(start, len(self.keys)), plan
+        # chain -> (ids of the maps it builds, its energy plan)
+        self.plans = {c: self._plan(c, n) for n, c in enumerate(dict.fromkeys(chains))}
         # map id -> (values, mask) of the image or a layer map over the
-        # padded image, or a term map's values over the term box
-        self.maps = {0: (np.pad(vals, reach + ((0, 0),)), inside)}
+        # frame, or a term map's values over the term span
+        self.maps = {0: (np.pad(vals, reach + ((0, 0),)).reshape(-1, bands), inside.ravel())}
 
     def _intern(self, kind: str, reads: np.ndarray, n: int) -> np.ndarray:
         """The map id of each row of source ids of ``reads``, under key
@@ -305,9 +337,11 @@ class _NetMaps:
 
     def _plan(self, levels: tuple[Window, ...], n: int):
         """Intern the maps of chain ``levels``, the ``n``-th distinct one.
-        Returns its energy's plan: the (offset, term map id) reads in
-        row-major order, and per center map id, the boxes of offsets
-        whose term maps are on that center."""
+        Returns the ids of the maps it interns, and its energy's plan:
+        the (frame offset, term map id) reads in row-major order, and per
+        center map id, the boxes of offsets whose term maps are on that
+        center."""
+        first = len(self.keys)
         g = np.array(self.model.neighborhood.offsets)
         d = np.array([(0, 0), *self.model.neighbor_offsets()])  # a term's center, then its reads
         x0, x1, y0, y1 = levels[0].bbox()
@@ -326,46 +360,44 @@ class _NetMaps:
         terms = self._intern("terms", reads, n)
         for k in set(terms.tolist()) | set(centers.tolist()):
             self.last[k] = n
-        offsets = zip((cols - gx).tolist(), (rows - gy).tolist())
+        offsets = ((rows - gy) * self.stride + cols - gx).tolist()
         sizes = {c: [(c0 - gx, c1 - gx, r0 - gy, r1 - gy) for c0, c1, r0, r1 in _boxes(grid == c)]
                  for c in dict.fromkeys(centers.tolist())}
-        return list(zip(offsets, terms.tolist())), sizes
+        return range(first, len(self.keys)), (list(zip(offsets, terms.tolist())), sizes)
 
     def _build(self, i: int):
-        """Map ``i``: a layer's (values, mask), or a term map's values
-        (..., 1) over the term box."""
+        """Map ``i``: a layer's (values, mask) over the frame, or a term
+        map's values over the term span."""
         kind, ids = self.keys[i]
         if kind == "layer":
             reads = [(d, k) for d, k in zip(self.model.neighborhood.offsets, ids) if k >= 0]
-            return _neighbor_means({k: self.maps[k] for _, k in reads}, reads, self.everywhere)
-        center, *ids = ids
-        reads = [(d, k) for d, k in zip(self.model.neighbor_offsets(), ids) if k >= 0]
-        x0, x1, y0, y1 = self.box
-        (h, w), (oy, ox) = self.shape, self.origin
-        rows, cols = slice(oy + y0, oy + y1 + h), slice(ox + x0, ox + x1 + w)
-        vals, mask = self.maps[center]
-        sources = {k: self.maps[k] for k in (center, *(k for _, k in reads))}
-        pred = _neighbor_means(sources, reads, mask[rows, cols], oy + y0, ox + x0)
-        return _site_terms(vals[rows, cols], *pred, self.model)[..., None]
+            sources = {k: self.maps[k] for _, k in reads}
+            return _frame_means(sources, reads, self.everywhere, self.stride)
+        (vals, mask), span = self.maps[ids[0]], self.span  # ids[0] is the center map
+        reads = [(d, k) for d, k in zip(self.model.neighbor_offsets(), ids[1:]) if k >= 0]
+        sources = {k: self.maps[k] for k in (ids[0], *(k for _, k in reads))}
+        pred = _frame_means(sources, reads, mask[span], self.stride, span.start)
+        return _site_terms(vals[span], *pred, self.model)
 
     def _energy(self, plan) -> np.ndarray:
         """The energy per pixel of one chain, (h, w): the term sums of its
-        plan over the window sizes."""
+        plan over the window sizes. The sums run over the frame rows of
+        the lattice, and their wrapped columns are dropped."""
         reads, sizes = plan
-        (h, w), (oy, ox) = self.shape, self.origin
-        x0, _, y0, _ = self.box
-        sums = _add_shifted(np.zeros((h, w, 1)), self.maps,
-                            [((dx - x0, dy - y0), t) for (dx, dy), t in reads])
+        (h, w), (oy, ox), stride = self.shape, self.origin, self.stride
+        sums = np.zeros((h, stride))
+        _add_shifted(sums.reshape(-1)[: (h - 1) * stride + w], self.maps, reads,
+                     self.start - self.span.start)
         size = np.zeros((h, w), dtype=np.int64)
         for center, boxes in sizes.items():
-            mask = self.maps[center][1]
-            table = np.zeros((mask.shape[0] + 1, mask.shape[1] + 1), dtype=np.int64)
+            mask = self.maps[center][1].reshape(-1, stride)
+            table = np.zeros((mask.shape[0] + 1, stride + 1), dtype=np.int64)
             np.cumsum(mask.cumsum(0), 1, out=table[1:, 1:])
             for x0, x1, y0, y1 in boxes:
                 r0, r1, c0, c1 = oy + y0, oy + y1 + 1, ox + x0, ox + x1 + 1
                 size += (table[r1 : r1 + h, c1 : c1 + w] - table[r0 : r0 + h, c1 : c1 + w]
                          - table[r1 : r1 + h, c0 : c0 + w] + table[r0 : r0 + h, c0 : c0 + w])
-        return sums[..., 0] / size
+        return sums[:, :w] / size
 
     def verdicts(self) -> dict:
         """Each distinct chain's (h, w) bool verdict map, energy per pixel

@@ -455,8 +455,8 @@ def test_run_mcv_builds_each_net_map_once(mode, layers, terms):
     img = gray(rng.integers(0, 4, size=(10, 10)).astype(np.float64) * 60)
     cfg = McvConfig(max_level=7, rho=50.0, eval_mode=mode)
     with mock.patch.object(pyramid, "_site_terms", side_effect=pyramid._site_terms) as site, \
-            mock.patch.object(pyramid, "_neighbor_means",
-                              side_effect=pyramid._neighbor_means) as means:
+            mock.patch.object(pyramid, "_frame_means",
+                              side_effect=pyramid._frame_means) as means:
         run_mcv(img, cfg)
     assert site.call_count == terms
     assert means.call_count == layers + terms
