@@ -15,6 +15,7 @@ fixpoint at once (``_components``) over the driver's read table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -90,12 +91,18 @@ def _relabel(labels: np.ndarray, rs: slice, cs: slice, sub: np.ndarray | None,
 
 
 def singletons(S: Iterable[Pixel], lat: Lattice) -> Partition:
-    """Partition of S into single-pixel blocks, labeled in raster order."""
-    labels = np.full((lat.height, lat.width), ABSENT, dtype=np.int32)
-    ordered = sorted(set(S), key=lambda p: (p[1], p[0]))
-    for i, x in enumerate(ordered):
-        labels[lat.index(x)] = i
-    return Partition(lat, labels)
+    """Partition of S into single-pixel blocks, labeled in raster order:
+    the pixels' sorted raster indices take the labels 0, 1, 2, ...
+    A pixel off the lattice raises ValueError, naming the first one in
+    raster order."""
+    pixels = list(set(S))
+    cols, rows = np.fromiter(chain.from_iterable(pixels), dtype=np.int64).reshape(-1, 2).T
+    off = np.flatnonzero((cols < 1) | (cols > lat.width) | (rows < 1) | (rows > lat.height))
+    if off.size:
+        lat.index(pixels[off[np.lexsort((cols[off], rows[off]))[0]]])
+    labels = np.full(lat.size, ABSENT, dtype=np.int32)
+    labels[np.sort((rows - 1) * lat.width + cols - 1)] = np.arange(len(pixels), dtype=np.int32)
+    return Partition(lat, labels.reshape(lat.height, lat.width))
 
 
 def singletons_full(lat: Lattice) -> Partition:

@@ -261,6 +261,20 @@ def first_occurrence_reference(rows, absent):
     return out
 
 
+def singletons_reference(pixels, width, height):
+    """Single-pixel blocks of a pixel collection, one pixel at a time:
+    the distinct (col, row) pixels in (row, col) order take the labels
+    0, 1, 2, ... in a (height, width) int32 array, -1 elsewhere. The
+    first pixel off the lattice in that order raises ValueError with
+    ``Lattice.index``'s message."""
+    labels = np.full((height, width), -1, dtype=np.int32)
+    for i, (c, r) in enumerate(sorted(set(pixels), key=lambda p: (p[1], p[0]))):
+        if not (1 <= c <= width and 1 <= r <= height):
+            raise ValueError(f"pixel {(c, r)} outside {width}x{height} lattice")
+        labels[r - 1, c - 1] = i
+    return labels
+
+
 def relabel_reference(rows, x, offsets, targets, fresh):
     """The windowed relabel, one pixel at a time: every pixel of the
     clipped translate of ``offsets`` to the 1-based (col, row) pixel

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcvseg.geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD,
@@ -15,7 +15,7 @@ from mcvseg.pnmio import load_labels, save_labels
 from mcvseg.reference import _label_table, m_step, merge_step
 
 from oracles import (bfs_components, first_occurrence_reference, merge_sets,
-                     relabel_reference, serpentine_map, spiral_map)
+                     relabel_reference, serpentine_map, singletons_reference, spiral_map)
 
 LINE3 = Window(((0, 0), (-1, 0), (1, 0)))
 
@@ -35,6 +35,29 @@ def test_singletons_raster_labels():
     assert p.label_at((2, 2)) == 1
     assert p.label_at((2, 1)) == ABSENT
     assert not p.is_total
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5),
+       st.lists(st.tuples(st.integers(-1, 6), st.integers(-1, 6)), max_size=40))
+@example(2, 2, [])
+@example(3, 2, [(2, 2), (1, 2), (2, 2), (3, 1)])
+# (4, 1) is the first off-lattice pixel in raster order, (0, 2) in column order
+@example(3, 2, [(2, 1), (0, 2), (1, 2), (2, 1), (4, 1)])
+def test_singletons_matches_per_pixel_loop(width, height, pixels):
+    """``singletons`` labels the same pixels as a loop over the sorted
+    distinct pixels, duplicates and the empty set included, or raises
+    the same ValueError naming the same first off-lattice pixel."""
+    lat = Lattice(width, height)
+    try:
+        want = singletons_reference(pixels, width, height)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            singletons(pixels, lat)
+        assert str(got.value) == str(e)
+    else:
+        got = singletons(pixels, lat).labels
+        assert got.dtype == np.int32 and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("x", [(0, 0), (4, 1), (1, 3)])
