@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -360,3 +362,39 @@ def test_gray_verdict_map_matches_per_pixel_reference(seed):
     want = per_pixel_verdicts(samples[:, :, None], levels, model)
     assert 0 < want.sum() < want.size
     assert np.array_equal(verdict_map(samples, levels, model), want)
+
+
+# One-pixel-wide images put every pixel's window across a row end of the
+# net's flat frame, where a read past the end would wrap into the next
+# row. Chains: a one-sided direct window (no read to the left or above),
+# a holed pyramid chain, and a pyramid chain over a one-sided
+# neighborhood, whose layers read one way only.
+ONE_SIDED = Window(((0, 0), (1, 0), (2, 0), (0, 1)))
+WRAP_CHAINS = {
+    "one-sided": (NINE_NEIGHBORHOOD, (ONE_SIDED,)),
+    "holed": (NINE_NEIGHBORHOOD,
+              (Window(tuple(set(square_window(2).offsets) - {(2, 2), (-1, 2), (0, -2)})),
+               Window(tuple(set(square_window(1).offsets) - {(1, 1)})))),
+    "one-sided g": (ONE_SIDED, (dilate(ONE_SIDED, 2), dilate(ONE_SIDED, 1))),
+}
+
+
+@pytest.mark.parametrize("bands", [1, 3])
+@pytest.mark.parametrize("chain", sorted(WRAP_CHAINS))
+@pytest.mark.parametrize("shape", [(1, 17), (17, 1)], ids=["1x17", "17x1"])
+def test_verdict_map_does_not_wrap_at_row_ends(shape, chain, bands):
+    """On 1x17 and 17x1 images the whole-image map agrees with the
+    per-pixel reference. rho is the exact reference energy of the first,
+    a middle or the last pixel, so that window sits exactly on the
+    threshold, and fails it one ulp lower."""
+    g, levels = WRAP_CHAINS[chain]
+    rng = np.random.default_rng(17)
+    ramp = np.linspace(0.0, 200.0, 17).reshape(*shape, 1)
+    samples = ramp + rng.normal(0.0, 3.0, size=(*shape, bands))
+    for r0, c0 in ((0, 0), (shape[0] // 2, shape[1] // 2), (shape[0] - 1, shape[1] - 1)):
+        model = MrfModel(g, rho=per_pixel_energy(samples, levels, MrfModel(g), r0, c0))
+        below = replace(model, rho=np.nextafter(model.rho, 0.0))
+        for m in (model, below) if model.rho > 0 else (model,):
+            got = verdict_map(samples, levels, m)
+            assert np.array_equal(got, per_pixel_verdicts(samples, levels, m))
+            assert got[r0, c0] == (m is model)
