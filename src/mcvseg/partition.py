@@ -14,6 +14,7 @@ fixpoint at once (``_components``) over the driver's read table.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
@@ -94,9 +95,10 @@ def singletons(S: Iterable[Pixel], lat: Lattice) -> Partition:
     """Partition of S into single-pixel blocks, labeled in raster order:
     the pixels' sorted raster indices take the labels 0, 1, 2, ...
     A pixel off the lattice raises ValueError, naming the first one in
-    raster order."""
+    raster order, and a coordinate that is not an integer TypeError."""
     pixels = list(set(S))
-    cols, rows = np.fromiter(chain.from_iterable(pixels), dtype=np.int64).reshape(-1, 2).T
+    xy = np.fromiter(map(operator.index, chain.from_iterable(pixels)), dtype=np.int64)
+    cols, rows = xy.reshape(-1, 2).T
     off = np.flatnonzero((cols < 1) | (cols > lat.width) | (rows < 1) | (rows > lat.height))
     if off.size:
         lat.index(pixels[off[np.lexsort((cols[off], rows[off]))[0]]])

@@ -179,7 +179,7 @@ def _neighbor_means(sources: Mapping[object, tuple[np.ndarray, np.ndarray]],
     rows."""
     reads = list(reads)
     mask, (h, w) = next(iter(sources.values()))[1], out_mask.shape
-    p = h + w + abs(dy0) + abs(dx0) + max((max(map(abs, d)) for d, _ in reads), default=0)
+    p = max(h + abs(dy0), w + abs(dx0)) + max((max(map(abs, d)) for d, _ in reads), default=0)
     pad = ((0, 0),) * (mask.ndim - 2) + ((p, p), (p, p))
     on = np.zeros_like(np.pad(mask, pad))
     at = (..., slice(p + dy0, p + dy0 + h), slice(p + dx0, p + dx0 + w))
@@ -206,8 +206,8 @@ def _ordered_sum(x: np.ndarray) -> np.ndarray:
 def _site_terms(vals: np.ndarray, pred: np.ndarray, has: np.ndarray,
                 model: MrfModel) -> np.ndarray:
     """Per-pixel energy terms as a dense map, from the AR prediction
-    ``pred`` of ``vals`` and its mask ``has`` (``_neighbor_means`` over
-    the region): zero at every pixel outside the region or without an
+    ``pred`` of ``vals`` and its mask ``has`` (a mean layer over the
+    region): zero at every pixel outside the region or without an
     in-region neighbor. The zeros leave a window's ordered sum
     unchanged, since ``x + 0.0 == x``."""
     diff = pred - vals

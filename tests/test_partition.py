@@ -35,6 +35,8 @@ def test_singletons_raster_labels():
     assert p.label_at((2, 2)) == 1
     assert p.label_at((2, 1)) == ABSENT
     assert not p.is_total
+    with pytest.raises(TypeError):  # not truncated to pixel (1, 1)
+        singletons({(1.5, 1)}, Lattice(2, 2))
 
 
 @settings(max_examples=200, deadline=None)
