@@ -302,12 +302,12 @@ class _NetMaps:
     def __init__(self, vals: np.ndarray, chains: list[tuple[Window, ...]], model: MrfModel):
         h, w, bands = vals.shape
         firsts, bases = ([levels[i].bbox() for levels in chains] for i in (0, -1))
-        (x0, _, y0, _), (_, x1, _, y1) = np.min(firsts, 0), np.max(firsts, 0)
+        (x0, _, y0, _), (_, x1, _, y1) = np.min(firsts, 0).tolist(), np.max(firsts, 0).tolist()
         inside = np.pad(np.ones((h, w), dtype=bool), reach := ((-y0, y1), (-x0, x1)))
         self.shape, self.origin, self.model = (h, w), (-y0, -x0), model
         self.stride = stride = inside.shape[1]
         self.start = start = -y0 * stride - x0  # the frame position of lattice pixel (0, 0)
-        (x0, _, y0, _), (_, x1, _, y1) = np.min(bases, 0), np.max(bases, 0)
+        (x0, _, y0, _), (_, x1, _, y1) = np.min(bases, 0).tolist(), np.max(bases, 0).tolist()
         self.span = slice(start + y0 * stride + x0, start + (y1 + h - 1) * stride + x1 + w)
         self.everywhere = np.ones(inside.size, dtype=bool)
         self.keys: list = [None]  # map id -> key; map 0 is the image
