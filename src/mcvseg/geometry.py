@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from numbers import Integral
 
 import numpy as np
@@ -107,7 +108,9 @@ class Window:
 class WindowGeom:
     """Bounding box plus membership mask of a window, for cutting it out
     of 0-based arrays. ``mask`` is None when the window fills its box,
-    which unlocks the maskless fast paths."""
+    which unlocks the maskless fast paths. The clip is separable: one
+    position's row cut depends on its row alone and its column cut on its
+    column alone, and ``cut`` of the two gives the window there."""
 
     bx0: int
     bx1: int
@@ -128,35 +131,37 @@ class WindowGeom:
 
     def clip(self, r0: int, c0: int, h: int, w: int):
         """The window at array position (r0, c0), which must lie on the
-        array, clipped to an h x w array: ``cut`` of its ``clip_bounds`` row."""
-        return self.cut(self.clip_bounds(np.array([r0]), np.array([c0]), h, w)[0].tolist())
+        array, clipped to an h x w array: ``cut`` of its row and column cuts."""
+        masked = self.mask is not None
+        return self.cut(_axis_cuts(self.by0, self.by1, h, [r0], masked)[0],
+                        _axis_cuts(self.bx0, self.bx1, w, [c0], masked)[0])
 
-    def clip_bounds(self, r0: np.ndarray, c0: np.ndarray, h: int, w: int) -> np.ndarray:
-        """The window at each array position (r0[i], c0[i]), which must lie
-        on the array, clipped to an h x w array: an (n, 4) int32 array of
-        rows (a0, a1, b0, b1), the row slice a0:a1 and column slice b0:b1,
-        plus the row and column where the cut of the mask starts when the
-        window has one, (n, 6) then. The extents are clamped to the array
-        first, which moves no bound, so any window clips in int64."""
-        by0, by1 = max(self.by0, -h), min(self.by1, h)
-        bx0, bx1 = max(self.bx0, -w), min(self.bx1, w)
-        out = np.empty((len(r0), 4 if self.mask is None else 6), dtype=np.int32)
-        np.maximum(r0 + by0, 0, out=out[:, 0])
-        np.minimum(r0 + (by1 + 1), h, out=out[:, 1])
-        np.maximum(c0 + bx0, 0, out=out[:, 2])
-        np.minimum(c0 + (bx1 + 1), w, out=out[:, 3])
-        if self.mask is not None:
-            out[:, 4] = out[:, 0] - r0 - self.by0
-            out[:, 5] = out[:, 2] - c0 - self.bx0
-        return out
+    def cuts(self, h: int, w: int) -> tuple[list, list]:
+        """The window clipped to an h x w array one axis at a time: the cut
+        at each of the h rows, then at each of the w columns. The clip is
+        separable, so ``cut`` of row r0's and column c0's is ``clip(r0, c0)``."""
+        masked = self.mask is not None
+        return (_axis_cuts(self.by0, self.by1, h, np.arange(h), masked),
+                _axis_cuts(self.bx0, self.bx1, w, np.arange(w), masked))
 
-    def cut(self, bounds: list[int]) -> tuple[slice, slice, np.ndarray | None]:
-        """A ``clip_bounds`` row as a row slice, a column slice and the
-        window mask cut to them, or None for a maskless row of four bounds."""
-        if self.mask is None:
-            return slice(bounds[0], bounds[1]), slice(bounds[2], bounds[3]), None
-        a0, a1, b0, b1, r, c = bounds
-        return slice(a0, a1), slice(b0, b1), self.mask[r : r + a1 - a0, c : c + b1 - b0]
+    def cut(self, row: tuple[slice, slice | None], col: tuple[slice, slice | None]):
+        """A row cut and a column cut as a row slice, a column slice and the
+        window mask cut to them, or None for a maskless window."""
+        (rs, rm), (cs, cm) = row, col
+        return rs, cs, None if self.mask is None else self.mask[rm, cm]
+
+
+def _axis_cuts(lo: int, hi: int, n: int, at, masked: bool) -> list[tuple[slice, slice | None]]:
+    """Offsets lo..hi around each position of ``at``, which must lie in
+    0..n-1, clipped to 0..n-1: for each, the slice of 0..n-1 they cover
+    and, if ``masked``, the slice of the mask's axis, indexed from lo,
+    that it keeps. The extents are clamped to n first, which moves no
+    bound, so a window of any radius clips in int64; a masked window's
+    offsets are materialized, so its own lo is small."""
+    at = np.asarray(at)
+    a0, a1 = np.maximum(at + max(lo, -n), 0), np.minimum(at + (min(hi, n) + 1), n)
+    masks = map(slice, (a0 - at - lo).tolist(), (a1 - at - lo).tolist()) if masked else repeat(None)
+    return list(zip(map(slice, a0.tolist(), a1.tolist()), masks))
 
 
 def _w0_reads(w0: Window, h: int, w: int) -> np.ndarray:

@@ -420,8 +420,8 @@ def test_run_mcv_max_level_30_on_a_line():
 
 
 def test_run_mcv_max_level_70_on_a_line():
-    # merge windows of radius 2**64 and more: ``clip_bounds`` clamps them
-    # to the lattice before any int64 arithmetic
+    # merge windows of radius 2**64 and more: ``WindowGeom.cuts`` clamps
+    # them to the lattice before its slice arithmetic
     img = gray([[10.0, 10.0, 11.0, 200.0, 201.0, 200.0]])
     seq = run_mcv(img, McvConfig(max_level=70, rho=5.0,
                                  eval_windows=(NINE_NEIGHBORHOOD,) * 70))
@@ -561,8 +561,8 @@ def test_run_level_takes_any_integer_order_that_indexes_the_lattice():
     """A visiting order of any integer dtype that holds every pixel index
     runs a level as its int64 copy does: same labels and counts. On a
     100x200 lattice the merge loop's stale-test keys reach
-    99 * 399 + 199 = 39700, past int16, and the merge windows' bounds go
-    below zero, which an unsigned order cannot hold."""
+    99 * 399 + 199 = 39700, past int16, and their differences go below
+    zero, which an unsigned order cannot hold."""
     rng = np.random.default_rng(5)
     tones = rng.integers(0, 4, size=(10, 20)) * 40.0
     img = gray(np.kron(tones, np.ones((10, 10))) + rng.integers(0, 2, size=(100, 200)))
@@ -711,14 +711,24 @@ def test_merge_level_reads_any_w0_exactly(w0):
         _check_merge_level(labels, verdict, perm, w0, (square_window(2), _diamond(3))[trial % 2])
 
 
+#: Merge windows that are not symmetric about either axis, so a clip that
+#: swaps a window's low and high rows or columns, or cuts the mask of one
+#: axis from the other's offset, merges the wrong pixels: a masked
+#: one-sided window and a maskless rectangle.
+SKEWED_MERGE = {
+    "one-sided": Window(((0, 0), (2, 0), (0, -1), (-1, 3))),
+    "rectangle": Window(tuple((dx, dy) for dx in range(-1, 4) for dy in range(0, 3))),
+}
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_merge_level_matches_sequential_reference(data):
     """The chunked merge layer against the one-visit-at-a-time loop, on
     random label maps and random (not MRF) verdicts, so accept-dense and
-    conflict-heavy chunks occur: bitwise-equal labels before
-    canonicalization, equal counts, and one ``_relabel`` call per accepted
-    visit."""
+    conflict-heavy chunks occur, and on symmetric and skewed merge
+    windows: bitwise-equal labels before canonicalization, equal counts,
+    and one ``_relabel`` call per accepted visit."""
     shape = data.draw(st.sampled_from(("grid", "row", "column")), label="shape")
     n = data.draw(st.integers(1, 24), label="n")
     if shape == "row":
@@ -737,11 +747,14 @@ def test_merge_level_matches_sequential_reference(data):
     kind = data.draw(st.sampled_from(("raster", "random")), label="order")
     perm = permutation(kind, lat, int(rng.integers(0, 1000)))
     w0 = data.draw(st.sampled_from((NINE_NEIGHBORHOOD, FIVE_NEIGHBORHOOD)), label="w0")
-    merge = data.draw(st.sampled_from(("square", "diamond", "pinned")), label="merge")
+    merge = data.draw(st.sampled_from(("square", "diamond", "pinned", "one-sided",
+                                       "rectangle")), label="merge")
     if merge == "square":
         psi = square_window(2 ** data.draw(st.integers(1, 3), label="level"))
     elif merge == "diamond":
         psi = _diamond(data.draw(st.integers(1, 4), label="radius"))
+    elif merge in SKEWED_MERGE:
+        psi = SKEWED_MERGE[merge]
     else:
         psi = w0
 

@@ -163,19 +163,19 @@ def _diamond(r):
     square_window(2), _diamond(3), _diamond(8), Window(((0, 0), (2, 0), (0, -1))), None,
 ], ids=["square2", "diamond3", "diamond8", "skewed", "square2**70"])
 def test_clip_bounds_matches_clip_at_every_pixel(win, height, width):
-    """Every row of ``clip_bounds`` cuts the pixel set that the set
-    ``clip`` selects at its position. The diamond of radius 8 and
-    ``WindowGeom.square(2**70)`` (``win`` None), which has no offset set
-    and covers the whole lattice, overhang every lattice here."""
+    """At every pixel, ``cut`` of its row's and its column's cut from
+    ``WindowGeom.cuts`` cuts the pixel set that the set ``clip`` selects
+    there. The diamond of radius 8 and ``WindowGeom.square(2**70)``
+    (``win`` None), which has no offset set and covers the whole lattice,
+    overhang every lattice here."""
     lat = Lattice(width, height)
     geom = WindowGeom.square(2 ** 70) if win is None else WindowGeom.of(win)
-    rows, cols = np.divmod(np.arange(height * width), width)
-    bounds = geom.clip_bounds(rows, cols, height, width)
-    assert bounds.dtype == np.int32
-    assert bounds.shape == (height * width, 4 if geom.mask is None else 6)
-    for row, r, c in zip(bounds.tolist(), rows.tolist(), cols.tolist()):
-        expected = set(lat.pixels()) if win is None else clip(win, (c + 1, r + 1), lat)
-        assert cut_as_set(geom.cut(row)) == expected
+    row_cuts, col_cuts = geom.cuts(height, width)
+    assert (len(row_cuts), len(col_cuts)) == (height, width)
+    for r in range(height):
+        for c in range(width):
+            expected = set(lat.pixels()) if win is None else clip(win, (c + 1, r + 1), lat)
+            assert cut_as_set(geom.cut(row_cuts[r], col_cuts[c])) == expected
 
 
 @pytest.mark.parametrize("height, width", [(1, 9), (9, 1), (5, 7)], ids=["1xN", "Nx1", "5x7"])

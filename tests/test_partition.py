@@ -342,14 +342,15 @@ def test_merges_take_negative_and_large_labels():
 
 
 RELABEL_WINDOWS = [square_window(0), square_window(1), square_window(2), square_window(9),
-                   dilate(FIVE_NEIGHBORHOOD, 2), dilate(FIVE_NEIGHBORHOOD, 4), LINE3]
+                   dilate(FIVE_NEIGHBORHOOD, 2), dilate(FIVE_NEIGHBORHOOD, 4), LINE3,
+                   Window(((0, 0), (2, 0), (0, -1), (-1, 3)))]
 
 
 @st.composite
 def relabel_cases(draw):
     """A label map with ABSENT pixels, a window (a square, a holed
-    diamond, a line, or a square that covers the whole lattice from any
-    pixel) at a pixel, and a target set drawn from another pixel's 3x3
+    diamond, a line, a one-sided holed window, or a square that covers
+    the whole lattice from any pixel) at a pixel, and a target set drawn from another pixel's 3x3
     window: its labels without ABSENT, as ``m_step`` takes them, or with
     it."""
     h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
@@ -367,14 +368,15 @@ def relabel_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(relabel_cases(), st.sampled_from([(np.int32, "C"), (np.intp, "C"), (np.intp, "F")]))
 def test_relabel_matches_per_pixel_reference(case, layout):
-    """``_relabel`` on the ``WindowGeom.cut`` of a ``clip_bounds`` row, at
+    """``_relabel`` on the ``WindowGeom.cut`` of a row and a column cut, at
     interior, edge and corner pixels and over the whole lattice, gives
     the per-pixel loop's labels, in any array layout, and leaves the
     labels outside the window and its table as they were."""
     labels, window, r0, c0, targets = case
     h, w = labels.shape
     geom = WindowGeom.of(window)
-    rs, cs, sub = geom.cut(geom.clip_bounds(np.array([r0]), np.array([c0]), h, w)[0].tolist())
+    row_cuts, col_cuts = geom.cuts(h, w)
+    rs, cs, sub = geom.cut(row_cuts[r0], col_cuts[c0])
     table = _label_table(labels, targets)
     before, fresh = table.copy(), int(labels.max()) + 1
     work = np.array(labels, dtype=layout[0], order=layout[1])
