@@ -6,9 +6,10 @@ squared deviation of each in-region pixel from the mean of its
 in-region neighbors. A patch is acceptable when the energy per pixel is
 at most ``rho``. The homogeneity test is a net with every weight wired
 to one, nothing learned. The AR predictor is one of its layers:
-``_frame_means`` predicts each pixel for the energy and gives every
-pyramid layer alike, and with ``_add_shifted`` and ``_site_terms`` it
-is one of the kernels that every map of the net is built from.
+``_frame_means`` predicts each pixel for the energy, gives every
+pyramid layer alike and is the energy's own last layer, which divides
+the summed terms by their count; with ``_site_terms`` it is one of the
+two kernels that every map of the net is built from.
 
 A window is scored directly, or its resolution is lowered step by step
 down a coarse-ward window chain (``check_chain``) to the base
@@ -41,16 +42,18 @@ span, the frame positions from the first to the last of the union of
 every chain's base-window box around the lattice, holds every position
 a chain reads of a term map, and those lie inside the pad, since
 ``check_chain`` puts each chain's base window inside its first. The
-energy sums run over the frame rows of the lattice, and their columns
-off it, which read past row ends, are dropped before the divide. So
-neither the one pad, the flat reads nor the one term span changes a
-value that is read. ``_ordered_sum`` adds a term's bands in order, and
-the energy adds the terms in the order of ``reference.pyramid_evaluate``,
-leaving out only reads of +0.0, and ``x + 0.0 == x``. The size is an
-exact integer count of the window's in-region positions, the count
-``reference.evaluate`` divides by, and at least 1, since every window
-holds the origin and each layer reads its own position. So every
-verdict is bitwise the per-window net's.
+energy layer runs over the frame rows of the lattice, and its columns
+off it, which read past row ends, are dropped. So neither the one pad,
+the flat reads nor the one term span changes a value that is read.
+``_ordered_sum`` adds a term's bands in order, and the energy adds the
+terms in the order of ``reference.pyramid_evaluate``, leaving out only
+reads of +0.0, and ``x + 0.0 == x``. The divisor is the energy layer's
+integer read count: a term map carries its center map's mask, so a read
+is counted where its window position is in the region. That is the
+count of the window's in-region positions, which ``reference.evaluate``
+divides by, and it is at least 1, since every window holds the origin
+and each layer reads its own position. So every verdict is bitwise the
+per-window net's.
 """
 
 from __future__ import annotations
@@ -118,8 +121,7 @@ def _add_shifted(out: np.ndarray, sources, reads: Iterable[tuple[int, object]], 
     """Add to ``out`` in place, one read at a time in order, each (o, k)
     read: the ``len(out)`` rows of ``sources[k]`` from row ``start + o``,
     one contiguous slice. This is the only code that adds shifted
-    arrays: every mean layer of the net, the AR predictor and the energy
-    sum of ``verdict_maps``."""
+    arrays: the sums and the counts of every mean layer of the net."""
     for o, k in reads:
         out += sources[k][start + o : start + o + len(out)]
 
@@ -146,8 +148,10 @@ def _frame_means(sources: Mapping[object, tuple[np.ndarray, np.ndarray]],
     the quotient is the sum divided once by its count; it is -0.0 only
     when a negative sum underflows, and no caller tells that from +0.0:
     a mean is only added to a sum that starts at +0.0 or put in a
-    difference whose square or absolute value is taken. This form skips
-    NumPy's masked divide and float counts, its slow paths."""
+    difference whose square or absolute value is taken. A mask is added
+    to the counts as its uint8 view, which reads True as 1, so the count
+    is the same. This form skips NumPy's masked divide, float counts and
+    a bool-to-integer cast per read, its slow paths."""
     (values, mask), n = next(iter(sources.values())), len(out_mask)
     reads = [(dy * stride + dx, k) for (dx, dy), k in reads]
     lo = max(0, -start - min((o for o, _ in reads), default=0))
@@ -155,7 +159,8 @@ def _frame_means(sources: Mapping[object, tuple[np.ndarray, np.ndarray]],
     sums = np.zeros((n, values.shape[1]))
     counts = np.zeros(n, dtype=np.min_scalar_type(len(reads)))
     _add_shifted(sums[lo:hi], {k: v for k, (v, _) in sources.items()}, reads, start + lo)
-    _add_shifted(counts[lo:hi], {k: m for k, (_, m) in sources.items()}, reads, start + lo)
+    _add_shifted(counts[lo:hi], {k: m.view(np.uint8) for k, (_, m) in sources.items()}, reads,
+                 start + lo)
     present = out_mask & (counts > 0)
     means = sums / np.where(present, counts, np.inf)[:, None]
     means += 0.0
@@ -253,24 +258,6 @@ def verdict_maps(samples: np.ndarray, chains, model: MrfModel) -> list[np.ndarra
     return [verdicts[levels] for levels in chains]
 
 
-def _boxes(mask: np.ndarray) -> list[list[int]]:
-    """The set cells of a 2-D bool array as disjoint [c0, c1, r0, r1]
-    boxes, bounds included: each row's runs of set cells, a run merged
-    into the box of the same run on the row above."""
-    edges = np.diff(mask.astype(np.int8), axis=1, prepend=0, append=0)
-    rows, starts = np.nonzero(edges == 1)
-    stops = np.nonzero(edges == -1)[1] - 1
-    boxes, latest = [], {}
-    for r, c0, c1 in zip(rows.tolist(), starts.tolist(), stops.tolist()):
-        box = latest.get((c0, c1))
-        if box is not None and box[3] == r - 1:
-            box[3] = r
-        else:
-            latest[c0, c1] = box = [c0, c1, r, r]
-            boxes.append(box)
-    return boxes
-
-
 class _NetMaps:
     """One run's cache of the net's whole-image maps, for the window
     chains it is given in level order.
@@ -292,11 +279,13 @@ class _NetMaps:
     is planned in order on a grid of window positions: each key is
     interned once, and its map is built with the first chain that reads
     it and dropped after the last one (through a map built for that
-    chain, or its energy). The energy of a chain adds, per base-window
-    position in row-major order, that position's term map; each
-    window's size is the integer count of its center maps' masks over
-    it, from a prefix-sum table per center map and a few boxes of
-    window positions (``_boxes``).
+    chain, or its energy). A term map is a (values, mask) pair like
+    every other map: its terms as one band, and its center map's mask
+    over the term span. The energy of a chain is the net's last mean
+    layer, the ``_frame_means`` of its term maps, one read per
+    base-window position in row-major order: a read is counted where its
+    center map's mask is on, so each window's divisor is the integer
+    count of its in-region positions.
     """
 
     def __init__(self, vals: np.ndarray, chains: list[tuple[Window, ...]], model: MrfModel):
@@ -304,7 +293,7 @@ class _NetMaps:
         firsts, bases = ([levels[i].bbox() for levels in chains] for i in (0, -1))
         (x0, _, y0, _), (_, x1, _, y1) = np.min(firsts, 0).tolist(), np.max(firsts, 0).tolist()
         inside = np.pad(np.ones((h, w), dtype=bool), reach := ((-y0, y1), (-x0, x1)))
-        self.shape, self.origin, self.model = (h, w), (-y0, -x0), model
+        self.shape, self.model = (h, w), model
         self.stride = stride = inside.shape[1]
         self.start = start = -y0 * stride - x0  # the frame position of lattice pixel (0, 0)
         (x0, _, y0, _), (_, x1, _, y1) = np.min(bases, 0).tolist(), np.max(bases, 0).tolist()
@@ -313,10 +302,10 @@ class _NetMaps:
         self.keys: list = [None]  # map id -> key; map 0 is the image
         self.ids = {"layer": {}, "terms": {}}  # kind -> row of source ids -> map id
         self.last = [0]  # map id -> index of the last distinct chain that reads it
-        # chain -> (ids of the maps it builds, its energy plan)
+        # chain -> (ids of the maps it builds, its energy's reads)
         self.plans = {c: self._plan(c, n) for n, c in enumerate(dict.fromkeys(chains))}
         # map id -> (values, mask) of the image or a layer map over the
-        # frame, or a term map's values over the term span
+        # frame, or of a term map over the term span
         self.maps = {0: (np.pad(vals, reach + ((0, 0),)).reshape(-1, bands), inside.ravel())}
 
     def _intern(self, kind: str, reads: np.ndarray, n: int) -> np.ndarray:
@@ -337,10 +326,9 @@ class _NetMaps:
 
     def _plan(self, levels: tuple[Window, ...], n: int):
         """Intern the maps of chain ``levels``, the ``n``-th distinct one.
-        Returns the ids of the maps it interns, and its energy's plan:
-        the (frame offset, term map id) reads in row-major order, and per
-        center map id, the boxes of offsets whose term maps are on that
-        center."""
+        Returns the ids of the maps it interns, and its energy's reads:
+        the ((dx, dy), term map id) of each base-window position, in
+        row-major order."""
         first = len(self.keys)
         g = np.array(self.model.neighborhood.offsets)
         d = np.array([(0, 0), *self.model.neighbor_offsets()])  # a term's center, then its reads
@@ -355,19 +343,15 @@ class _NetMaps:
                 "layer", grid[rows[:, None] + g[:, 1], cols[:, None] + g[:, 0]], n)
             grid = np.full_like(grid, -1)
             grid[rows, cols] = ids
-        reads = grid[rows[:, None] + d[:, 1], cols[:, None] + d[:, 0]]
-        centers = reads[:, 0]
-        terms = self._intern("terms", reads, n)
-        for k in set(terms.tolist()) | set(centers.tolist()):
+        terms = self._intern("terms", grid[rows[:, None] + d[:, 1], cols[:, None] + d[:, 0]], n)
+        for k in set(terms.tolist()):
             self.last[k] = n
-        offsets = ((rows - gy) * self.stride + cols - gx).tolist()
-        sizes = {c: [(c0 - gx, c1 - gx, r0 - gy, r1 - gy) for c0, c1, r0, r1 in _boxes(grid == c)]
-                 for c in dict.fromkeys(centers.tolist())}
-        return range(first, len(self.keys)), (list(zip(offsets, terms.tolist())), sizes)
+        offsets = zip((cols - gx).tolist(), (rows - gy).tolist())
+        return range(first, len(self.keys)), list(zip(offsets, terms.tolist()))
 
     def _build(self, i: int):
-        """Map ``i``: a layer's (values, mask) over the frame, or a term
-        map's values over the term span."""
+        """Map ``i``'s (values, mask): a layer's over the frame, or a term
+        map's over the term span."""
         kind, ids = self.keys[i]
         if kind == "layer":
             reads = [(d, k) for d, k in zip(self.model.neighborhood.offsets, ids) if k >= 0]
@@ -377,27 +361,18 @@ class _NetMaps:
         reads = [(d, k) for d, k in zip(self.model.neighbor_offsets(), ids[1:]) if k >= 0]
         sources = {k: self.maps[k] for k in (ids[0], *(k for _, k in reads))}
         pred = _frame_means(sources, reads, mask[span], self.stride, span.start)
-        return _site_terms(vals[span], *pred, self.model)
+        return _site_terms(vals[span], *pred, self.model)[:, None], mask[span]
 
-    def _energy(self, plan) -> np.ndarray:
-        """The energy per pixel of one chain, (h, w): the term sums of its
-        plan over the window sizes. The sums run over the frame rows of
-        the lattice, and their wrapped columns are dropped."""
-        reads, sizes = plan
-        (h, w), (oy, ox), stride = self.shape, self.origin, self.stride
-        sums = np.zeros((h, stride))
-        _add_shifted(sums.reshape(-1)[: (h - 1) * stride + w], self.maps, reads,
-                     self.start - self.span.start)
-        size = np.zeros((h, w), dtype=np.int64)
-        for center, boxes in sizes.items():
-            mask = self.maps[center][1].reshape(-1, stride)
-            table = np.zeros((mask.shape[0] + 1, stride + 1), dtype=np.int64)
-            np.cumsum(mask.cumsum(0), 1, out=table[1:, 1:])
-            for x0, x1, y0, y1 in boxes:
-                r0, r1, c0, c1 = oy + y0, oy + y1 + 1, ox + x0, ox + x1 + 1
-                size += (table[r1 : r1 + h, c1 : c1 + w] - table[r0 : r0 + h, c1 : c1 + w]
-                         - table[r1 : r1 + h, c0 : c0 + w] + table[r0 : r0 + h, c0 : c0 + w])
-        return sums[:, :w] / size
+    def _energy(self, reads) -> np.ndarray:
+        """The energy per pixel of one chain, (h, w): the mean layer of
+        its term-map ``reads``, with the term span read as a frame of the
+        same stride, over the frame rows of the lattice, whose wrapped
+        columns are dropped."""
+        (h, w), stride = self.shape, self.stride
+        sources = {k: self.maps[k] for _, k in reads}
+        energy, _ = _frame_means(sources, reads, self.everywhere[: h * stride], stride,
+                                 self.start - self.span.start)
+        return energy.reshape(h, stride)[:, :w]
 
     def verdicts(self) -> dict:
         """Each distinct chain's (h, w) bool verdict map, energy per pixel
@@ -406,10 +381,10 @@ class _NetMaps:
         for i, n in enumerate(self.last):
             dead[n].append(i)
         out = {}
-        for n, (levels, (new, plan)) in enumerate(self.plans.items()):
+        for n, (levels, (new, reads)) in enumerate(self.plans.items()):
             for i in new:
                 self.maps[i] = self._build(i)
-            out[levels] = self._energy(plan) <= self.model.rho
+            out[levels] = self._energy(reads) <= self.model.rho
             for i in dead[n]:
                 del self.maps[i]
         return out

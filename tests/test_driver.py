@@ -450,7 +450,8 @@ def test_run_mcv_builds_each_net_map_once(mode, layers, terms):
     window's interior, 4 edges and 4 corners) at every level: 9 builds,
     not 63. A pyramid run's layer d is the d-fold g-mean at every level:
     6 layer builds, not 21, while its 9 term maps per level read a new
-    layer each."""
+    layer each. On top of those, each of the 7 distinct chains takes
+    one mean layer of term maps, its energy."""
     rng = np.random.default_rng(5)
     img = gray(rng.integers(0, 4, size=(10, 10)).astype(np.float64) * 60)
     cfg = McvConfig(max_level=7, rho=50.0, eval_mode=mode)
@@ -459,7 +460,7 @@ def test_run_mcv_builds_each_net_map_once(mode, layers, terms):
                               side_effect=pyramid._frame_means) as means:
         run_mcv(img, cfg)
     assert site.call_count == terms
-    assert means.call_count == layers + terms
+    assert means.call_count == layers + terms + 7
 
 
 def _fresh_verdict_maps(samples, chains, model):
