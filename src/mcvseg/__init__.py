@@ -9,10 +9,9 @@ from .driver import (ConfigError, LevelStats, McvConfig, PartitionSequence,
                      load_permutation, permutation, run_level, run_mcv)
 from .geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD, Window,
                        dilate, square_window)
-from .metrics import rand_index, region_size_histogram
 from .partition import (ABSENT, Partition, canonicalize, components_by_class,
-                        connected_components, same_partition, singletons,
-                        singletons_full)
+                        connected_components, rand_index, region_size_histogram,
+                        same_partition, singletons, singletons_full)
 from .pnmio import (ImageBuffer, PnmParseError, colorize, load_labels,
                     load_pnm, save_labels, save_pnm)
 from .pyramid import MrfModel, check_chain, make_pyramid_evaluator, verdict_map

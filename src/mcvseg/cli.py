@@ -16,10 +16,18 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from .driver import EVAL_MODES, ConfigError, McvConfig, config_updates, run_mcv
-from .metrics import rand_index
-from .partition import Partition, components_by_class
-from .pnmio import colorize, load_labels, load_pnm, save_labels, save_pnm
+from .partition import Partition, components_by_class, rand_index
+from .pnmio import _decimal, colorize, load_labels, load_pnm, save_labels, save_pnm
 from .pyramid import METRIC_ALIASES
+
+
+def _int_flag(raw: str) -> int:
+    """An integer flag, read by ``pnmio._decimal`` as every integer of a
+    config, permutation or label file is: ASCII digits, an optional sign."""
+    try:
+        return _decimal(raw, "flag")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
 
 
 def _parse_perm_flag(raw: str) -> dict:
@@ -129,9 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
     seg.add_argument("outdir", help="output directory (created if missing)")
     seg.add_argument("--config", help="key=value config file; flags override it")
     # Each flag but --perm stores straight into the McvConfig field it sets.
-    seg.add_argument("--levels", dest="max_level", metavar="LEVELS", type=int,
+    seg.add_argument("--levels", dest="max_level", metavar="LEVELS", type=_int_flag,
                      help="number of levels to run")
-    seg.add_argument("--seed", type=int, help="seed for the random permutation")
+    seg.add_argument("--seed", type=_int_flag, help="seed for the random permutation")
     seg.add_argument("--perm", help="pixel order: raster, random, or file:<path>")
     seg.add_argument("--rho", type=float, help="per-pixel energy acceptance threshold")
     seg.add_argument("--temp", dest="temperature", metavar="TEMP", type=float,
@@ -140,8 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="deviation metric (l2=euclidean, l1=per_band_abs)")
     seg.add_argument("--eval", dest="eval_mode", choices=EVAL_MODES,
                      help="window evaluation mode")
-    seg.add_argument("--workers", type=int, help="recorded in stats.txt; does not change the run")
-    seg.add_argument("--neighborhood", type=int, choices=(4, 8),
+    seg.add_argument("--workers", type=_int_flag,
+                     help="recorded in stats.txt; does not change the run")
+    seg.add_argument("--neighborhood", type=_int_flag, choices=(4, 8),
                      help="base adjacency")
     seg.set_defaults(func=cmd_segment)
 
@@ -149,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="connected components of a PGM class map")
     comp.add_argument("input", help="single-band PGM whose values are classes")
     comp.add_argument("output", help="label map to write (.csv for CSV, else 16-bit PGM)")
-    comp.add_argument("--neighborhood", type=int, choices=(4, 8), default=8,
+    comp.add_argument("--neighborhood", type=_int_flag, choices=(4, 8), default=8,
                       help="adjacency (default 8)")
     comp.set_defaults(func=cmd_components)
 

@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD, Window,
-                       WindowGeom, _integer, _w0_reads, dilate)
+                       WindowGeom, _axis_cuts, _integer, _w0_reads, dilate)
 from .partition import Partition, _relabel, canonicalize, singletons_full
 from .pnmio import ImageBuffer, _decimal
 from .pyramid import METRIC_ALIASES, MrfModel, check_chain, verdict_map, verdict_maps
@@ -181,6 +181,8 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+#: ``int`` marks a key whose value is read by ``pnmio._decimal``, the one
+#: rule for integers in text: ASCII digits, an optional sign.
 _CONFIG_PARSERS = {
     "max_level": int,
     "permutation": str,
@@ -215,7 +217,7 @@ def config_updates(text: str) -> dict:
         if parser is None:
             raise ConfigError(f"config line {ln}: unknown key {key!r}")
         try:
-            out[key] = parser(raw)
+            out[key] = _decimal(raw, key) if parser is int else parser(raw)
         except ValueError as e:
             raise ConfigError(f"config line {ln}: {e}") from e
     return out
@@ -324,9 +326,9 @@ def _merge_level(labels: np.ndarray, verdict: np.ndarray, perm: np.ndarray,
     not, its near box joins the stale set and the walk. An accept merges
     where it stands, with the next fresh label inside its psi box: its
     row's and its column's cut from ``WindowGeom.cuts``, taken once per
-    level and picked by ``divmod`` of its pixel index by the width, then
-    combined as ``WindowGeom.cut`` combines them, inline (a call per
-    accept cost about 5% of the loop). That cut is exact, since a box
+    level and picked by ``divmod`` of its pixel index by the width. This
+    loop is the one place that combines a row cut and a column cut,
+    inline (a call per accept cost about 5%). That cut is exact, since a box
     clipped to the lattice is its row interval clipped to the rows times
     its column interval clipped to the columns: the first depends on the
     visit's row alone, the second on its column alone, and the mask's cut
@@ -360,8 +362,8 @@ def _merge_level(labels: np.ndarray, verdict: np.ndarray, perm: np.ndarray,
     # table is rolled so that a negative offset indexes it from the end.
     x0, x1, y0, y1 = w0.bbox()
     near = np.zeros((2 * h - 1, 2 * w - 1), dtype=bool)
-    box = WindowGeom(psi.bx0 - x1, psi.bx1 - x0, psi.by0 - y1, psi.by1 - y0, None)
-    near[box.clip(h - 1, w - 1, 2 * h - 1, 2 * w - 1)[:2]] = True
+    near[_axis_cuts(psi.by0 - y1, psi.by1 - y0, 2 * h - 1, [h - 1], False)[0][0],
+         _axis_cuts(psi.bx0 - x1, psi.bx1 - x0, 2 * w - 1, [w - 1], False)[0][0]] = True
     near = np.roll(near.reshape(-1), -((h - 1) * (2 * w - 1) + w - 1))
     keys = perm + perm // w * (w - 1)  # row * (2w - 1) + column
     fresh = int(work.max()) + 1

@@ -110,7 +110,7 @@ class WindowGeom:
     of 0-based arrays. ``mask`` is None when the window fills its box,
     which unlocks the maskless fast paths. The clip is separable: one
     position's row cut depends on its row alone and its column cut on its
-    column alone, and ``cut`` of the two gives the window there."""
+    column alone, so ``cuts`` clips the window one axis at a time."""
 
     bx0: int
     bx1: int
@@ -129,26 +129,15 @@ class WindowGeom:
         """square_window(r) without materializing its offsets."""
         return cls(-r, r, -r, r, None)
 
-    def clip(self, r0: int, c0: int, h: int, w: int):
-        """The window at array position (r0, c0), which must lie on the
-        array, clipped to an h x w array: ``cut`` of its row and column cuts."""
-        masked = self.mask is not None
-        return self.cut(_axis_cuts(self.by0, self.by1, h, [r0], masked)[0],
-                        _axis_cuts(self.bx0, self.bx1, w, [c0], masked)[0])
-
     def cuts(self, h: int, w: int) -> tuple[list, list]:
         """The window clipped to an h x w array one axis at a time: the cut
-        at each of the h rows, then at each of the w columns. The clip is
-        separable, so ``cut`` of row r0's and column c0's is ``clip(r0, c0)``."""
+        at each of the h rows, then at each of the w columns, each a slice
+        of the array's axis and, for a masked window, the slice of the
+        mask's axis that it keeps. The window at (r0, c0) is row r0's row
+        slice and column c0's column slice, under the mask cut to both."""
         masked = self.mask is not None
         return (_axis_cuts(self.by0, self.by1, h, np.arange(h), masked),
                 _axis_cuts(self.bx0, self.bx1, w, np.arange(w), masked))
-
-    def cut(self, row: tuple[slice, slice | None], col: tuple[slice, slice | None]):
-        """A row cut and a column cut as a row slice, a column slice and the
-        window mask cut to them, or None for a maskless window."""
-        (rs, rm), (cs, cm) = row, col
-        return rs, cs, None if self.mask is None else self.mask[rm, cm]
 
 
 def _axis_cuts(lo: int, hi: int, n: int, at, masked: bool) -> list[tuple[slice, slice | None]]:

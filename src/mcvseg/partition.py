@@ -1,5 +1,5 @@
 """Partitions as dense label maps: the relabel pass every merge ends in,
-connected components, and canonical renumbering.
+connected components, canonical renumbering and comparison.
 
 A partition lives on the whole lattice or on a subset of it; pixels
 outside the domain carry the reserved ABSENT marker. Blocks are the
@@ -10,6 +10,11 @@ ends in ``_relabel``, one vectorized pass through a bool table over
 labels. The merging operator applied at every pixel leaves the connected
 components whatever the order; both component labelings compute that
 fixpoint at once (``_components``) over the driver's read table.
+
+Partitions are compared up to relabeling (``same_partition``) and by the
+Rand index, the plain (unadjusted) agreement rate over pixel pairs,
+computed exactly from the label contingency table with integer pair
+counts, so it matches a brute-force pair enumeration bit for bit.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from itertools import chain
+from math import comb
 from typing import Iterable
 
 import numpy as np
@@ -197,3 +203,51 @@ def same_partition(p1: Partition, p2: Partition) -> bool:
     if p1.lattice != p2.lattice:
         return False
     return bool(np.array_equal(canonicalize(p1).labels, canonicalize(p2).labels))
+
+
+def rand_index(p1: Partition, p2: Partition) -> float:
+    """Fraction of pixel pairs on which two total partitions agree.
+
+    A pair agrees when both partitions put it in one block or both split
+    it. 1.0 iff the partitions are identical up to relabeling; symmetric;
+    invariant under relabeling either argument.
+    """
+    if p1.lattice != p2.lattice:
+        raise ValueError("partitions live on different lattices")
+    if not (p1.is_total and p2.is_total):
+        raise ValueError("rand_index requires total partitions")
+    n = p1.lattice.size
+    if n < 2:
+        raise ValueError("need at least two pixels to compare pairs")
+
+    a1 = p1.labels.ravel()
+    a2 = p2.labels.ravel()
+    _, i1 = np.unique(a1, return_inverse=True)
+    u2, i2 = np.unique(a2, return_inverse=True)
+    joint = i1.astype(np.int64) * len(u2) + i2
+    cell_counts = np.unique(joint, return_counts=True)[1]
+    row_counts = np.bincount(i1)
+    col_counts = np.bincount(i2)
+
+    together_both = sum(comb(int(c), 2) for c in cell_counts)
+    together_1 = sum(comb(int(c), 2) for c in row_counts)
+    together_2 = sum(comb(int(c), 2) for c in col_counts)
+    total = comb(n, 2)
+    apart_both = total - together_1 - together_2 + together_both
+    return (together_both + apart_both) / total
+
+
+def region_size_histogram(p: Partition, descending: bool = False) -> list[int]:
+    """Block sizes of a partition; sizes sum to the domain size.
+
+    Ascending by default; pass descending=True for largest-first
+    reporting.
+    """
+    present = p.labels[p.labels != ABSENT]
+    if present.size == 0:
+        return []
+    sizes = np.unique(present, return_counts=True)[1]
+    ordered = np.sort(sizes)
+    if descending:
+        ordered = ordered[::-1]
+    return [int(s) for s in ordered]

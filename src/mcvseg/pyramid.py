@@ -167,34 +167,6 @@ def _frame_means(sources: Mapping[object, tuple[np.ndarray, np.ndarray]],
     return means, present
 
 
-def _neighbor_means(sources: Mapping[object, tuple[np.ndarray, np.ndarray]],
-                    reads: Iterable[tuple[Offset, object]], out_mask: np.ndarray,
-                    dy0: int = 0, dx0: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """One layer of the net on small patches: per-band means (..., h, w,
-    bands) of the in-mask reads at each (..., h, w) ``out_mask``
-    position, and the mask, off where a position has no read. Position
-    (i, j) sits at source position (i + dy0, j + dx0). ``sources`` maps
-    a key to a (values, mask) pair, all of one shape, (..., hs, ws,
-    bands) values zero off the (..., hs, ws) mask. Each ((dx, dy), k)
-    read, in order, adds source k at (i + dy0 + dy, j + dx0 + dx), or
-    nothing off the source; the sum is divided once. Every zero mean is
-    +0.0. This is ``_frame_means`` on one frame: every patch zero-padded
-    to hold each output position and its reads, so no read of one wraps
-    or leaves the frame, and the patches of the batch axes stacked as
-    rows."""
-    reads = list(reads)
-    mask, (h, w) = next(iter(sources.values()))[1], out_mask.shape
-    p = max(h + abs(dy0), w + abs(dx0)) + max((max(map(abs, d)) for d, _ in reads), default=0)
-    pad = ((0, 0),) * (mask.ndim - 2) + ((p, p), (p, p))
-    on = np.zeros_like(np.pad(mask, pad))
-    at = (..., slice(p + dy0, p + dy0 + h), slice(p + dx0, p + dx0 + w))
-    on[at] = out_mask
-    frame = {k: (np.pad(v, pad + ((0, 0),)).reshape(-1, v.shape[-1]), np.pad(m, pad).ravel())
-             for k, (v, m) in sources.items()}
-    means, present = _frame_means(frame, reads, on.ravel(), on.shape[-1])
-    return means.reshape(*on.shape, -1)[(*at, slice(None))], present.reshape(on.shape)[at]
-
-
 def _ordered_sum(x: np.ndarray) -> np.ndarray:
     """Sums over the last axis, adding one element at a time from the
     first, unlike ``np.sum``, whose order depends on the array's length

@@ -7,12 +7,15 @@ one tiny state space, with no chunking, caching or whole-image maps:
 - the clipped window and the boundary test (``clip``, ``boundary_point``);
 - the block-merging operator and the windowed merge (``m_step``,
   ``merge_step``), which the driver's merge loop and the component
-  labelings reproduce;
+  labelings reproduce; they read their w0- and psi-windows as ``clip``
+  pixel sets and end in ``partition._relabel``, the one merge primitive;
 - the AR-MRF energy of one window and its threshold (``energy``,
   ``evaluate``), and the neighborhood system the energy is an MRF
   energy for (``neighborhood_squared``);
 - the net on one window (``downsample``, ``pyramid_evaluate``), which
-  ``pyramid.verdict_maps`` slides over a whole image;
+  ``pyramid.verdict_maps`` slides over a whole image; its mean layer on
+  small patches, ``_neighbor_means``, runs the run path's kernel
+  ``pyramid._frame_means`` on one zero-padded frame;
 - the Gibbs/Metropolis reading of the AR-MRF threshold: the Boltzmann
   distribution the energy induces, enumerable for tiny state spaces
   (``gibbs_distribution``), which gives an exact oracle for the
@@ -33,13 +36,13 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import Lattice, Pixel, Window, WindowGeom, dilate
+from .geometry import Lattice, Offset, Pixel, Window, dilate
 from .partition import ABSENT, Partition, _relabel
-from .pyramid import (MrfModel, _as_bands, _neighbor_means, _ordered_sum, _site_terms,
+from .pyramid import (MrfModel, _as_bands, _frame_means, _ordered_sum, _site_terms,
                       check_chain)
 
 # --- geometry ----------------------------------------------------------------
@@ -74,13 +77,7 @@ def boundary_point(x: Pixel, region: set[Pixel], w0: Window, lat: Lattice) -> bo
 # --- partition ---------------------------------------------------------------
 
 
-def _window_labels(labels: np.ndarray, rs: slice, cs: slice, sub: np.ndarray | None) -> np.ndarray:
-    """Labels under a window cut out of the lattice by ``WindowGeom.cut``."""
-    block = labels[rs, cs]
-    return block if sub is None else block[sub]
-
-
-def _label_table(labels: np.ndarray, targets: np.ndarray) -> np.ndarray:
+def _label_table(labels: np.ndarray, targets: Sequence[int] | np.ndarray) -> np.ndarray:
     """A ``_relabel`` table over every label of ``labels``, set at
     ``targets``; negative labels index it from the end, past the largest."""
     table = np.zeros(int(labels.max()) + 1 - min(int(labels.min()), 0), dtype=bool)
@@ -99,10 +96,9 @@ def m_step(x: Pixel, p: Partition, w0: Window) -> Partition:
     target = p.label_at(x)
     if target == ABSENT:
         raise ValueError(f"pixel {x} is not in the partition domain")
-    members = _window_labels(p.labels, *WindowGeom.of(w0).clip(*p.lattice.index(x), *p.labels.shape))
+    members = {p.label_at(q) for q in clip(w0, x, p.lattice)} - {ABSENT}
     out = p.labels.copy()
-    table = _label_table(out, members[members != ABSENT])
-    _relabel(out, slice(None), slice(None), None, table, target)
+    _relabel(out, slice(None), slice(None), None, _label_table(out, list(members)), target)
     return Partition(p.lattice, out)
 
 
@@ -115,17 +111,46 @@ def merge_step(x: Pixel, p: Partition, w0: Window, psi: Window) -> Partition:
     and empty residues vanish. Regions can split as well as merge, so the
     result need not be coarser than the input.
     """
-    r, c = p.lattice.index(x)  # raises off the lattice
+    inside = clip(psi, x, p.lattice)  # raises off the lattice
     if not p.is_total:
         raise ValueError("merge_step requires a total partition")
+    targets = [p.label_at(q) for q in clip(w0, x, p.lattice)]
+    sub = np.zeros(p.labels.shape, dtype=bool)
+    sub[tuple(zip(*map(p.lattice.index, inside)))] = True
     out = p.labels.copy()
-    targets = _window_labels(out, *WindowGeom.of(w0).clip(r, c, *out.shape))
-    rs, cs, sub = WindowGeom.of(psi).clip(r, c, *out.shape)
-    _relabel(out, rs, cs, sub, _label_table(out, targets), int(out.max()) + 1)
+    _relabel(out, slice(None), slice(None), sub, _label_table(out, targets), int(out.max()) + 1)
     return Partition(p.lattice, out)
 
 
 # --- the energy of one window ------------------------------------------------
+
+
+def _neighbor_means(sources: Mapping[object, tuple[np.ndarray, np.ndarray]],
+                    reads: Iterable[tuple[Offset, object]], out_mask: np.ndarray,
+                    dy0: int = 0, dx0: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """One layer of the net on small patches: per-band means (..., h, w,
+    bands) of the in-mask reads at each (..., h, w) ``out_mask``
+    position, and the mask, off where a position has no read. Position
+    (i, j) sits at source position (i + dy0, j + dx0). ``sources`` maps
+    a key to a (values, mask) pair, all of one shape, (..., hs, ws,
+    bands) values zero off the (..., hs, ws) mask. Each ((dx, dy), k)
+    read, in order, adds source k at (i + dy0 + dy, j + dx0 + dx), or
+    nothing off the source; the sum is divided once. Every zero mean is
+    +0.0. This is ``pyramid._frame_means``, the run path's kernel, on one
+    frame: every patch zero-padded to hold each output position and its
+    reads, so no read of one wraps or leaves the frame, and the patches
+    of the batch axes stacked as rows."""
+    reads = list(reads)
+    mask, (h, w) = next(iter(sources.values()))[1], out_mask.shape
+    p = max(h + abs(dy0), w + abs(dx0)) + max((max(map(abs, d)) for d, _ in reads), default=0)
+    pad = ((0, 0),) * (mask.ndim - 2) + ((p, p), (p, p))
+    on = np.zeros_like(np.pad(mask, pad))
+    at = (..., slice(p + dy0, p + dy0 + h), slice(p + dx0, p + dx0 + w))
+    on[at] = out_mask
+    frame = {k: (np.pad(v, pad + ((0, 0),)).reshape(-1, v.shape[-1]), np.pad(m, pad).ravel())
+             for k, (v, m) in sources.items()}
+    means, present = _frame_means(frame, reads, on.ravel(), on.shape[-1])
+    return means.reshape(*on.shape, -1)[(*at, slice(None))], present.reshape(on.shape)[at]
 
 
 def _sequential_sum(x: np.ndarray) -> np.float64:

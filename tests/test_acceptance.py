@@ -15,8 +15,8 @@ import numpy as np
 from mcvseg.driver import McvConfig, run_mcv
 from mcvseg.geometry import (FIVE_NEIGHBORHOOD, Lattice, NINE_NEIGHBORHOOD,
                              dilate, square_window, Window)
-from mcvseg.metrics import rand_index
-from mcvseg.partition import Partition, canonicalize, connected_components, singletons
+from mcvseg.partition import (Partition, canonicalize, connected_components, rand_index,
+                              singletons)
 from mcvseg.pnmio import ImageBuffer
 from mcvseg.pyramid import MrfModel, make_pyramid_evaluator
 from mcvseg.reference import (calibrate_rho, downsample, energy, evaluate, gibbs_distribution,

@@ -215,6 +215,40 @@ def test_segment_bad_perm_flag(tmp_path, capsys):
     assert "perm" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["segment", "--seed", "1_000"], ["segment", "--levels", "\u0663"],
+    ["segment", "--workers", "2_0"], ["segment", "--neighborhood", "\u0668"],
+    ["components", "--neighborhood", "\u0668"],
+], ids=["seed", "levels", "workers", "neighborhood", "components-neighborhood"])
+def test_integer_flags_take_ascii_digits_only(tmp_path, capsys, argv):
+    """An integer flag is read as every integer of a config, permutation
+    or label file is: a digit separator or a non-ASCII digit is refused
+    before the input is read."""
+    command, flag, raw = argv
+    src = tmp_path / "img.pgm"
+    write_pgm(src, np.zeros((4, 4)))
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(src), str(tmp_path / "out"), flag, raw])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid int value: {raw!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_segment_integers_keep_leading_zeros_and_refuse_separators(tmp_path, capsys):
+    """A zero-padded flag reads as its number, and a config file's integer
+    with a digit separator is refused with its line and key."""
+    src = tmp_path / "img.pgm"
+    write_pgm(src, np.full((4, 4), 30.0))
+    assert main(["segment", str(src), str(tmp_path / "out"), "--levels", "02"]) == 0
+    assert parse_stats((tmp_path / "out" / "stats.txt").read_bytes())["max_level"] == "2"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 1_000\n")
+    capsys.readouterr()
+    assert main(["segment", str(src), str(tmp_path / "bad"), "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: config line 1: seed: not an integer: '1_000'\n"
+    assert not (tmp_path / "bad").exists()
+
+
 def test_components_two_halves(tmp_path, capsys):
     src = tmp_path / "classes.pgm"
     vals = np.zeros((4, 6))

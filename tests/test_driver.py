@@ -232,6 +232,13 @@ def test_config_updates_parsing():
     assert config_updates("reshuffle_per_level = yes\n") == {"reshuffle_per_level": True}
     with pytest.raises(ConfigError, match=r"^config line 1: not a boolean: 'maybe'$"):
         config_updates("reshuffle_per_level = maybe\n")
+    # Integers are ASCII digits with an optional sign, as in a permutation
+    # file or a label CSV: no digit separators, no other scripts' digits.
+    assert config_updates("seed = 0042\nmax_level = +3\n") == {"seed": 42, "max_level": 3}
+    for key, raw in (("seed", "1_000"), ("neighborhood", "\u0668"), ("workers", "\uff12"),
+                     ("max_level", "3.0")):
+        with pytest.raises(ConfigError, match=rf"^config line 2: {key}: not an integer: "):
+            config_updates(f"rho = 1\n{key} = {raw}\n")
 
 
 def test_metric_aliases_accepted():
@@ -416,7 +423,8 @@ def test_run_mcv_max_level_30_on_a_line():
     assert time.perf_counter() - t0 < 5.0
     assert seq.region_counts()[-1] == 2
     assert all(lm.labels.dtype == np.int32 for lm in seq.levels)
-    assert WindowGeom.square(2 ** 30).clip(0, 2, 1, 6) == (slice(0, 1), slice(0, 6), None)
+    row_cuts, col_cuts = WindowGeom.square(2 ** 30).cuts(1, 6)
+    assert (row_cuts[0], col_cuts[2]) == ((slice(0, 1), None), (slice(0, 6), None))
 
 
 def test_run_mcv_max_level_70_on_a_line():

@@ -99,17 +99,22 @@ def test_clip_interior_and_corner():
         clip(NINE_NEIGHBORHOOD, (5, 1), lat)
 
 
-def cut_as_set(cut):
-    """The pixels a ``WindowGeom.cut`` selects, as a 1-based pixel set."""
-    rs, cs, sub = cut
+def cut_as_set(geom, row, col):
+    """The pixels that a row cut and a column cut of ``geom`` select, as a
+    1-based pixel set: the row slice times the column slice, under the
+    window mask cut to both."""
+    (rs, rm), (cs, cm) = row, col
+    sub = None if geom.mask is None else geom.mask[rm, cm]
     return {(c + 1, r + 1)
             for r in range(rs.start, rs.stop) for c in range(cs.start, cs.stop)
             if sub is None or sub[r - rs.start, c - cs.start]}
 
 
 def geom_clip_as_set(geom, x, lat):
-    """The pixels WindowGeom.clip selects at ``x``, as a 1-based pixel set."""
-    return cut_as_set(geom.clip(x[1] - 1, x[0] - 1, lat.height, lat.width))
+    """The pixels that ``WindowGeom.cuts`` selects at ``x``, from its row's
+    and its column's cut, as a 1-based pixel set."""
+    row_cuts, col_cuts = geom.cuts(lat.height, lat.width)
+    return cut_as_set(geom, row_cuts[x[1] - 1], col_cuts[x[0] - 1])
 
 
 lattice_shapes = st.one_of(
@@ -163,8 +168,8 @@ def _diamond(r):
     square_window(2), _diamond(3), _diamond(8), Window(((0, 0), (2, 0), (0, -1))), None,
 ], ids=["square2", "diamond3", "diamond8", "skewed", "square2**70"])
 def test_clip_bounds_matches_clip_at_every_pixel(win, height, width):
-    """At every pixel, ``cut`` of its row's and its column's cut from
-    ``WindowGeom.cuts`` cuts the pixel set that the set ``clip`` selects
+    """At every pixel, its row's and its column's cut from
+    ``WindowGeom.cuts`` cut the pixel set that the set ``clip`` selects
     there. The diamond of radius 8 and ``WindowGeom.square(2**70)``
     (``win`` None), which has no offset set and covers the whole lattice,
     overhang every lattice here."""
@@ -175,7 +180,7 @@ def test_clip_bounds_matches_clip_at_every_pixel(win, height, width):
     for r in range(height):
         for c in range(width):
             expected = set(lat.pixels()) if win is None else clip(win, (c + 1, r + 1), lat)
-            assert cut_as_set(geom.cut(row_cuts[r], col_cuts[c])) == expected
+            assert cut_as_set(geom, row_cuts[r], col_cuts[c]) == expected
 
 
 @pytest.mark.parametrize("height, width", [(1, 9), (9, 1), (5, 7)], ids=["1xN", "Nx1", "5x7"])

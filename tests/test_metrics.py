@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from mcvseg.geometry import Lattice
-from mcvseg.metrics import rand_index, region_size_histogram
-from mcvseg.partition import Partition, singletons
+from mcvseg.partition import Partition, rand_index, region_size_histogram, singletons
 
 from oracles import rand_brute
 

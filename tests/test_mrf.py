@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcvseg.geometry import FIVE_NEIGHBORHOOD, NINE_NEIGHBORHOOD, dilate, square_window
-from mcvseg.pyramid import MrfModel, _neighbor_means, _ordered_sum
-from mcvseg.reference import (_sequential_sum, calibrate_rho, energy, evaluate,
+from mcvseg.pyramid import MrfModel, _ordered_sum
+from mcvseg.reference import (_neighbor_means, _sequential_sum, calibrate_rho, energy, evaluate,
                               gibbs_distribution, neighborhood_squared, tau_rho_consistency)
 
 from oracles import energy_reference, neighbor_means_reference

@@ -368,7 +368,7 @@ def relabel_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(relabel_cases(), st.sampled_from([(np.int32, "C"), (np.intp, "C"), (np.intp, "F")]))
 def test_relabel_matches_per_pixel_reference(case, layout):
-    """``_relabel`` on the ``WindowGeom.cut`` of a row and a column cut, at
+    """``_relabel`` on a row and a column cut from ``WindowGeom.cuts``, at
     interior, edge and corner pixels and over the whole lattice, gives
     the per-pixel loop's labels, in any array layout, and leaves the
     labels outside the window and its table as they were."""
@@ -376,7 +376,8 @@ def test_relabel_matches_per_pixel_reference(case, layout):
     h, w = labels.shape
     geom = WindowGeom.of(window)
     row_cuts, col_cuts = geom.cuts(h, w)
-    rs, cs, sub = geom.cut(row_cuts[r0], col_cuts[c0])
+    (rs, rm), (cs, cm) = row_cuts[r0], col_cuts[c0]
+    sub = None if geom.mask is None else geom.mask[rm, cm]
     table = _label_table(labels, targets)
     before, fresh = table.copy(), int(labels.max()) + 1
     work = np.array(labels, dtype=layout[0], order=layout[1])

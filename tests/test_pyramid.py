@@ -249,7 +249,9 @@ def pixel_window(samples, top, r0, c0):
     sample."""
     h, w, bands = samples.shape
     geom = WindowGeom.of(top)
-    rs, cs, sub = geom.clip(r0, c0, h, w)
+    row_cuts, col_cuts = geom.cuts(h, w)
+    (rs, rm), (cs, cm) = row_cuts[r0], col_cuts[c0]
+    sub = None if geom.mask is None else geom.mask[rm, cm]
     box = (geom.by1 - geom.by0 + 1, geom.bx1 - geom.bx0 + 1)
     dr, dc = -r0 - geom.by0, -c0 - geom.bx0  # image (r, c) sits at box (r + dr, c + dc)
     brs, bcs = slice(rs.start + dr, rs.stop + dr), slice(cs.start + dc, cs.stop + dc)
@@ -362,6 +364,28 @@ def test_gray_verdict_map_matches_per_pixel_reference(seed):
     want = per_pixel_verdicts(samples[:, :, None], levels, model)
     assert 0 < want.sum() < want.size
     assert np.array_equal(verdict_map(samples, levels, model), want)
+
+
+# The direct windows of the default max_level's last two levels, with 289
+# and 361 positions: the energy layer counts more reads than uint8 holds.
+@pytest.mark.parametrize("level", [8, 9])
+def test_verdict_map_past_255_reads_matches_per_pixel_reference(level):
+    """On a 20x20 gray image whose noise grows from left to right, the
+    whole-image map of ``dilate(NINE_NEIGHBORHOOD, level)`` agrees with
+    per-pixel ``evaluate``. rho is the exact energy per pixel of the
+    center pixel's window, so that window sits exactly on the threshold,
+    and fails it one ulp lower."""
+    levels = (dilate(NINE_NEIGHBORHOOD, level),)
+    assert len(levels[0]) == (2 * level + 1) ** 2 > 255
+    rng = np.random.default_rng(level)
+    samples = 100.0 + rng.normal(0.0, 1.0, size=(20, 20)) * np.linspace(1.0, 6.0, 20)
+    model = MrfModel(rho=per_pixel_energy(samples[:, :, None], levels, MrfModel(), 10, 10))
+    below = replace(model, rho=np.nextafter(model.rho, 0.0))
+    for m in (model, below):
+        want = per_pixel_verdicts(samples[:, :, None], levels, m)
+        assert 0 < want.sum() < want.size
+        assert want[10, 10] == (m is model)
+        assert np.array_equal(verdict_map(samples, levels, m), want)
 
 
 # One-pixel-wide images put every pixel's window across a row end of the
